@@ -4,89 +4,27 @@ Cheap per-transaction binary features are individually too noisy to act
 on. Aggregated at the convergence nodes the traffic funnels into, shrunk
 toward the population rate, and tested as proportions, they become
 node-level adjudications precise enough to flag whole cohorts at once.
+
+The top-level names are the library API the README documents; everything
+else is imported from its submodule (``signalamp.engine``,
+``signalamp.detect``, ...).
 """
 
-from .amplify import NodeScore, compute_baseline, score_all, score_node, shrink, z_score
-from .backtest import (
-    AcceptanceBounds,
-    BacktestReport,
-    MetricsRow,
-    RawSignalBaseline,
-    SeriesRow,
-    SignalSummary,
-    amplification_factor,
-    check_bounds,
-    compute_metrics,
-    daily_series,
-    metrics_from_counts,
-    raw_signal_baseline,
-    run_backtest,
-    threshold_sweep,
-    write_report_files,
-)
-from .detect import (
-    ActivationReport,
-    Alert,
-    IncidentSummary,
-    SignalActivation,
-    attach_users,
-    build_alerts,
-    collect_hit_users,
-    compose_signals,
-    flag_nodes,
-    serialize_alert,
-    serialize_alerts,
-)
-from .edgefile import (
-    read_edge_file,
-    read_ground_truth,
-    write_edge_file,
-    write_ground_truth,
-)
-from .engine import (
-    DayOutcome,
-    ReplayResult,
-    StreamEngine,
-    WindowConfig,
-    replay_daily,
-)
-from .errors import (
-    CheckpointError,
-    DegenerateBaselineError,
-    DuplicateSignalError,
-    EdgeFileError,
-    InfeasibleScenarioError,
-    NoBaselineError,
-    NodeMismatchError,
-    SignalAmpError,
-    UnknownNodeError,
-    UnknownSignalError,
-    UnsortedEdgesError,
-)
-from .model import (
-    GlobalBaseline,
-    NodeAccumulator,
-    SignalDef,
-    SignalRegistry,
-    TransactionEdge,
-    accumulate_edges,
-    merge_accumulators,
-)
-from .scenario import (
-    PRESETS,
-    AttackConfig,
-    GroundTruth,
-    ScenarioConfig,
-    calibrate_case1,
-    calm,
-    case1_desk,
-    case2_desk,
-    generate,
-    preset,
-    registry_for,
-    scenario_from_dict,
-    scenario_to_dict,
-    with_seed,
-)
+from .amplify import compute_baseline, score_all, shrink, z_score
+from .backtest import run_backtest
+from .engine import StreamEngine, replay_daily
+from .model import SignalRegistry, TransactionEdge
+
+__all__ = [
+    "SignalRegistry",
+    "StreamEngine",
+    "TransactionEdge",
+    "replay_daily",
+    "run_backtest",
+    "shrink",
+    "z_score",
+    "compute_baseline",
+    "score_all",
+]
 
 __version__ = "0.1.0"

@@ -265,13 +265,7 @@ def run_backtest(
         sweeps[signal] = threshold_sweep(
             scores, node_users, truth, signal, sorted(sweep_thresholds)
         )
-        flagged = flag_nodes(scores, threshold)
-        users: set[UserId] = set()
-        for sc in flagged:
-            users.update(node_users.get(sc.node, frozenset()))
-        metrics = compute_metrics(
-            users, truth, signal, threshold=threshold, flagged_nodes=len(flagged)
-        )
+        metrics = threshold_sweep(scores, node_users, truth, signal, [threshold])[0]
         final_metrics[signal] = metrics
         summaries.append(
             SignalSummary(

@@ -52,7 +52,7 @@ def _load_config(path: str | None) -> dict:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise _CliError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise _CliError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise _CliError(f"config {path} must hold a JSON object")

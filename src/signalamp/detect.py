@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, AbstractSet
 
 from .amplify import NodeScore
-from .model import NodeId, SignalId, TransactionEdge, UserId
+from .model import NodeId, SignalId, UserId
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,21 +67,6 @@ def flag_nodes(scores: Iterable[NodeScore], threshold: float) -> list[NodeScore]
     return kept
 
 
-def collect_hit_users(
-    edges: Iterable[TransactionEdge], signal: SignalId
-) -> dict[NodeId, set[UserId]]:
-    """Map each node to the users that sent it a hit-carrying edge."""
-    by_node: dict[NodeId, set[UserId]] = {}
-    for edge in edges:
-        if edge.hits.get(signal):
-            users = by_node.get(edge.node)
-            if users is None:
-                users = set()
-                by_node[edge.node] = users
-            users.add(edge.user)
-    return by_node
-
-
 def build_alerts(
     flagged: Sequence[NodeScore],
     node_users: Mapping[NodeId, AbstractSet[UserId]],
@@ -105,20 +90,6 @@ def build_alerts(
     return alerts
 
 
-def attach_users(
-    flagged: Sequence[NodeScore],
-    edges: Iterable[TransactionEdge],
-    signal: SignalId,
-    day: int,
-) -> list[Alert]:
-    """Build alerts for flagged nodes from the raw window edges.
-
-    Users are deduplicated; only hit-carrying edges implicate a user, so a
-    node can be flagged while most of its counterparties stay untouched.
-    """
-    return build_alerts(flagged, collect_hit_users(edges, signal), day)
-
-
 def serialize_alert(alert: Alert) -> str:
     """One JSON record per alert with a stable field order.
 
@@ -136,10 +107,6 @@ def serialize_alert(alert: Alert) -> str:
         "users": sorted(alert.suspicious_users),
     }
     return json.dumps(record, separators=(",", ":"))
-
-
-def serialize_alerts(alerts: Iterable[Alert]) -> str:
-    return "\n".join(serialize_alert(a) for a in alerts)
 
 
 def compose_signals(

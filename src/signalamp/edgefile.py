@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EdgeFileError
 from .model import SignalId, TransactionEdge
@@ -52,57 +52,65 @@ def read_edge_file(path: str | Path) -> tuple[list[SignalId], list[TransactionEd
     except OSError as exc:
         raise EdgeFileError(f"cannot open edge file {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EdgeFileError(f"{path}: empty file, expected a header row") from None
-        if tuple(header[:3]) != _FIXED_COLUMNS:
-            raise EdgeFileError(
-                f"{path}: header must start with user,node,day; got {header[:3]}"
-            )
-        signals = header[3:]
-        if len(set(signals)) != len(signals):
-            raise EdgeFileError(f"{path}: duplicate signal columns in header")
-        width = len(header)
-        edges: list[TransactionEdge] = []
-        bad: list[str] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            problem = None
-            if len(row) != width:
-                problem = f"expected {width} fields, got {len(row)}"
+            return _parse_edges(path, csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise EdgeFileError(f"{path}: unreadable edge file: {exc}") from exc
+
+
+def _parse_edges(
+    path: Path, reader: Iterator[list[str]]
+) -> tuple[list[SignalId], list[TransactionEdge]]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EdgeFileError(f"{path}: empty file, expected a header row") from None
+    if tuple(header[:3]) != _FIXED_COLUMNS:
+        raise EdgeFileError(
+            f"{path}: header must start with user,node,day; got {header[:3]}"
+        )
+    signals = header[3:]
+    if len(set(signals)) != len(signals):
+        raise EdgeFileError(f"{path}: duplicate signal columns in header")
+    width = len(header)
+    edges: list[TransactionEdge] = []
+    bad: list[str] = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        problem = None
+        if len(row) != width:
+            problem = f"expected {width} fields, got {len(row)}"
+        else:
+            user, node, day_text = row[0], row[1], row[2]
+            if not user or not node:
+                problem = "empty user or node id"
             else:
-                user, node, day_text = row[0], row[1], row[2]
-                if not user or not node:
-                    problem = "empty user or node id"
+                try:
+                    day = int(day_text)
+                except ValueError:
+                    problem = f"day {day_text!r} is not an integer"
                 else:
-                    try:
-                        day = int(day_text)
-                    except ValueError:
-                        problem = f"day {day_text!r} is not an integer"
-                    else:
-                        if day < 0:
-                            problem = f"day {day} is negative"
-            if problem is None:
-                hits: dict[SignalId, int] = {}
-                for signal, bit_text in zip(signals, row[3:]):
-                    if bit_text == "1":
-                        hits[signal] = 1
-                    elif bit_text != "0":
-                        problem = f"bit for {signal!r} must be 0 or 1, got {bit_text!r}"
-                        break
-            if problem is not None:
-                bad.append(f"line {line_no}: {problem}")
-                if len(bad) > _MAX_REPORTED_LINES:
+                    if day < 0:
+                        problem = f"day {day} is negative"
+        if problem is None:
+            hits: dict[SignalId, int] = {}
+            for signal, bit_text in zip(signals, row[3:]):
+                if bit_text == "1":
+                    hits[signal] = 1
+                elif bit_text != "0":
+                    problem = f"bit for {signal!r} must be 0 or 1, got {bit_text!r}"
                     break
-                continue
-            edges.append(TransactionEdge(user=user, node=node, day=day, hits=hits))
-        if bad:
-            shown = bad[:_MAX_REPORTED_LINES]
-            suffix = "" if len(bad) <= _MAX_REPORTED_LINES else "; more follow"
-            raise EdgeFileError(f"{path}: malformed rows: " + "; ".join(shown) + suffix)
+        if problem is not None:
+            bad.append(f"line {line_no}: {problem}")
+            if len(bad) > _MAX_REPORTED_LINES:
+                break
+            continue
+        edges.append(TransactionEdge(user=user, node=node, day=day, hits=hits))
+    if bad:
+        shown = bad[:_MAX_REPORTED_LINES]
+        suffix = "" if len(bad) <= _MAX_REPORTED_LINES else "; more follow"
+        raise EdgeFileError(f"{path}: malformed rows: " + "; ".join(shown) + suffix)
     return signals, edges
 
 
@@ -123,7 +131,7 @@ def read_ground_truth(path: str | Path) -> GroundTruth:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise EdgeFileError(f"cannot open ground truth {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise EdgeFileError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return GroundTruth(

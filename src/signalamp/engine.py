@@ -9,6 +9,7 @@ scores regardless of arrival order: every counter is an integer sum.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -303,20 +304,32 @@ class StreamEngine:
         }
 
     def save_checkpoint(self, path: str | Path) -> None:
-        """Write a versioned snapshot; identical state gives identical bytes."""
-        payload = self.checkpoint_payload()
-        Path(path).write_text(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
-            encoding="utf-8",
-        )
+        """Write a versioned snapshot; identical state gives identical bytes.
+
+        The snapshot goes to a temporary file beside ``path`` that then
+        replaces it, so a failed save leaves any previous file intact.
+        """
+        text = json.dumps(
+            self.checkpoint_payload(), sort_keys=True, separators=(",", ":")
+        ) + "\n"
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(text, encoding="utf-8")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load_checkpoint(cls, path: str | Path) -> "StreamEngine":
         """Rebuild an engine from a snapshot, verifying counter consistency."""
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise CheckpointError(f"checkpoint {path} must hold a JSON object")
         version = payload.get("format_version")
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(
@@ -351,7 +364,8 @@ class StreamEngine:
             for signal, count in totals["hits"].items():
                 registry.require(signal)
                 engine._total_hits[signal] = count
-        except (KeyError, TypeError, ValueError) as exc:
+            active_nodes = totals["active_nodes"]
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
         recomputed_trials = sum(a.trials for a in engine._nodes.values())
         if recomputed_trials != engine._total_trials:
@@ -365,7 +379,7 @@ class StreamEngine:
                 raise CheckpointError(
                     f"checkpoint hit totals for {signal!r} disagree with node table"
                 )
-        if totals["active_nodes"] != len(engine._nodes):
+        if active_nodes != len(engine._nodes):
             raise CheckpointError("checkpoint active node count disagrees")
         return engine
 
@@ -443,15 +457,14 @@ def replay_daily(
     threshold: float,
     window: WindowConfig | None = None,
     engine: StreamEngine | None = None,
-    sort: bool = False,
     track_users: bool = True,
 ) -> ReplayResult:
     """Feed a day-ordered edge stream through daily scoring turns.
 
     Each day's edges are ingested, then every signal is rescored over the
     configured window ending at that day. Gap days with no traffic still
-    get a scoring turn. Pass ``sort=True`` to let the replay order the
-    stream itself; otherwise out-of-order days raise ``UnsortedEdgesError``.
+    get a scoring turn. Out-of-order days raise ``UnsortedEdgesError``;
+    callers holding an unordered stream sort it by day first.
 
     Pass ``engine`` to continue from checkpointed state; scoring then
     resumes on the day after the checkpoint's last.
@@ -465,9 +478,6 @@ def replay_daily(
     if not engine.track_users:
         raise ValueError("replay alerts need an engine with track_users=True")
 
-    if sort:
-        edges = sorted(edges, key=lambda e: e.day)
-
     outcomes: list[DayOutcome] = []
     resumed = engine.current_day is not None
     pending_day: int | None = engine.current_day + 1 if resumed else None
@@ -478,7 +488,7 @@ def replay_daily(
         if edge.day < pending_day:
             raise UnsortedEdgesError(
                 f"edge day {edge.day} arrived after day {pending_day} began "
-                "(pass sort=True to pre-sort the stream)"
+                "(sort the stream by day first)"
             )
         while edge.day > pending_day:
             outcomes.append(_score_turn(engine, pending_day, threshold))

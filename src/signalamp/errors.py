@@ -13,10 +13,6 @@ class UnknownSignalError(SignalAmpError):
     """An edge or query referenced a signal id that was never registered."""
 
 
-class NodeMismatchError(SignalAmpError):
-    """Two accumulators for different nodes were merged."""
-
-
 class NoBaselineError(SignalAmpError):
     """The window holds zero transactions, so no baseline rate exists."""
 

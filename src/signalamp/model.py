@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import DuplicateSignalError, NodeMismatchError, UnknownSignalError
+from .errors import DuplicateSignalError, UnknownSignalError
 
 UserId = str
 NodeId = str
@@ -96,70 +96,15 @@ class NodeAccumulator:
 
     ``trials`` counts every edge touching the node; ``hits[signal]`` counts
     the subset whose bit for that signal was 1. Missing keys mean zero.
+    ``StreamEngine.ingest`` is the only code that folds edges into a tally.
     """
 
     node: NodeId
     trials: int = 0
     hits: dict[SignalId, int] = field(default_factory=dict)
 
-    def add(self, edge: TransactionEdge) -> None:
-        """Fold one edge into the tally. Signal validation is the caller's job."""
-        if edge.node != self.node:
-            raise NodeMismatchError(
-                f"edge for node {edge.node!r} fed to accumulator {self.node!r}"
-            )
-        self.trials += 1
-        hits = self.hits
-        for signal, bit in edge.hits.items():
-            if bit:
-                hits[signal] = hits.get(signal, 0) + 1
-
     def hit_count(self, signal: SignalId) -> int:
         return self.hits.get(signal, 0)
-
-    def copy(self) -> "NodeAccumulator":
-        return NodeAccumulator(self.node, self.trials, dict(self.hits))
-
-
-def merge_accumulators(a: NodeAccumulator, b: NodeAccumulator) -> NodeAccumulator:
-    """Field-wise sum of two tallies for the same node.
-
-    The operation is associative and commutative with the empty tally as
-    identity, so partial tallies can be combined in any grouping.
-    """
-    if a.node != b.node:
-        raise NodeMismatchError(f"cannot merge tallies for {a.node!r} and {b.node!r}")
-    merged = dict(a.hits)
-    for signal, count in b.hits.items():
-        merged[signal] = merged.get(signal, 0) + count
-    return NodeAccumulator(a.node, a.trials + b.trials, merged)
-
-
-def accumulate_edges(
-    edges: Iterable[TransactionEdge], registry: SignalRegistry
-) -> dict[NodeId, NodeAccumulator]:
-    """Batch aggregation: fold an edge stream into per-node tallies.
-
-    Rejects edges naming unregistered signals. Counter sums are integers,
-    so the result is independent of edge order.
-    """
-    known = set(registry.ids())
-    nodes: dict[NodeId, NodeAccumulator] = {}
-    for edge in edges:
-        acc = nodes.get(edge.node)
-        if acc is None:
-            acc = NodeAccumulator(edge.node)
-            nodes[edge.node] = acc
-        acc.trials += 1
-        hits = acc.hits
-        for signal, bit in edge.hits.items():
-            if signal not in known:
-                raise UnknownSignalError(
-                    f"edge references unregistered signal {signal!r}"
-                )
-            if bit:
-                hits[signal] = hits.get(signal, 0) + 1
-    return nodes
 
 
 @dataclass(frozen=True, slots=True)

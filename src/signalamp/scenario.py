@@ -265,7 +265,7 @@ def generate(config: ScenarioConfig) -> tuple[list[TransactionEdge], GroundTruth
 
 # -- shipped presets -------------------------------------------------------
 
-def calibrate_case1(seed: int = 7) -> ScenarioConfig:
+def case1_desk(seed: int = 7) -> ScenarioConfig:
     """Desk-scale promo-abuse shape.
 
     Tuned so the raw weak signal alone is nearly useless while node-level
@@ -291,10 +291,6 @@ def calibrate_case1(seed: int = 7) -> ScenarioConfig:
         ),
         popularity_skew=1.0,
     )
-
-
-def case1_desk(seed: int = 7) -> ScenarioConfig:
-    return calibrate_case1(seed=seed)
 
 
 def case2_desk(seed: int = 11) -> ScenarioConfig:

@@ -5,36 +5,29 @@ complete; without ``-s`` pytest shows them only for failing criteria.
 Every criterion is an ordinary test, so a FAIL also fails the suite.
 """
 
+import itertools
+import tempfile
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 
-from signalamp import (
+from signalamp.amplify import NodeScore, compute_baseline, score_all, shrink, z_score
+from signalamp.backtest import metrics_from_counts, run_backtest, threshold_sweep
+from signalamp.engine import StreamEngine, WindowConfig, replay_daily
+from signalamp.model import SignalRegistry, TransactionEdge
+from signalamp.scenario import (
     AttackConfig,
-    NodeAccumulator,
+    GroundTruth,
     ScenarioConfig,
-    SignalRegistry,
-    StreamEngine,
-    TransactionEdge,
-    WindowConfig,
-    accumulate_edges,
-    compute_baseline,
     generate,
-    merge_accumulators,
-    metrics_from_counts,
     preset,
     registry_for,
-    replay_daily,
-    run_backtest,
-    score_all,
-    shrink,
-    threshold_sweep,
-    z_score,
 )
-from signalamp.amplify import NodeScore
-from signalamp.scenario import GroundTruth
+
+from reference import reference_fold, split_run
 
 RATE_TOL = 1e-4  # 0.01 percentage points
 ORACLE_REL = 1e-12
@@ -155,7 +148,7 @@ def test_criterion_3_stream_equals_batch():
         engine = StreamEngine(registry, track_users=False)
         for edge in edges:
             engine.ingest(edge)
-        accs = accumulate_edges(edges, registry)
+        accs = reference_fold(edges)
         batch = score_all(accs.values(), compute_baseline(accs.values(), "sig"))
         if engine.scores("sig") == batch:
             seeds_ok += 1
@@ -341,34 +334,38 @@ def _prop_sweep_monotone(rng):
     return True
 
 
-def _prop_merge_monoid(_rng):
-    """Exhaustive over every accumulator with at most 3 trials."""
-    def make(trials, hits):
-        acc = NodeAccumulator("n")
-        acc.trials = trials
-        if hits:
-            acc.hits["sig"] = hits
-        return acc
-
-    def as_tuple(acc):
-        return acc.trials, dict(acc.hits)
-
+def _prop_resume_monoid(_rng):
+    """Exhaustive over every edge multiset made of up to three tallies with
+    at most 3 trials each: every block order, and every split point through
+    a checkpoint, gives the state of one uninterrupted ingest."""
+    registry = SignalRegistry(["sig"])
     states = [(t, h) for t in range(4) for h in range(t + 1)]
-    for ta, ha in states:
-        for tb, hb in states:
-            a, b = make(ta, ha), make(tb, hb)
-            if as_tuple(merge_accumulators(a, b)) != as_tuple(
-                merge_accumulators(b, a)
-            ):
-                return False
-            identity = NodeAccumulator("n")
-            if as_tuple(merge_accumulators(a, identity)) != as_tuple(a):
-                return False
-            for tc, hc in states:
-                c = make(tc, hc)
-                left = merge_accumulators(merge_accumulators(a, b), c)
-                right = merge_accumulators(a, merge_accumulators(b, c))
-                if as_tuple(left) != as_tuple(right):
+
+    def block(trials, hits):
+        return [
+            TransactionEdge(user=f"u{i % 2}", node="n", day=0,
+                            hits={"sig": 1} if i < hits else {})
+            for i in range(trials)
+        ]
+
+    def ingest_all(edges):
+        engine = StreamEngine(registry)
+        for edge in edges:
+            engine.ingest(edge)
+        return engine.checkpoint_payload()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "checkpoint.json"
+        for triple in itertools.product(states, repeat=3):
+            blocks = [block(t, h) for t, h in triple]
+            edges = [edge for blk in blocks for edge in blk]
+            want = ingest_all(edges)
+            for order in itertools.permutations(blocks):
+                if ingest_all([edge for blk in order for edge in blk]) != want:
+                    return False
+            for cut in range(len(edges) + 1):
+                resumed = split_run(registry, edges[:cut], edges[cut:], path)
+                if resumed.checkpoint_payload() != want:
                     return False
     return True
 
@@ -404,7 +401,7 @@ def test_criterion_7_analytic_properties():
         "z monotone in hits": _prop_z_monotone_in_hits,
         "z sqrt-t scaling": _prop_z_sqrt_t_scaling,
         "sweep monotonicity": _prop_sweep_monotone,
-        "merge monoid laws": _prop_merge_monoid,
+        "resume monoid laws": _prop_resume_monoid,
         "counter conservation": _prop_conservation,
     }
     failed = [name for name, fn in suites.items() if not fn(rng)]
@@ -454,8 +451,7 @@ def test_criterion_8_throughput():
     per_edge_ratio = (t_big / len(big)) / (t_small / len(small))
 
     start = time.perf_counter()
-    registry = SignalRegistry(["sig"])
-    accs = accumulate_edges(big, registry)
+    accs = reference_fold(big)
     scores = score_all(accs.values(), compute_baseline(accs.values(), "sig"))
     t_batch = time.perf_counter() - start
 

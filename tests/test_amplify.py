@@ -9,19 +9,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from signalamp import (
-    DegenerateBaselineError,
-    NoBaselineError,
-    NodeAccumulator,
-    SignalRegistry,
-    TransactionEdge,
-    accumulate_edges,
-    compute_baseline,
-    merge_accumulators,
-    score_all,
-    shrink,
-    z_score,
-)
+from signalamp.amplify import compute_baseline, score_all, shrink, z_score
+from signalamp.errors import DegenerateBaselineError, NoBaselineError
+from signalamp.model import NodeAccumulator, SignalRegistry, TransactionEdge
+
+from reference import reference_fold, split_run
 
 REL = 1e-12
 
@@ -312,8 +304,8 @@ class TestScoreAll:
         with pytest.raises(DegenerateBaselineError):
             score_all(accs, baseline)
 
-    def test_concat_equals_merge(self):
-        """Scoring commutes with how the edges were split for aggregation."""
+    def test_concat_equals_merge(self, tmp_path):
+        """Scoring commutes with where the stream was split by a checkpoint."""
         registry = SignalRegistry(["sig"])
         rng = np.random.default_rng(31)
         edges = [
@@ -325,21 +317,10 @@ class TestScoreAll:
             )
             for _ in range(600)
         ]
-        whole = accumulate_edges(edges, registry)
-        left = accumulate_edges(edges[:250], registry)
-        right = accumulate_edges(edges[250:], registry)
-        combined = {}
-        for part in (left, right):
-            for node, acc in part.items():
-                combined[node] = (
-                    merge_accumulators(combined[node], acc)
-                    if node in combined else acc
-                )
+        whole = reference_fold(edges)
         scores_whole = score_all(whole.values(), compute_baseline(whole.values(), "sig"))
-        scores_merged = score_all(
-            combined.values(), compute_baseline(combined.values(), "sig")
-        )
-        assert scores_whole == scores_merged
+        merged = split_run(registry, edges[:250], edges[250:], tmp_path / "ckpt.json")
+        assert merged.scores("sig") == scores_whole
 
     def test_empty_input_gives_empty_ranking(self):
         baseline = compute_baseline([NodeAccumulator("a", 4, {"sig": 1})], "sig")

@@ -7,29 +7,31 @@ import math
 import numpy as np
 import pytest
 
-from signalamp import (
+from signalamp.amplify import NodeScore
+from signalamp.backtest import (
     AcceptanceBounds,
-    AttackConfig,
-    GroundTruth,
     MetricsRow,
-    ScenarioConfig,
-    SignalRegistry,
-    TransactionEdge,
+    RawSignalBaseline,
     amplification_factor,
     check_bounds,
     compute_metrics,
     daily_series,
-    generate,
     metrics_from_counts,
     raw_signal_baseline,
-    registry_for,
-    replay_daily,
     run_backtest,
     threshold_sweep,
     write_report_files,
+    write_sweep_csv,
 )
-from signalamp.amplify import NodeScore
-from signalamp.backtest import RawSignalBaseline, write_sweep_csv
+from signalamp.engine import replay_daily
+from signalamp.model import SignalRegistry, TransactionEdge
+from signalamp.scenario import (
+    AttackConfig,
+    GroundTruth,
+    ScenarioConfig,
+    generate,
+    registry_for,
+)
 
 ABS = 1e-4  # rates are quoted to two decimal places in percent
 

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from signalamp import read_edge_file, write_edge_file
 from signalamp.cli import main
+from signalamp.edgefile import read_edge_file, write_edge_file
 
 SCENARIO_BLOCK = {
     "seed": 5,
@@ -427,3 +427,91 @@ class TestConfigHandling:
         code, _, err = invoke(capsys, "score", "--config", str(path))
         assert code == 1
         assert "not valid JSON" in err
+
+
+def _good_checkpoint(dataset, tmp_path, capsys):
+    path = tmp_path / "good.json"
+    code, _, err = invoke(capsys, "stream", "--edges", str(dataset / "edges.csv"),
+                          "--checkpoint", str(path))
+    assert code == 0, err
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _edges_bad_byte(dataset, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"user,node,day,sig\nu1,n\xff1,0,1\n")
+    return bad, ["score", "--edges", str(bad)]
+
+
+def _edges_oversized_field(dataset, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("user,node,day,sig\n\"" + "u" * 200_000 + "\",n1,0,1\n")
+    return bad, ["score", "--edges", str(bad)]
+
+
+def _truth_bad_byte(dataset, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"sybil_users": ["s\xff"]}')
+    return bad, ["backtest", "--edges", str(dataset / "edges.csv"),
+                 "--truth", str(bad)]
+
+
+def _config_bad_byte(dataset, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"edges": "\xff"}')
+    return bad, ["score", "--config", str(bad)]
+
+
+def _resume_from(bad, dataset, tmp_path):
+    return ["stream", "--edges", str(dataset / "edges.csv"),
+            "--checkpoint", str(tmp_path / "next.json"), "--resume", str(bad)]
+
+
+def _checkpoint_bad_byte(dataset, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"format_version": 1, "\xff": 0}')
+    return bad, _resume_from(bad, dataset, tmp_path)
+
+
+def _checkpoint_not_object(dataset, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[]")
+    return bad, _resume_from(bad, dataset, tmp_path)
+
+
+def _checkpoint_without_active_nodes(dataset, tmp_path, capsys):
+    payload = _good_checkpoint(dataset, tmp_path, capsys)
+    del payload["totals"]["active_nodes"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    return bad, _resume_from(bad, dataset, tmp_path)
+
+
+def _checkpoint_nodes_not_object(dataset, tmp_path, capsys):
+    payload = _good_checkpoint(dataset, tmp_path, capsys)
+    payload["nodes"] = []
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    return bad, _resume_from(bad, dataset, tmp_path)
+
+
+class TestUnreadableInput:
+    """Every input reader fails with one named error line, never a traceback."""
+
+    @pytest.mark.parametrize("make_case", [
+        _edges_bad_byte,
+        _edges_oversized_field,
+        _truth_bad_byte,
+        _config_bad_byte,
+        _checkpoint_bad_byte,
+        _checkpoint_not_object,
+        _checkpoint_without_active_nodes,
+        _checkpoint_nodes_not_object,
+    ], ids=lambda fn: fn.__name__.lstrip("_"))
+    def test_named_error_without_traceback(self, make_case, dataset, tmp_path, capsys):
+        bad, argv = make_case(dataset, tmp_path, capsys)
+        code, _, err = invoke(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(bad) in err
+        assert "Traceback" not in err

@@ -3,18 +3,16 @@
 import numpy as np
 import pytest
 
-from signalamp import (
+from signalamp.amplify import NodeScore
+from signalamp.detect import (
     Alert,
-    NodeScore,
-    TransactionEdge,
-    attach_users,
     build_alerts,
-    collect_hit_users,
     compose_signals,
     flag_nodes,
     serialize_alert,
-    serialize_alerts,
 )
+from signalamp.engine import StreamEngine
+from signalamp.model import SignalRegistry, TransactionEdge
 
 
 def make_score(node, z, signal="sig", hits=5, trials=10):
@@ -58,6 +56,14 @@ class TestFlagNodes:
 
 
 class TestAttachUsers:
+    """Alerts name the users the engine saw send a hit to the flagged node."""
+
+    def _engine(self, edges=None):
+        engine = StreamEngine(SignalRegistry(["sig"]))
+        for edge in edges if edges is not None else self._edges():
+            engine.ingest(edge)
+        return engine
+
     def _edges(self):
         return [
             TransactionEdge(user="u1", node="n1", day=2, hits={"sig": 1}),
@@ -67,15 +73,18 @@ class TestAttachUsers:
             TransactionEdge(user="u4", node="n2", day=2, hits={"sig": 1}),
         ]
 
+    def _alerts(self, flagged, day, engine=None):
+        engine = engine or self._engine()
+        users = {sc.node: engine.hit_users(sc.node, "sig") for sc in flagged}
+        return build_alerts(flagged, users, day)
+
     def test_only_hit_carrying_users_attached_once(self):
-        flagged = [make_score("n1", 44.0)]
-        alerts = attach_users(flagged, self._edges(), "sig", day=2)
+        alerts = self._alerts([make_score("n1", 44.0)], day=2)
         assert len(alerts) == 1
         assert alerts[0].suspicious_users == frozenset({"u1", "u3"})
 
     def test_alert_copies_score_fields(self):
-        flagged = [make_score("n1", 44.0, hits=3, trials=9)]
-        alert = attach_users(flagged, self._edges(), "sig", day=5)[0]
+        alert = self._alerts([make_score("n1", 44.0, hits=3, trials=9)], day=5)[0]
         assert alert.node == "n1"
         assert alert.signal == "sig"
         assert alert.day == 5
@@ -84,17 +93,16 @@ class TestAttachUsers:
         assert alert.trials == 9
 
     def test_node_without_hits_gets_empty_user_set(self):
-        edges = [TransactionEdge(user="u9", node="n9", day=0, hits={})]
-        alerts = attach_users([make_score("n9", 41.0)], edges, "sig", day=0)
+        engine = self._engine([TransactionEdge(user="u9", node="n9", day=0, hits={})])
+        alerts = self._alerts([make_score("n9", 41.0)], day=0, engine=engine)
         assert alerts[0].suspicious_users == frozenset()
 
-    def test_collect_hit_users_groups_by_node(self):
-        mapping = collect_hit_users(self._edges(), "sig")
+    def test_node_hit_users_groups_by_node(self):
+        mapping = self._engine().node_hit_users("sig")
         assert mapping == {"n1": {"u1", "u3"}, "n2": {"u4"}}
 
     def test_alert_order_follows_flagged_order(self):
-        flagged = [make_score("n2", 50.0), make_score("n1", 45.0)]
-        alerts = attach_users(flagged, self._edges(), "sig", day=2)
+        alerts = self._alerts([make_score("n2", 50.0), make_score("n1", 45.0)], day=2)
         assert [a.node for a in alerts] == ["n2", "n1"]
 
 
@@ -113,8 +121,8 @@ class TestSerialization:
         )
 
     def test_identical_alerts_identical_bytes(self):
-        a = serialize_alerts([self._alert(), self._alert()])
-        b = serialize_alerts([self._alert(), self._alert()])
+        a = "\n".join(serialize_alert(x) for x in [self._alert(), self._alert()])
+        b = "\n".join(serialize_alert(x) for x in [self._alert(), self._alert()])
         assert a.encode() == b.encode()
 
     def test_set_iteration_order_cannot_leak(self):

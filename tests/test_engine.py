@@ -2,24 +2,24 @@
 pipeline, trailing-window eviction, checkpointing, and replay semantics.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from signalamp import (
+from signalamp.amplify import compute_baseline, score_all
+from signalamp.engine import StreamEngine, WindowConfig, replay_daily
+from signalamp.errors import (
     CheckpointError,
     DegenerateBaselineError,
-    SignalRegistry,
-    StreamEngine,
-    TransactionEdge,
     UnknownNodeError,
     UnknownSignalError,
     UnsortedEdgesError,
-    WindowConfig,
-    accumulate_edges,
-    compute_baseline,
-    replay_daily,
-    score_all,
 )
+from signalamp.model import SignalRegistry, TransactionEdge
+
+from reference import reference_fold
 
 
 def random_edges(n, seed, n_users=200, n_nodes=25, days=10, hit_rate=0.2,
@@ -40,8 +40,8 @@ def random_edges(n, seed, n_users=200, n_nodes=25, days=10, hit_rate=0.2,
     return edges
 
 
-def batch_scores(edges, registry, signal):
-    nodes = accumulate_edges(edges, registry)
+def batch_scores(edges, signal):
+    nodes = reference_fold(edges)
     return score_all(nodes.values(), compute_baseline(nodes.values(), signal))
 
 
@@ -88,7 +88,7 @@ class TestStreamEqualsBatch:
         engine = StreamEngine(registry, track_users=False)
         for edge in edges:
             engine.ingest(edge)
-        assert engine.scores("sig") == batch_scores(edges, registry, "sig")
+        assert engine.scores("sig") == batch_scores(edges, "sig")
 
     def test_ingest_order_cannot_matter(self):
         """Counters are integer sums, so any interleaving gives the same z."""
@@ -114,7 +114,7 @@ class TestStreamEqualsBatch:
         engine = StreamEngine(registry)
         for edge in edges:
             engine.ingest(edge)
-        by_node = {s.node: s for s in batch_scores(edges, registry, "sig")}
+        by_node = {s.node: s for s in batch_scores(edges, "sig")}
         for node, want in by_node.items():
             assert engine.query_score(node, "sig") == want
 
@@ -240,7 +240,9 @@ class TestReplayDaily:
             TransactionEdge(user="u2", node="n1", day=1, hits={}),
             TransactionEdge(user="u3", node="n1", day=1, hits={}),
         ]
-        result = replay_daily(edges, registry, threshold=40.0, sort=True)
+        result = replay_daily(
+            sorted(edges, key=lambda e: e.day), registry, threshold=40.0
+        )
         assert [d.day for d in result.days] == [1, 2, 3]
 
     def test_burst_flags_only_during_burst_under_tight_window(self):
@@ -287,7 +289,7 @@ class TestReplayDaily:
         edges = random_edges(500, seed=41, days=1)
         result = replay_daily(edges, registry, threshold=-100.0)
         assert len(result.days) == 1
-        direct = batch_scores(edges, registry, "sig")
+        direct = batch_scores(edges, "sig")
         flagged_direct = frozenset(
             u for sc in direct for u in
             result.engine.node_hit_users("sig").get(sc.node, frozenset())
@@ -383,6 +385,32 @@ class TestCheckpoint:
         path.write_text(payload)
         with pytest.raises(CheckpointError):
             StreamEngine.load_checkpoint(path)
+
+    @pytest.mark.parametrize("failure", ["mid-write", "replace"])
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch, failure):
+        engine = self._engine()
+        path = tmp_path / "state.json"
+        engine.save_checkpoint(path)
+        before = path.read_bytes()
+        engine.ingest(TransactionEdge(user="u", node="n", day=9, hits={"a": 1}))
+
+        def crash(*args, **kwargs):
+            raise OSError("simulated crash")
+
+        if failure == "mid-write":
+            write_text = Path.write_text
+
+            def half_write(self, text, *args, **kwargs):
+                write_text(self, text[: len(text) // 2], *args, **kwargs)
+                crash()
+
+            monkeypatch.setattr(Path, "write_text", half_write)
+        else:
+            monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError, match="simulated crash"):
+            engine.save_checkpoint(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
 
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "state.json"

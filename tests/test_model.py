@@ -1,24 +1,16 @@
-"""Domain type tests: signal registry, accumulator algebra, edge files."""
+"""Domain type tests: signal registry, counter algebra, edge files."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from signalamp import (
-    DuplicateSignalError,
-    EdgeFileError,
-    GlobalBaseline,
-    NodeAccumulator,
-    NodeMismatchError,
-    SignalRegistry,
-    TransactionEdge,
-    UnknownSignalError,
-    accumulate_edges,
-    merge_accumulators,
-    read_edge_file,
-    write_edge_file,
-)
+from signalamp.edgefile import read_edge_file, write_edge_file
+from signalamp.engine import StreamEngine
+from signalamp.errors import DuplicateSignalError, EdgeFileError, UnknownSignalError
+from signalamp.model import GlobalBaseline, SignalRegistry, TransactionEdge
+
+from reference import split_run
 
 
 class TestSignalRegistry:
@@ -64,95 +56,107 @@ class TestTransactionEdge:
             TransactionEdge(user="u1", node="", day=0, hits={})
 
     def test_unregistered_signal_rejected_at_aggregation(self):
-        registry = SignalRegistry(["use_promo"])
+        engine = StreamEngine(SignalRegistry(["use_promo"]))
         edge = TransactionEdge(user="u1", node="n1", day=0, hits={"mystery": 1})
         with pytest.raises(UnknownSignalError):
-            accumulate_edges([edge], registry)
+            engine.ingest(edge)
+
+
+def node_tally(engine, node):
+    return next(acc for acc in engine.accumulators() if acc.node == node)
 
 
 class TestNodeAccumulator:
+    """The engine's ingest is the only fold into a node tally."""
+
     def test_add_counts_shared_trials_and_per_signal_hits(self):
-        acc = NodeAccumulator("n1")
-        acc.add(TransactionEdge(user="u1", node="n1", day=0, hits={"a": 1}))
-        acc.add(TransactionEdge(user="u2", node="n1", day=0, hits={}))
-        acc.add(TransactionEdge(user="u3", node="n1", day=1, hits={"a": 1, "b": 1}))
+        engine = StreamEngine(SignalRegistry(["a", "b"]))
+        engine.ingest(TransactionEdge(user="u1", node="n1", day=0, hits={"a": 1}))
+        engine.ingest(TransactionEdge(user="u2", node="n1", day=0, hits={}))
+        engine.ingest(TransactionEdge(user="u3", node="n1", day=1, hits={"a": 1, "b": 1}))
+        acc = node_tally(engine, "n1")
         assert acc.trials == 3
         assert acc.hit_count("a") == 2
         assert acc.hit_count("b") == 1
         assert acc.hit_count("unseen") == 0
 
-    def test_add_rejects_foreign_node(self):
-        acc = NodeAccumulator("n1")
-        with pytest.raises(NodeMismatchError):
-            acc.add(TransactionEdge(user="u1", node="n2", day=0, hits={}))
-
     def test_hits_never_exceed_trials(self):
         rng = np.random.default_rng(5)
-        acc = NodeAccumulator("n1")
+        engine = StreamEngine(SignalRegistry(["a"]))
         for _ in range(500):
             hits = {"a": 1} if rng.random() < 0.5 else {}
-            acc.add(TransactionEdge(user="u", node="n1", day=0, hits=hits))
+            engine.ingest(TransactionEdge(user="u", node="n1", day=0, hits=hits))
+            acc = node_tally(engine, "n1")
             assert 0 <= acc.hit_count("a") <= acc.trials
 
 
+def tally_edges(trials, hits, signal="sig"):
+    """``trials`` edges into node v, the first ``hits`` of them hit-carrying."""
+    return [
+        TransactionEdge(user=f"u{i % 2}", node="v", day=0,
+                        hits={signal: 1} if i < hits else {})
+        for i in range(trials)
+    ]
+
+
 class TestMergeAlgebra:
-    """Merge must behave like addition: identity, associative, commutative."""
+    """Resuming from a checkpoint merges tallies like addition: identity,
+    associative, commutative."""
 
     def _tallies(self):
-        # every (hits, trials) pair with trials <= 3, one signal
-        out = []
-        for trials in range(4):
-            for hits in range(trials + 1):
-                counts = {"sig": hits} if hits else {}
-                out.append(NodeAccumulator("v", trials, counts))
-        return out
+        # every (trials, hits) pair with trials <= 3, one signal
+        return [(t, h) for t in range(4) for h in range(t + 1)]
 
-    def test_example_sum(self):
-        a = NodeAccumulator("v", 10, {"sig": 3})
-        b = NodeAccumulator("v", 5, {"sig": 2})
-        merged = merge_accumulators(a, b)
+    def test_example_sum(self, tmp_path):
+        engine = split_run(SignalRegistry(["sig"]), tally_edges(10, 3),
+                           tally_edges(5, 2), tmp_path / "ckpt.json")
+        merged = node_tally(engine, "v")
         assert merged.trials == 15
         assert merged.hit_count("sig") == 5
 
-    def test_identity_element(self):
-        empty = NodeAccumulator("v")
-        for acc in self._tallies():
-            left = merge_accumulators(empty, acc)
-            right = merge_accumulators(acc, empty)
-            assert (left.trials, left.hits) == (acc.trials, acc.hits)
-            assert (right.trials, right.hits) == (acc.trials, acc.hits)
+    def test_identity_element(self, tmp_path):
+        registry = SignalRegistry(["sig"])
+        path = tmp_path / "ckpt.json"
+        for trials, hits in self._tallies():
+            edges = tally_edges(trials, hits)
+            whole = StreamEngine(registry)
+            for edge in edges:
+                whole.ingest(edge)
+            want = whole.checkpoint_payload()
+            assert split_run(registry, [], edges, path).checkpoint_payload() == want
+            assert split_run(registry, edges, [], path).checkpoint_payload() == want
 
-    def test_commutative_exhaustive(self):
-        tallies = self._tallies()
-        for a, b in itertools.product(tallies, repeat=2):
-            ab = merge_accumulators(a, b)
-            ba = merge_accumulators(b, a)
-            assert (ab.trials, ab.hits) == (ba.trials, ba.hits)
+    def test_commutative_exhaustive(self, tmp_path):
+        registry = SignalRegistry(["sig"])
+        path = tmp_path / "ckpt.json"
+        for a, b in itertools.product(self._tallies(), repeat=2):
+            ab = split_run(registry, tally_edges(*a), tally_edges(*b), path)
+            ba = split_run(registry, tally_edges(*b), tally_edges(*a), path)
+            assert ab.checkpoint_payload() == ba.checkpoint_payload()
 
-    def test_associative_exhaustive(self):
-        tallies = self._tallies()
-        for a, b, c in itertools.product(tallies, repeat=3):
-            left = merge_accumulators(merge_accumulators(a, b), c)
-            right = merge_accumulators(a, merge_accumulators(b, c))
-            assert (left.trials, left.hits) == (right.trials, right.hits)
+    def test_associative_exhaustive(self, tmp_path):
+        registry = SignalRegistry(["sig"])
+        path = tmp_path / "ckpt.json"
+        for a, b, c in itertools.product(self._tallies(), repeat=3):
+            ea, eb, ec = tally_edges(*a), tally_edges(*b), tally_edges(*c)
+            left = split_run(registry, ea + eb, ec, path)
+            right = split_run(registry, ea, eb + ec, path)
+            assert left.checkpoint_payload() == right.checkpoint_payload()
 
-    def test_mixed_signals_merge_keywise(self):
-        a = NodeAccumulator("v", 4, {"x": 2})
-        b = NodeAccumulator("v", 6, {"y": 3})
-        merged = merge_accumulators(a, b)
+    def test_mixed_signals_merge_keywise(self, tmp_path):
+        engine = split_run(SignalRegistry(["x", "y"]), tally_edges(4, 2, "x"),
+                           tally_edges(6, 3, "y"), tmp_path / "ckpt.json")
+        merged = node_tally(engine, "v")
         assert merged.hits == {"x": 2, "y": 3}
         assert merged.trials == 10
 
-    def test_node_mismatch_rejected(self):
-        with pytest.raises(NodeMismatchError):
-            merge_accumulators(NodeAccumulator("v"), NodeAccumulator("w"))
-
-    def test_merge_leaves_inputs_untouched(self):
-        a = NodeAccumulator("v", 4, {"x": 2})
-        b = NodeAccumulator("v", 6, {"x": 3})
-        merge_accumulators(a, b)
-        assert a.trials == 4 and a.hits == {"x": 2}
-        assert b.trials == 6 and b.hits == {"x": 3}
+    def test_merge_leaves_inputs_untouched(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        merged = split_run(SignalRegistry(["x"]), tally_edges(4, 2, "x"),
+                           tally_edges(6, 3, "x"), path)
+        assert node_tally(merged, "v").trials == 10
+        again = node_tally(StreamEngine.load_checkpoint(path), "v")
+        assert (again.trials, again.hits) == (4, {"x": 2})
 
 
 class TestGlobalBaseline:

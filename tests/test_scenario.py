@@ -6,9 +6,10 @@ import math
 
 import pytest
 
-from signalamp import (
+from signalamp.errors import InfeasibleScenarioError
+from signalamp.scenario import (
+    PRESETS,
     AttackConfig,
-    InfeasibleScenarioError,
     ScenarioConfig,
     generate,
     preset,
@@ -17,7 +18,6 @@ from signalamp import (
     scenario_to_dict,
     with_seed,
 )
-from signalamp.scenario import PRESETS
 
 
 def small_config(seed=5, attack=None, **overrides):

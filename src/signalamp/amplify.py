@@ -12,10 +12,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Collection, Iterable, Sequence
+
+import numpy as np
 
 from .errors import DegenerateBaselineError, NoBaselineError
 from .model import GlobalBaseline, NodeAccumulator, NodeId, SignalId
+
+
+def _require_variance(rate: float) -> None:
+    """Raise ``DegenerateBaselineError`` unless 0 < rate < 1."""
+    if not 0.0 < rate < 1.0:
+        raise DegenerateBaselineError(
+            f"baseline rate {rate} admits no variance; signal inactive"
+        )
 
 
 def shrink(hits: int, trials: int, global_rate: float, prior_strength: float) -> float:
@@ -38,10 +48,7 @@ def z_score(shrunk_rate: float, global_rate: float, trials: int) -> float:
     """Deviation of the stabilized rate from the population rate, in
     standard errors of a proportion observed over ``trials`` transactions.
     """
-    if not 0.0 < global_rate < 1.0:
-        raise DegenerateBaselineError(
-            f"baseline rate {global_rate} admits no variance; signal inactive"
-        )
+    _require_variance(global_rate)
     if trials < 1:
         raise ValueError("a node needs at least one transaction to be scored")
     stderr = math.sqrt(global_rate * (1.0 - global_rate) / trials)
@@ -102,6 +109,63 @@ def score_node(acc: NodeAccumulator, baseline: GlobalBaseline) -> NodeScore:
     )
 
 
+def score_columns(
+    trials: np.ndarray, hits: np.ndarray, baseline: GlobalBaseline
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raw rate, shrunk rate and z for int64 columns of node tallies.
+
+    Makes the checks ``shrink`` and ``z_score`` make and applies their
+    IEEE operations in the same order, so each row is bit-identical to
+    the scalar path for counts below 2**53.
+    """
+    rate = baseline.rate
+    _require_variance(rate)
+    prior = baseline.prior_strength
+    if not prior > 0.0 or not math.isfinite(prior):
+        raise ValueError(f"prior_strength must be positive, got {prior}")
+    if trials.size and trials.min() < 1:
+        raise ValueError("a node needs at least one transaction to be scored")
+    bad = np.flatnonzero((hits < 0) | (hits > trials))
+    if bad.size:
+        row = bad[0]
+        raise ValueError(
+            f"need 0 <= hits <= trials, got hits={hits[row]} trials={trials[row]}"
+        )
+    t = trials.astype(np.float64)
+    s = hits.astype(np.float64)
+    shrunk = (s + prior * rate) / (t + prior)
+    z = (shrunk - rate) / np.sqrt(rate * (1.0 - rate) / t)
+    return s / t, shrunk, z
+
+
+def score_rows(
+    accs: Collection[NodeAccumulator], baseline: GlobalBaseline
+) -> tuple[np.ndarray, ...]:
+    """``trials``, ``hits``, ``raw``, ``shrunk`` and ``z`` columns for ``accs``.
+
+    A degenerate baseline raises before any column is gathered.
+    """
+    _require_variance(baseline.rate)
+    signal = baseline.signal
+    trials = np.fromiter((acc.trials for acc in accs), np.int64, len(accs))
+    hits = np.fromiter((acc.hits.get(signal, 0) for acc in accs), np.int64, len(accs))
+    return (trials, hits, *score_columns(trials, hits, baseline))
+
+
+def build_scores(
+    accs: Sequence[NodeAccumulator],
+    signal: SignalId,
+    columns: tuple[np.ndarray, ...],
+    rows: np.ndarray,
+) -> list[NodeScore]:
+    """``NodeScore``s with Python-number fields for ``rows`` of ``score_rows``."""
+    picked = [column[rows].tolist() for column in columns]
+    return [
+        NodeScore(accs[i].node, signal, s, t, raw, shrunk, z)
+        for i, t, s, raw, shrunk, z in zip(rows.tolist(), *picked)
+    ]
+
+
 def score_all(
     accumulators: Iterable[NodeAccumulator], baseline: GlobalBaseline
 ) -> list[NodeScore]:
@@ -110,6 +174,13 @@ def score_all(
     Returns scores ordered by z descending, node id ascending on ties, so
     identical inputs always yield an identical ranking.
     """
-    scores = [score_node(acc, baseline) for acc in accumulators if acc.trials >= 1]
-    scores.sort(key=lambda sc: (-sc.z, sc.node))
-    return scores
+    # Node ids are ordered in Python: a numpy string array would drop
+    # trailing NUL characters and could break ties differently.
+    accs = sorted(
+        (acc for acc in accumulators if acc.trials >= 1), key=lambda acc: acc.node
+    )
+    if not accs:
+        return []
+    columns = score_rows(accs, baseline)
+    order = np.argsort(-columns[-1], kind="stable")
+    return build_scores(accs, baseline.signal, columns, order)

@@ -296,10 +296,9 @@ def run_backtest(
 
 # -- report files ----------------------------------------------------------
 
-def _fmt(value: float | None) -> str:
-    if value is None:
-        return "n/a"
-    return f"{value:.6f}"
+def format_float(value: float | None, places: int) -> str:
+    """``value`` to ``places`` decimals, or ``n/a`` for a missing metric."""
+    return "n/a" if value is None else f"{value:.{places}f}"
 
 
 def write_sweep_csv(path: str | Path, rows: Sequence[MetricsRow]) -> None:
@@ -311,9 +310,10 @@ def write_sweep_csv(path: str | Path, rows: Sequence[MetricsRow]) -> None:
         ])
         for row in rows:
             writer.writerow([
-                _fmt(row.threshold), row.flagged_nodes, row.flagged_users,
-                row.caught, _fmt(row.precision), _fmt(row.scr),
-                _fmt(row.coverage), _fmt(row.unconditional_recall),
+                format_float(row.threshold, 6), row.flagged_nodes,
+                row.flagged_users, row.caught, format_float(row.precision, 6),
+                format_float(row.scr, 6), format_float(row.coverage, 6),
+                format_float(row.unconditional_recall, 6),
             ])
 
 
@@ -340,9 +340,11 @@ def write_summary_csv(path: str | Path, summaries: Sequence[SignalSummary]) -> N
         ])
         for s in summaries:
             writer.writerow([
-                s.signal, _fmt(s.max_z), int(s.active), s.raw_carriers,
-                s.raw_fraud_carriers, _fmt(s.raw_precision),
-                _fmt(s.amplified_precision), _fmt(s.amplification),
+                s.signal, format_float(s.max_z, 6), int(s.active),
+                s.raw_carriers, s.raw_fraud_carriers,
+                format_float(s.raw_precision, 6),
+                format_float(s.amplified_precision, 6),
+                format_float(s.amplification, 6),
             ])
 
 
@@ -389,14 +391,14 @@ def check_bounds(report: BacktestReport, bounds: AcceptanceBounds) -> list[str]:
     if bounds.min_scr is not None:
         if metrics.scr is None or metrics.scr < bounds.min_scr:
             failures.append(
-                f"{bounds.signal}: scr {_fmt(metrics.scr)} "
+                f"{bounds.signal}: scr {format_float(metrics.scr, 6)} "
                 f"< required {bounds.min_scr:.4f}"
             )
     if bounds.min_amplification is not None:
         amp = summary.amplification
         if amp is None or amp < bounds.min_amplification:
             failures.append(
-                f"{bounds.signal}: amplification {_fmt(amp)} "
+                f"{bounds.signal}: amplification {format_float(amp, 6)} "
                 f"< required {bounds.min_amplification:.2f}"
             )
     if bounds.max_flagged_users is not None:

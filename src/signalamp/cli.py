@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from .backtest import (
     AcceptanceBounds,
     check_bounds,
+    format_float,
     run_backtest,
     write_report_files,
 )
@@ -68,28 +70,51 @@ def _setting(flag_value, config: dict, key: str, default=None):
 def _parse_window(text: str | dict | None) -> WindowConfig | None:
     if text is None:
         return None
-    if isinstance(text, dict):
-        return WindowConfig(text.get("mode", "cumulative"),
-                            text.get("trailing_days"))
-    if text == "cumulative":
-        return WindowConfig.cumulative()
-    if text.startswith("trailing:"):
-        try:
+    try:
+        if isinstance(text, dict):
+            return WindowConfig(text.get("mode", "cumulative"),
+                                text.get("trailing_days"))
+        if text == "cumulative":
+            return WindowConfig.cumulative()
+        if isinstance(text, str) and text.startswith("trailing:"):
             return WindowConfig.trailing(int(text.split(":", 1)[1]))
-        except ValueError as exc:
-            raise _CliError(f"bad window spec {text!r}: {exc}") from exc
+    except ValueError as exc:
+        raise _CliError(f"bad window spec {text!r}: {exc}") from exc
     raise _CliError(f"bad window spec {text!r}; use cumulative or trailing:<days>")
+
+
+def _finite(value, label: str) -> float:
+    if isinstance(value, bool):
+        raise _CliError(f"bad {label} {value!r}: need a finite number")
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise _CliError(f"bad {label} {value!r}: {exc}") from exc
+    if not math.isfinite(number):
+        raise _CliError(f"{label} must be a finite number, got {value!r}")
+    return number
 
 
 def _parse_sweep(text) -> tuple[float, ...]:
     if text is None:
         return _SWEEP_DEFAULT
-    if isinstance(text, (list, tuple)):
-        return tuple(float(v) for v in text)
+    if isinstance(text, str):
+        text = text.split(",")
+    elif not isinstance(text, (list, tuple)):
+        raise _CliError(f"bad sweep list {text!r}; use a comma list of numbers")
+    return tuple(_finite(value, "sweep threshold") for value in text)
+
+
+def _parse_top(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise _CliError(f"bad top {value!r}: need an integer >= 0")
     try:
-        return tuple(float(part) for part in text.split(","))
+        top = int(value)
     except ValueError as exc:
-        raise _CliError(f"bad sweep list {text!r}: {exc}") from exc
+        raise _CliError(f"bad top {value!r}: {exc}") from exc
+    if top < 0:
+        raise _CliError(f"bad top {value!r}: need an integer >= 0")
+    return top
 
 
 def _require_dir(path_text: str, label: str) -> Path:
@@ -97,10 +122,6 @@ def _require_dir(path_text: str, label: str) -> Path:
     if not path.is_dir():
         raise _CliError(f"{label} directory {path} does not exist")
     return path
-
-
-def _fmt(value: float | None, places: int = 4) -> str:
-    return "n/a" if value is None else f"{value:.{places}f}"
 
 
 # -- generate ---------------------------------------------------------------
@@ -180,7 +201,8 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
     if not edges_path or not truth_path:
         raise _CliError("backtest needs --edges and --truth")
     out_dir = _setting(args.out, config, "output_dir")
-    threshold = float(_setting(args.threshold, config, "threshold", 40.0))
+    threshold = _finite(_setting(args.threshold, config, "threshold", 40.0),
+                        "threshold")
     sweep = _parse_sweep(_setting(args.sweep, config, "sweep"))
     window = _parse_window(_setting(args.window, config, "window"))
 
@@ -196,14 +218,14 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
 
     for summary in report.summaries:
         flag = "active" if summary.active else "inactive"
-        print(f"signal {summary.signal}: max z {_fmt(summary.max_z, 2)} "
+        print(f"signal {summary.signal}: max z {format_float(summary.max_z, 2)} "
               f"({flag} at threshold {threshold:g})")
         print(f"  raw: {summary.raw_fraud_carriers}/{summary.raw_carriers} "
               f"hit-carriers are sybils "
-              f"(precision {_fmt(summary.raw_precision)})")
+              f"(precision {format_float(summary.raw_precision, 4)})")
         print(f"  adjudicated at {threshold:g}: "
-              f"precision {_fmt(summary.amplified_precision)}, "
-              f"amplification {_fmt(summary.amplification, 2)}x")
+              f"precision {format_float(summary.amplified_precision, 4)}, "
+              f"amplification {format_float(summary.amplification, 2)}x")
         header = (f"  {'threshold':>9} {'nodes':>6} {'users':>7} "
                   f"{'caught':>7} {'precision':>9} {'scr':>7} "
                   f"{'coverage':>8} {'uncond':>7}")
@@ -211,8 +233,9 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
         for row in report.sweeps[summary.signal]:
             print(f"  {row.threshold:>9.1f} {row.flagged_nodes:>6} "
                   f"{row.flagged_users:>7} {row.caught:>7} "
-                  f"{row.precision:>9.4f} {_fmt(row.scr):>7} "
-                  f"{_fmt(row.coverage):>8} {_fmt(row.unconditional_recall):>7}")
+                  f"{row.precision:>9.4f} {format_float(row.scr, 4):>7} "
+                  f"{format_float(row.coverage, 4):>8} "
+                  f"{format_float(row.unconditional_recall, 4):>7}")
 
     if out_dir is not None:
         out = _require_dir(out_dir, "output")
@@ -237,7 +260,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     edges_path = _setting(args.edges, config, "edges")
     if not edges_path:
         raise _CliError("score needs --edges")
-    top = int(_setting(args.top, config, "top", 10))
+    top = _parse_top(_setting(args.top, config, "top", 10))
     window = _parse_window(_setting(args.window, config, "window"))
     only = _setting(args.signal, config, "signal")
 
@@ -281,7 +304,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     checkpoint_out = _setting(args.checkpoint, config, "checkpoint")
     if not checkpoint_out:
         raise _CliError("stream needs --checkpoint for the saved state")
-    threshold = float(_setting(args.threshold, config, "threshold", 40.0))
+    threshold = _finite(_setting(args.threshold, config, "threshold", 40.0),
+                        "threshold")
     window = _parse_window(_setting(args.window, config, "window"))
 
     signals, edges = read_edge_file(edges_path)

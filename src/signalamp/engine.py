@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .amplify import NodeScore, score_all, score_node
+import numpy as np
+
+from .amplify import NodeScore, build_scores, score_all, score_node, score_rows
 from .detect import Alert, build_alerts, flag_nodes
 from .errors import (
     CheckpointError,
@@ -36,6 +38,8 @@ from .model import (
 
 CHECKPOINT_VERSION = 1
 
+_INT64_MAX = 2**63 - 1
+
 CUMULATIVE = "cumulative"
 TRAILING = "trailing"
 
@@ -54,8 +58,11 @@ class WindowConfig:
         if self.mode not in (CUMULATIVE, TRAILING):
             raise ValueError(f"unknown window mode {self.mode!r}")
         if self.mode == TRAILING:
-            if self.trailing_days is None or self.trailing_days < 1:
-                raise ValueError("trailing window needs trailing_days >= 1")
+            days = self.trailing_days
+            if type(days) is not int or days < 1:
+                raise ValueError(
+                    f"trailing window needs an integer trailing_days >= 1, got {days!r}"
+                )
         elif self.trailing_days is not None:
             raise ValueError("cumulative window takes no trailing_days")
 
@@ -238,6 +245,21 @@ class StreamEngine:
         """Score every node in the window, same ordering as the batch path."""
         return score_all(self._nodes.values(), self.baseline(signal))
 
+    def flagged(
+        self, signal: SignalId, threshold: float
+    ) -> tuple[float, list[NodeScore]]:
+        """Peak z over the window and the nodes with ``z >= threshold``.
+
+        Equals ``scores()`` followed by ``flag_nodes``, and raises what
+        ``scores()`` raises, but builds a ``NodeScore`` only for the
+        flagged nodes.
+        """
+        columns = score_rows(self._nodes.values(), self.baseline(signal))
+        z = columns[-1]
+        rows = np.flatnonzero(z >= threshold)
+        kept = build_scores(list(self._nodes.values()), signal, columns, rows)
+        return float(z.max()), flag_nodes(kept, threshold)
+
     def query_score(self, node: NodeId, signal: SignalId) -> NodeScore:
         """Score one node on demand; equals the batch score over the window."""
         acc = self._nodes.get(node)
@@ -347,6 +369,7 @@ class StreamEngine:
             engine._evicted_through = payload["evicted_through"]
             for node, entry in payload["nodes"].items():
                 acc = NodeAccumulator(node, entry["t"], dict(entry["s"]))
+                _check_counts(path, registry, acc)
                 engine._nodes[node] = acc
                 users = entry.get("users")
                 if users:
@@ -382,6 +405,31 @@ class StreamEngine:
         if active_nodes != len(engine._nodes):
             raise CheckpointError("checkpoint active node count disagrees")
         return engine
+
+
+def _is_count(value: object, low: int, high: int) -> bool:
+    return type(value) is int and low <= value <= high
+
+
+def _check_counts(path, registry: SignalRegistry, acc: NodeAccumulator) -> None:
+    """Every loaded tally must satisfy what scoring assumes:
+    1 <= t < 2**63 and 0 <= s <= t per registered signal."""
+    if not _is_count(acc.trials, 1, _INT64_MAX):
+        raise CheckpointError(
+            f"checkpoint {path}: node {acc.node!r} has trial count "
+            f"{acc.trials!r}; need an integer in [1, 2**63 - 1]"
+        )
+    for signal, hits in acc.hits.items():
+        if signal not in registry:
+            raise CheckpointError(
+                f"checkpoint {path}: node {acc.node!r} counts hits for "
+                f"unregistered signal {signal!r}"
+            )
+        if not _is_count(hits, 0, acc.trials):
+            raise CheckpointError(
+                f"checkpoint {path}: node {acc.node!r} has hit count {hits!r} "
+                f"for {signal!r}; need an integer in [0, {acc.trials}]"
+            )
 
 
 @dataclass(slots=True)
@@ -427,7 +475,7 @@ def _score_turn(engine: StreamEngine, day: int, threshold: float) -> DayOutcome:
     inactive: list[SignalId] = []
     for signal in engine.registry.ids():
         try:
-            scores = engine.scores(signal)
+            max_z[signal], flagged = engine.flagged(signal, threshold)
         except (NoBaselineError, DegenerateBaselineError):
             # A window where every bit agrees carries no evidence either way.
             alerts[signal] = []
@@ -435,8 +483,6 @@ def _score_turn(engine: StreamEngine, day: int, threshold: float) -> DayOutcome:
             max_z[signal] = None
             inactive.append(signal)
             continue
-        max_z[signal] = scores[0].z if scores else None
-        flagged = flag_nodes(scores, threshold)
         day_alerts = build_alerts(
             flagged,
             {sc.node: engine.hit_users(sc.node, signal) for sc in flagged},

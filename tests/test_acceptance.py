@@ -27,7 +27,7 @@ from signalamp.scenario import (
     registry_for,
 )
 
-from reference import reference_fold, split_run
+from reference import reference_fold, reference_scores, split_run
 
 RATE_TOL = 1e-4  # 0.01 percentage points
 ORACLE_REL = 1e-12
@@ -149,7 +149,7 @@ def test_criterion_3_stream_equals_batch():
         for edge in edges:
             engine.ingest(edge)
         accs = reference_fold(edges)
-        batch = score_all(accs.values(), compute_baseline(accs.values(), "sig"))
+        batch = reference_scores(accs.values(), compute_baseline(accs.values(), "sig"))
         if engine.scores("sig") == batch:
             seeds_ok += 1
     ok = seeds_ok == 10

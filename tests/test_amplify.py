@@ -9,11 +9,17 @@ import mpmath
 import numpy as np
 import pytest
 
-from signalamp.amplify import compute_baseline, score_all, shrink, z_score
+from signalamp.amplify import (
+    compute_baseline,
+    score_all,
+    score_columns,
+    shrink,
+    z_score,
+)
 from signalamp.errors import DegenerateBaselineError, NoBaselineError
 from signalamp.model import NodeAccumulator, SignalRegistry, TransactionEdge
 
-from reference import reference_fold, split_run
+from reference import reference_fold, reference_scores, split_run
 
 REL = 1e-12
 
@@ -318,10 +324,70 @@ class TestScoreAll:
             for _ in range(600)
         ]
         whole = reference_fold(edges)
-        scores_whole = score_all(whole.values(), compute_baseline(whole.values(), "sig"))
+        scores_whole = reference_scores(
+            whole.values(), compute_baseline(whole.values(), "sig")
+        )
         merged = split_run(registry, edges[:250], edges[250:], tmp_path / "ckpt.json")
         assert merged.scores("sig") == scores_whole
 
     def test_empty_input_gives_empty_ranking(self):
         baseline = compute_baseline([NodeAccumulator("a", 4, {"sig": 1})], "sig")
         assert score_all([], baseline) == []
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_scalar_reference(self, seed):
+        """The vector path gives the scalar path's scores and order exactly,
+        on tables full of equal (t, s) pairs and of nodes at z = 0.0."""
+        rng = np.random.default_rng(700 + seed)
+        trials = rng.integers(1, 6, size=300)
+        hits = rng.binomial(trials, 0.3)
+        # Ids that differ only by trailing NULs tie on z and must keep
+        # Python's string order.
+        crowded = [
+            NodeAccumulator(f"n{i % 60}" + "\0" * (i // 60), t, {"sig": s} if s else {})
+            for i, (t, s) in enumerate(zip(trials.tolist(), hits.tolist()))
+        ]
+        # Pairs around s = 2 keep p = 0.2 and M = 10, so every (10, 2)
+        # node shrinks to p exactly and scores z = 0.0.
+        pairs = [(2, 2)] * int(rng.integers(5, 30)) + \
+            [(1, 3)] * int(rng.integers(0, 20)) + [(0, 4)] * int(rng.integers(0, 20))
+        balanced = [
+            NodeAccumulator(f"b{i}", 10, {"sig": s} if s else {})
+            for i, s in enumerate(s for pair in pairs for s in pair)
+        ]
+        for accs in (crowded, balanced):
+            rng.shuffle(accs)
+            baseline = compute_baseline(accs, "sig")
+            scores = score_all(accs, baseline)
+            assert scores == reference_scores(accs, baseline)
+        assert any(sc.z == 0.0 for sc in scores)
+
+
+class TestScoreColumns:
+    def _baseline(self):
+        return compute_baseline([NodeAccumulator("a", 10, {"sig": 3})], "sig")
+
+    def test_rows_equal_scalar_functions(self):
+        trials, hits = np.array([1, 7, 50, 9000]), np.array([0, 7, 13, 100])
+        baseline = self._baseline()
+        raw, shrunk, z = score_columns(trials, hits, baseline)
+        for i, (t, s) in enumerate(zip(trials.tolist(), hits.tolist())):
+            expected = shrink(s, t, baseline.rate, baseline.prior_strength)
+            assert raw[i] == s / t
+            assert shrunk[i] == expected
+            assert z[i] == z_score(expected, baseline.rate, t)
+
+    @pytest.mark.parametrize("trials, hits", [
+        ([3, 0], [1, 0]),
+        ([3, 4], [1, 5]),
+        ([3, 4], [-1, 2]),
+    ], ids=["no-trials", "hits-above-trials", "negative-hits"])
+    def test_rejects_invalid_counts(self, trials, hits):
+        with pytest.raises(ValueError):
+            score_columns(np.array(trials), np.array(hits), self._baseline())
+
+    @pytest.mark.parametrize("hits", [0, 10])
+    def test_degenerate_baseline_rejected(self, hits):
+        baseline = compute_baseline([NodeAccumulator("a", 10, {"sig": hits})], "sig")
+        with pytest.raises(DegenerateBaselineError):
+            score_columns(np.array([10]), np.array([hits]), baseline)

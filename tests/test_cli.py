@@ -495,8 +495,106 @@ def _checkpoint_nodes_not_object(dataset, tmp_path, capsys):
     return bad, _resume_from(bad, dataset, tmp_path)
 
 
+def _tampered_node(dataset, tmp_path, capsys, **fields):
+    payload = _good_checkpoint(dataset, tmp_path, capsys)
+    node = min(payload["nodes"])
+    payload["nodes"][node].update(fields)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    return bad, _resume_from(bad, dataset, tmp_path)
+
+
+def _checkpoint_hits_above_trials(dataset, tmp_path, capsys):
+    return _tampered_node(dataset, tmp_path, capsys, t=1, s={"sig": 2})
+
+
+def _checkpoint_negative_hits(dataset, tmp_path, capsys):
+    return _tampered_node(dataset, tmp_path, capsys, s={"sig": -1})
+
+
+def _checkpoint_fractional_trials(dataset, tmp_path, capsys):
+    return _tampered_node(dataset, tmp_path, capsys, t=1.5)
+
+
+def _checkpoint_bool_trials(dataset, tmp_path, capsys):
+    return _tampered_node(dataset, tmp_path, capsys, t=True)
+
+
+def _checkpoint_trials_beyond_int64(dataset, tmp_path, capsys):
+    return _tampered_node(dataset, tmp_path, capsys, t=2**63)
+
+
+def _checkpoint_unregistered_signal(dataset, tmp_path, capsys):
+    return _tampered_node(dataset, tmp_path, capsys, s={"ghost": 1})
+
+
+def _checkpoint_ghost_node(dataset, tmp_path, capsys):
+    payload = _good_checkpoint(dataset, tmp_path, capsys)
+    payload["nodes"]["ghost"] = {"t": 0, "s": {}}
+    payload["totals"]["active_nodes"] += 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    return bad, _resume_from(bad, dataset, tmp_path)
+
+
+def _edges_args(dataset):
+    return ["--edges", str(dataset / "edges.csv")]
+
+
+def _backtest_args(dataset):
+    return ["backtest", *_edges_args(dataset),
+            "--truth", str(dataset / "ground_truth.json")]
+
+
+def _stream_args(dataset, tmp_path):
+    return ["stream", *_edges_args(dataset),
+            "--checkpoint", str(tmp_path / "state.json")]
+
+
+def _threshold_nan(dataset, tmp_path, capsys):
+    return "nan", [*_backtest_args(dataset), "--threshold", "nan"]
+
+
+def _threshold_inf(dataset, tmp_path, capsys):
+    return "inf", [*_stream_args(dataset, tmp_path), "--threshold", "inf"]
+
+
+def _sweep_nan(dataset, tmp_path, capsys):
+    return "nan", [*_backtest_args(dataset), "--sweep", "40,nan"]
+
+
+def _config_threshold_text(dataset, tmp_path, capsys):
+    config = write_config(tmp_path, threshold="abc")
+    return "'abc'", [*_stream_args(dataset, tmp_path), "--config", config]
+
+
+def _config_threshold_bool(dataset, tmp_path, capsys):
+    config = write_config(tmp_path, threshold=True)
+    return "True", [*_stream_args(dataset, tmp_path), "--config", config]
+
+
+def _config_window_number(dataset, tmp_path, capsys):
+    config = write_config(tmp_path, window=5)
+    return "5", [*_stream_args(dataset, tmp_path), "--config", config]
+
+
+def _config_window_days_text(dataset, tmp_path, capsys):
+    config = write_config(tmp_path, window={"mode": "trailing", "trailing_days": "x"})
+    return "'x'", [*_stream_args(dataset, tmp_path), "--config", config]
+
+
+def _config_top_text(dataset, tmp_path, capsys):
+    config = write_config(tmp_path, top="x")
+    return "'x'", ["score", *_edges_args(dataset), "--config", config]
+
+
+def _top_negative(dataset, tmp_path, capsys):
+    return "-3", ["score", *_edges_args(dataset), "--top", "-3"]
+
+
 class TestUnreadableInput:
-    """Every input reader fails with one named error line, never a traceback."""
+    """Every bad input file or argument fails with one named error line,
+    never a traceback."""
 
     @pytest.mark.parametrize("make_case", [
         _edges_bad_byte,
@@ -507,6 +605,22 @@ class TestUnreadableInput:
         _checkpoint_not_object,
         _checkpoint_without_active_nodes,
         _checkpoint_nodes_not_object,
+        _checkpoint_hits_above_trials,
+        _checkpoint_negative_hits,
+        _checkpoint_fractional_trials,
+        _checkpoint_bool_trials,
+        _checkpoint_trials_beyond_int64,
+        _checkpoint_unregistered_signal,
+        _checkpoint_ghost_node,
+        _threshold_nan,
+        _threshold_inf,
+        _sweep_nan,
+        _config_threshold_text,
+        _config_threshold_bool,
+        _config_window_number,
+        _config_window_days_text,
+        _config_top_text,
+        _top_negative,
     ], ids=lambda fn: fn.__name__.lstrip("_"))
     def test_named_error_without_traceback(self, make_case, dataset, tmp_path, capsys):
         bad, argv = make_case(dataset, tmp_path, capsys)

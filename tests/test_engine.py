@@ -2,24 +2,27 @@
 pipeline, trailing-window eviction, checkpointing, and replay semantics.
 """
 
+import json
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from signalamp.amplify import compute_baseline, score_all
+from signalamp.amplify import compute_baseline
+from signalamp.detect import build_alerts, flag_nodes
 from signalamp.engine import StreamEngine, WindowConfig, replay_daily
 from signalamp.errors import (
     CheckpointError,
     DegenerateBaselineError,
+    NoBaselineError,
     UnknownNodeError,
     UnknownSignalError,
     UnsortedEdgesError,
 )
 from signalamp.model import SignalRegistry, TransactionEdge
 
-from reference import reference_fold
+from reference import reference_fold, reference_scores
 
 
 def random_edges(n, seed, n_users=200, n_nodes=25, days=10, hit_rate=0.2,
@@ -42,7 +45,38 @@ def random_edges(n, seed, n_users=200, n_nodes=25, days=10, hit_rate=0.2,
 
 def batch_scores(edges, signal):
     nodes = reference_fold(edges)
-    return score_all(nodes.values(), compute_baseline(nodes.values(), signal))
+    return reference_scores(nodes.values(), compute_baseline(nodes.values(), signal))
+
+
+def composed_turns(edges, registry, window, threshold):
+    """Each daily turn as ``scores()`` -> ``flag_nodes`` -> ``build_alerts``:
+    per day and signal, (max z, alerts, flagged users)."""
+    engine = StreamEngine(registry, window=window)
+    by_day = {}
+    for edge in edges:
+        by_day.setdefault(edge.day, []).append(edge)
+    turns = []
+    for day in range(edges[0].day, edges[-1].day + 1):
+        for edge in by_day.get(day, ()):
+            engine.ingest(edge)
+        engine.advance_to(day)
+        turn = {}
+        for signal in registry.ids():
+            try:
+                scores = engine.scores(signal)
+            except (NoBaselineError, DegenerateBaselineError):
+                turn[signal] = (None, [], frozenset())
+                continue
+            flagged = flag_nodes(scores, threshold)
+            alerts = build_alerts(
+                flagged,
+                {sc.node: engine.hit_users(sc.node, signal) for sc in flagged},
+                day,
+            )
+            users = frozenset(u for alert in alerts for u in alert.suspicious_users)
+            turn[signal] = (scores[0].z, alerts, users)
+        turns.append((day, turn))
+    return turns
 
 
 class TestIngest:
@@ -184,6 +218,9 @@ class TestTrailingWindow:
             WindowConfig("cumulative", 5)
         with pytest.raises(ValueError):
             WindowConfig("sliding", 5)
+        for days in (0, 2.5, True, "3"):
+            with pytest.raises(ValueError):
+                WindowConfig("trailing", days)
 
 
 class TestReplayDaily:
@@ -296,6 +333,50 @@ class TestReplayDaily:
         )
         assert result.days[0].flagged_users["sig"] == flagged_direct
 
+    @pytest.mark.parametrize("window", [None, WindowConfig.trailing(3)],
+                             ids=["cumulative", "trailing3"])
+    @pytest.mark.parametrize("seed", [61, 62, 63])
+    def test_turns_equal_scores_then_flag_nodes(self, window, seed):
+        registry = SignalRegistry(["a", "b", "never"])
+        edges = random_edges(2500, seed, n_nodes=40, days=9, hit_rate=0.15,
+                             signals=("a", "b"))
+        peaks = sorted(
+            z for _, turn in composed_turns(edges, registry, window, 0.0)
+            for z, _, _ in turn.values() if z is not None
+        )
+        # Below every z, exactly some turn's peak (the >= edge), above all.
+        for threshold in (-1e9, peaks[len(peaks) // 2], peaks[-1] + 1.0):
+            expected = composed_turns(edges, registry, window, threshold)
+            result = replay_daily(edges, registry, threshold=threshold, window=window)
+            assert [d.day for d in result.days] == [day for day, _ in expected]
+            for outcome, (_, turn) in zip(result.days, expected):
+                for signal, (max_z, alerts, users) in turn.items():
+                    assert outcome.max_z[signal] == max_z
+                    assert outcome.alerts[signal] == alerts
+                    assert outcome.flagged_users[signal] == users
+                assert outcome.inactive_signals == tuple(
+                    signal for signal, (max_z, _, _) in turn.items() if max_z is None
+                )
+            flagged = [a for d in result.days for a in d.alerts["a"] + d.alerts["b"]]
+            if threshold < 0:
+                assert all(d.alerts["a"] and d.alerts["b"] for d in result.days)
+            elif threshold > peaks[-1]:
+                assert flagged == []
+            else:
+                assert any(a.z == threshold for a in flagged)
+
+    def test_flagged_raises_what_scores_raises(self):
+        engine = StreamEngine(SignalRegistry(["sig", "never"]))
+        for call in (engine.scores, lambda s: engine.flagged(s, 1.0)):
+            with pytest.raises(NoBaselineError):
+                call("sig")
+        engine.ingest(TransactionEdge(user="u", node="n", day=0, hits={"sig": 1}))
+        for call in (engine.scores, lambda s: engine.flagged(s, 1.0)):
+            with pytest.raises(DegenerateBaselineError):
+                call("never")
+            with pytest.raises(UnknownSignalError):
+                call("ghost")
+
     def test_degenerate_day_reported_inactive(self):
         registry = SignalRegistry(["sig"])
         edges = [TransactionEdge(user="u1", node="n1", day=0, hits={"sig": 1})]
@@ -373,6 +454,21 @@ class TestCheckpoint:
         payload = path.read_text().replace('"transactions":600', '"transactions":601')
         path.write_text(payload)
         with pytest.raises(CheckpointError):
+            StreamEngine.load_checkpoint(path)
+
+    @pytest.mark.parametrize("tamper", [
+        {"t": 1.5}, {"t": True}, {"t": 0}, {"t": 2**63, "s": {}},
+        {"s": {"a": -1}}, {"s": {"a": 10**6}}, {"s": {"a": False}},
+        {"s": {"ghost": 1}},
+    ], ids=["float-t", "bool-t", "zero-t", "t-beyond-int64", "negative-s",
+            "s-above-t", "bool-s", "unregistered-signal"])
+    def test_bad_node_counts_rejected(self, tmp_path, tamper):
+        path = tmp_path / "state.json"
+        self._engine().save_checkpoint(path)
+        payload = json.loads(path.read_text())
+        payload["nodes"]["n000"].update(tamper)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="node 'n000'"):
             StreamEngine.load_checkpoint(path)
 
     def test_unsupported_version_rejected(self, tmp_path):

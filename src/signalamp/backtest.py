@@ -25,7 +25,14 @@ from .detect import (
 )
 from .engine import DayOutcome, ReplayResult, WindowConfig, replay_daily
 from .errors import SignalAmpError
-from .model import NodeId, SignalId, SignalRegistry, TransactionEdge, UserId
+from .model import (
+    EdgeColumns,
+    NodeId,
+    SignalId,
+    SignalRegistry,
+    TransactionEdge,
+    UserId,
+)
 from .scenario import GroundTruth
 
 
@@ -107,13 +114,10 @@ class RawSignalBaseline:
 
 
 def raw_signal_baseline(
-    edges: Iterable[TransactionEdge], truth: GroundTruth, signal: SignalId
+    edges: EdgeColumns, truth: GroundTruth, signal: SignalId
 ) -> RawSignalBaseline:
     """Precision of the unaggregated signal: flag everyone who ever hit."""
-    carriers: set[UserId] = set()
-    for edge in edges:
-        if edge.hits.get(signal):
-            carriers.add(edge.user)
+    carriers = edges.users_with_hits(signal)
     fraud_carriers = len(carriers & truth.sybil_users)
     precision = fraud_carriers / len(carriers) if carriers else None
     return RawSignalBaseline(signal, len(carriers), fraud_carriers, precision)
@@ -231,7 +235,7 @@ class BacktestReport:
 
 
 def run_backtest(
-    edges: Sequence[TransactionEdge],
+    edges: EdgeColumns | Iterable[TransactionEdge],
     registry: SignalRegistry,
     truth: GroundTruth,
     *,
@@ -245,6 +249,7 @@ def run_backtest(
     summary are computed on the final window snapshot. Activation peaks
     are taken over the whole run.
     """
+    edges = EdgeColumns.from_edges(edges, registry.ids())
     replay = replay_daily(edges, registry, threshold=threshold, window=window)
     engine = replay.engine
     sweeps: dict[SignalId, list[MetricsRow]] = {}

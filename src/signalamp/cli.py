@@ -269,8 +269,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     if only is not None:
         registry.require(only)
     engine = StreamEngine(registry, window=window, track_users=False)
-    for edge in sorted(edges, key=lambda e: e.day):
-        engine.ingest(edge)
+    engine.ingest_columns(edges)
     if engine.current_day is not None:
         engine.advance_to(engine.current_day)
 

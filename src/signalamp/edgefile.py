@@ -10,15 +10,20 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
+
+import numpy as np
 
 from .errors import EdgeFileError
-from .model import SignalId, TransactionEdge
+from .model import EdgeColumns, IdCodes, SignalId, TransactionEdge
 from .scenario import GroundTruth
 
 _FIXED_COLUMNS = ("user", "node", "day")
 _MAX_REPORTED_LINES = 10
+_CHUNK_CHARS = 1 << 18
+_INT64_MAX = 2**63 - 1
 
 
 def write_edge_file(
@@ -40,8 +45,8 @@ def write_edge_file(
     return count
 
 
-def read_edge_file(path: str | Path) -> tuple[list[SignalId], list[TransactionEdge]]:
-    """Parse an edge file; returns (signal column order, edges).
+def read_edge_file(path: str | Path) -> tuple[list[SignalId], EdgeColumns]:
+    """Parse an edge file; returns (signal column order, edge columns).
 
     Malformed rows do not abort the scan one at a time: the reader keeps
     going and reports every offending line number (capped) in one error.
@@ -53,9 +58,108 @@ def read_edge_file(path: str | Path) -> tuple[list[SignalId], list[TransactionEd
         raise EdgeFileError(f"cannot open edge file {path}: {exc}") from exc
     with fh:
         try:
-            return _parse_edges(path, csv.reader(fh))
+            if fh.seekable():
+                parsed = _split_columns(fh)
+                if parsed is not None:
+                    return parsed
+                fh.seek(0)
+            signals, edges = _parse_edges(path, csv.reader(fh))
         except (UnicodeDecodeError, csv.Error) as exc:
             raise EdgeFileError(f"{path}: unreadable edge file: {exc}") from exc
+    return signals, EdgeColumns.from_edges(edges, signals)
+
+
+def _split_columns(fh: TextIO) -> tuple[list[SignalId], EdgeColumns] | None:
+    """Read the file in chunks with ``str.split`` and check it column by
+    column.
+
+    Returns None at the first chunk that holds anything the row parser
+    could read differently (a quote, a carriage return, a NUL, a line
+    longer than the csv field limit, undecodable bytes) or an invalid
+    row. The row parser then reads the file again and reports what it
+    finds.
+    """
+    limit = csv.field_size_limit()
+    users, nodes = IdCodes(), IdCodes()
+    day_of: dict[str, int] = {}
+    parts: list[list[np.ndarray]] = []  # user, node, day and hit chunks
+    signals: list[SignalId] | None = None
+    carry = ""
+    try:
+        while True:
+            chunk = fh.read(_CHUNK_CHARS)
+            if '"' in chunk or "\r" in chunk or "\x00" in chunk:
+                return None
+            lines = (carry + chunk).split("\n")
+            carry = lines.pop() if chunk else ""
+            if len(carry) > limit:
+                return None
+            if signals is None:
+                if not lines:
+                    continue
+                header_line = lines.pop(0)
+                header = header_line.split(",")
+                signals = header[3:]
+                if len(header_line) > limit or tuple(header[:3]) != _FIXED_COLUMNS \
+                        or len(set(signals)) != len(signals):
+                    return None
+                width = len(header)
+                empty = np.empty(0, np.int64)
+                parts = [[empty], [empty], [empty], [np.empty((width - 3, 0), bool)]]
+            if "" in lines:
+                lines = [line for line in lines if line]
+            if lines:
+                part = _split_lines(lines, width, limit, day_of)
+                if part is None:
+                    return None
+                user_col, node_col, days, hits = part
+                parts[0].append(users.encode(user_col))
+                parts[1].append(nodes.encode(node_col))
+                parts[2].append(days)
+                parts[3].append(hits)
+            if not chunk:
+                break
+    except UnicodeDecodeError:
+        return None
+    if signals is None:
+        return None
+    user_code, node_code, day = (np.concatenate(column) for column in parts[:3])
+    return signals, EdgeColumns(signals, users.ids(), user_code, nodes.ids(),
+                                node_code, day, np.concatenate(parts[3], axis=1))
+
+
+def _split_lines(
+    lines: list[str], width: int, limit: int, day_of: dict[str, int]
+) -> tuple | None:
+    """(users, nodes, int64 days, bool hits) of non-blank data lines, or
+    None unless every line is a valid row that the row parser reads the
+    same way. ``day_of`` caches the value of each day text seen so far."""
+    if max(map(len, lines)) > limit:
+        return None
+    commas = list(map(str.count, lines, repeat(",")))
+    if commas.count(width - 1) != len(commas):
+        return None
+    fields = ",".join(lines).split(",")
+    user_col, node_col, day_col = fields[0::width], fields[1::width], fields[2::width]
+    if "" in user_col or "" in node_col:
+        return None
+    for text in dict.fromkeys(day_col):
+        if text not in day_of:
+            try:
+                day = int(text)
+            except ValueError:
+                return None
+            if not 0 <= day <= _INT64_MAX:
+                return None
+            day_of[text] = day
+    bit_cols = [fields[k::width] for k in range(3, width)]
+    for bits in bit_cols:
+        if bits.count("1") + bits.count("0") != len(bits):
+            return None
+    text = "".join(chain.from_iterable(bit_cols)).encode("ascii")
+    hits = np.frombuffer(text, np.uint8).reshape(width - 3, len(lines)) == ord("1")
+    days = np.fromiter(map(day_of.__getitem__, day_col), np.int64, len(day_col))
+    return user_col, node_col, days, hits
 
 
 def _parse_edges(
@@ -93,6 +197,8 @@ def _parse_edges(
                 else:
                     if day < 0:
                         problem = f"day {day} is negative"
+                    elif day > _INT64_MAX:
+                        problem = f"day {day} exceeds 2**63 - 1"
         if problem is None:
             hits: dict[SignalId, int] = {}
             for signal, bit_text in zip(signals, row[3:]):

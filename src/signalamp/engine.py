@@ -8,9 +8,12 @@ scores regardless of arrival order: every counter is an integer sum.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import le
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -27,6 +30,7 @@ from .errors import (
     UnsortedEdgesError,
 )
 from .model import (
+    EdgeColumns,
     GlobalBaseline,
     NodeAccumulator,
     NodeId,
@@ -131,56 +135,123 @@ class StreamEngine:
         """Fold one edge into the window. Constant work per edge."""
         day = edge.day
         if day <= self._evicted_through:
-            raise UnsortedEdgesError(
-                f"edge day {day} precedes the trailing window "
-                f"(evicted through day {self._evicted_through})"
-            )
-        node = edge.node
-        known = self._signal_ids
-        acc = self._nodes.get(node)
-        if acc is None:
-            acc = NodeAccumulator(node)
-            self._nodes[node] = acc
-        acc.trials += 1
-        self._total_trials += 1
-        if self._current_day is None or day > self._current_day:
-            self._current_day = day
-        trailing = self.window.mode == TRAILING
-        if trailing:
-            bucket = self._day_buffers.setdefault(day, {})
-            delta = bucket.get(node)
-            if delta is None:
-                delta = [0, {}, {}]
-                bucket[node] = delta
-            delta[0] += 1
-        track = self.track_users
-        acc_hits = acc.hits
-        total_hits = self._total_hits
+            raise self._precedes_window(day)
+        hits = {}
         for signal, bit in edge.hits.items():
-            if signal not in known:
+            if signal not in self._signal_ids:
                 raise UnknownSignalError(
                     f"edge references unregistered signal {signal!r}"
                 )
-            if not bit:
+            if bit:
+                hits[signal] = 1
+        users = {signal: {edge.user: 1} for signal in hits} if hits else hits
+        self._apply(day, edge.node, 1, hits, users, 1)
+
+    def ingest_columns(self, batch: EdgeColumns) -> None:
+        """Fold a batch of edges into the window, in any order.
+
+        Rows are grouped by (day, node), and each group is applied as one
+        delta: the counters end up as if every edge had been ingested.
+        """
+        if not len(batch):
+            return
+        first = int(batch.day.min())
+        if first <= self._evicted_through:
+            raise self._precedes_window(first)
+        signals = []
+        for signal, bits in zip(batch.signals, batch.hits):
+            if signal in self._signal_ids:
+                signals.append((signal, bits))
+            elif bits.any():
+                raise UnknownSignalError(
+                    f"edge references unregistered signal {signal!r}"
+                )
+        days, day_code = np.unique(batch.day, return_inverse=True)
+        n_nodes = len(batch.nodes)
+        keys, group = np.unique(day_code * n_nodes + batch.node_code,
+                                return_inverse=True)
+        trials = np.bincount(group, minlength=len(keys)).tolist()
+        hits: list[dict] = [{} for _ in range(len(keys))]
+        users: list[dict] = [{} for _ in range(len(keys))]
+        user_ids = batch.users
+        n_users = len(user_ids)
+        for signal, bits in signals:
+            hit_group = group[bits]
+            counts = np.bincount(hit_group, minlength=len(keys))
+            hit_groups = np.flatnonzero(counts)
+            for g, count in zip(hit_groups.tolist(), counts[hit_groups].tolist()):
+                hits[g][signal] = count
+            if not self.track_users:
                 continue
-            acc_hits[signal] = acc_hits.get(signal, 0) + 1
-            total_hits[signal] += 1
+            pairs, per_pair = np.unique(
+                hit_group * n_users + batch.user_code[bits], return_counts=True)
+            for pair, count in zip(pairs.tolist(), per_pair.tolist()):
+                g, user = divmod(pair, n_users)
+                users[g].setdefault(signal, {})[user_ids[user]] = count
+        group_day = days[keys // n_nodes].tolist()
+        group_node = [batch.nodes[code] for code in (keys % n_nodes).tolist()]
+        apply = self._apply
+        for g, day in enumerate(group_day):
+            apply(day, group_node[g], trials[g], hits[g], users[g], 1)
+
+    def _precedes_window(self, day: int) -> UnsortedEdgesError:
+        return UnsortedEdgesError(
+            f"edge day {day} precedes the trailing window "
+            f"(evicted through day {self._evicted_through})"
+        )
+
+    def _apply(
+        self,
+        day: int,
+        node: NodeId,
+        trials: int,
+        hits: dict[SignalId, int],
+        users: dict[SignalId, dict[UserId, int]],
+        sign: int,
+    ) -> None:
+        """Add (``sign`` 1) or remove (``sign`` -1) one node's counts of one day.
+
+        ``hits`` maps each signal to its hit count, ``users`` each signal
+        to the hit count per user. Adding also records the counts in the
+        day's buffer of a trailing window; removing drops every entry that
+        reaches zero, the node's included. This is the engine's only fold.
+        """
+        acc = self._nodes.get(node)
+        if acc is None:
+            acc = self._nodes[node] = NodeAccumulator(node)
+        acc.trials += sign * trials
+        self._total_trials += sign * trials
+        if hits:
+            _add_counts(acc.hits, hits, sign)
+            for signal, count in hits.items():
+                self._total_hits[signal] += sign * count
+        track = self.track_users
+        if track and users:
+            per_node = self._hit_users.setdefault(node, {})
+            for signal, counts in users.items():
+                per_sig = per_node.setdefault(signal, {})
+                _add_counts(per_sig, counts, sign)
+                if not per_sig:
+                    del per_node[signal]
+            if not per_node:
+                del self._hit_users[node]
+        if sign < 0:
+            if not acc.trials:
+                del self._nodes[node]
+            return
+        if self._current_day is None or day > self._current_day:
+            self._current_day = day
+        if self.window.mode == TRAILING:
+            bucket = self._day_buffers.setdefault(day, {})
+            delta = bucket.get(node)
+            if delta is None:
+                delta = bucket[node] = [0, {}, {}]
+            delta[0] += trials
+            if hits:
+                _add_counts(delta[1], hits, 1)
             if track:
-                per_node = self._hit_users.get(node)
-                if per_node is None:
-                    per_node = {}
-                    self._hit_users[node] = per_node
-                per_sig = per_node.get(signal)
-                if per_sig is None:
-                    per_sig = {}
-                    per_node[signal] = per_sig
-                per_sig[edge.user] = per_sig.get(edge.user, 0) + 1
-            if trailing:
-                sig_delta = delta[1]
-                sig_delta[signal] = sig_delta.get(signal, 0) + 1
-                if track:
-                    user_delta = delta[2].setdefault(signal, {})
-                    user_delta[edge.user] = user_delta.get(edge.user, 0) + 1
+                for signal, counts in users.items():
+                    _add_counts(delta[2].setdefault(signal, {}), counts, 1)
 
     def advance_to(self, day: int) -> None:
         """Move the window forward to a scoring turn at ``day``.
@@ -196,39 +267,10 @@ class StreamEngine:
         for buffered_day in sorted(self._day_buffers):
             if buffered_day > horizon:
                 continue
-            self._evict_day(buffered_day)
+            for node, (trials, hits, users) in self._day_buffers.pop(
+                    buffered_day).items():
+                self._apply(buffered_day, node, trials, hits, users, -1)
         self._evicted_through = horizon
-
-    def _evict_day(self, day: int) -> None:
-        bucket = self._day_buffers.pop(day)
-        for node, (t_delta, sig_delta, user_delta) in bucket.items():
-            acc = self._nodes[node]
-            acc.trials -= t_delta
-            self._total_trials -= t_delta
-            for signal, count in sig_delta.items():
-                remaining = acc.hits[signal] - count
-                if remaining:
-                    acc.hits[signal] = remaining
-                else:
-                    del acc.hits[signal]
-                self._total_hits[signal] -= count
-            if self.track_users:
-                per_node = self._hit_users.get(node)
-                if per_node:
-                    for signal, users in user_delta.items():
-                        per_sig = per_node[signal]
-                        for user, count in users.items():
-                            remaining = per_sig[user] - count
-                            if remaining:
-                                per_sig[user] = remaining
-                            else:
-                                del per_sig[user]
-                        if not per_sig:
-                            del per_node[signal]
-                    if not per_node:
-                        del self._hit_users[node]
-            if acc.trials == 0:
-                del self._nodes[node]
 
     # -- scoring ---------------------------------------------------------
 
@@ -346,6 +388,18 @@ class StreamEngine:
     @classmethod
     def load_checkpoint(cls, path: str | Path) -> "StreamEngine":
         """Rebuild an engine from a snapshot, verifying counter consistency."""
+        # A load builds many containers and no reference cycles, so cycle
+        # collection passes during it are wasted work.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return cls._load_checkpoint(path)
+        finally:
+            if enabled:
+                gc.enable()
+
+    @classmethod
+    def _load_checkpoint(cls, path: str | Path) -> "StreamEngine":
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -367,21 +421,28 @@ class StreamEngine:
             engine = cls(registry, window, payload["track_users"])
             engine._current_day = payload["current_day"]
             engine._evicted_through = payload["evicted_through"]
+            _check_days(path, engine)
+            if engine._current_day is None and payload["nodes"]:
+                raise CheckpointError(
+                    f"checkpoint {path}: holds nodes but no current_day"
+                )
+            track = engine.track_users
+            node_users = []  # as written, before empty tables are dropped
             for node, entry in payload["nodes"].items():
-                acc = NodeAccumulator(node, entry["t"], dict(entry["s"]))
-                _check_counts(path, registry, acc)
-                engine._nodes[node] = acc
-                users = entry.get("users")
-                if users:
-                    engine._hit_users[node] = {
-                        sig: dict(per) for sig, per in users.items() if per
-                    }
-            for day, bucket in payload["day_buffers"].items():
-                engine._day_buffers[int(day)] = {
-                    node: [d["t"], dict(d["s"]),
-                           {sig: dict(u) for sig, u in d.get("users", {}).items()}]
-                    for node, d in bucket.items()
+                engine._nodes[node] = NodeAccumulator(node, entry["t"], entry["s"])
+                if track:
+                    users = entry.get("users", {})
+                    node_users.append(users)
+                    users = {signal: per for signal, per in users.items() if per}
+                    if users:
+                        engine._hit_users[node] = users
+            for key, bucket in payload["day_buffers"].items():
+                engine._day_buffers[_buffer_day(path, engine, key)] = {
+                    node: [delta["t"], delta["s"],
+                           delta.get("users", {}) if track else {}]
+                    for node, delta in bucket.items()
                 }
+            _check_entries(path, engine, node_users)
             totals = payload["totals"]
             engine._total_trials = totals["transactions"]
             for signal, count in totals["hits"].items():
@@ -390,6 +451,13 @@ class StreamEngine:
             active_nodes = totals["active_nodes"]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
+        for name, value in [("transactions", engine._total_trials),
+                            *engine._total_hits.items(),
+                            ("active_nodes", active_nodes)]:
+            if type(value) is not int:
+                raise CheckpointError(
+                    f"checkpoint {path}: total {name!r} is {value!r}; need an integer"
+                )
         recomputed_trials = sum(a.trials for a in engine._nodes.values())
         if recomputed_trials != engine._total_trials:
             raise CheckpointError(
@@ -404,32 +472,189 @@ class StreamEngine:
                 )
         if active_nodes != len(engine._nodes):
             raise CheckpointError("checkpoint active node count disagrees")
+        if window.mode == TRAILING:
+            engine._check_buffer_sums(path)
         return engine
+
+    def _check_buffer_sums(self, path) -> None:
+        """A trailing window's day buffers must add up to the node table,
+        user tables included, or eviction would leave wrong counts."""
+        trials_sum: dict[NodeId, int] = {}
+        hits_sum: dict[NodeId, dict] = {}
+        users_sum: dict[NodeId, dict] = {}
+        for bucket in self._day_buffers.values():
+            for node, (trials, hits, users) in bucket.items():
+                trials_sum[node] = trials_sum.get(node, 0) + trials
+                if hits:
+                    _add_counts(hits_sum.setdefault(node, {}), hits, 1)
+                for signal, counts in users.items():
+                    if counts:
+                        table = users_sum.setdefault(node, {}).setdefault(signal, {})
+                        for user, count in counts.items():
+                            table[user] = table.get(user, 0) + count
+        for node in self._nodes.keys() | trials_sum.keys():
+            acc = self._nodes.get(node)
+            if acc is None or trials_sum.get(node) != acc.trials or (
+                hits_sum.get(node, {}) != {s: c for s, c in acc.hits.items() if c}
+            ) or (self.track_users and
+                  users_sum.get(node, {}) != self._hit_users.get(node, {})):
+                raise CheckpointError(
+                    f"checkpoint {path}: the day buffers of node {node!r} do "
+                    "not add up to its node-table entry"
+                )
+
+
+def _check_days(path, engine: StreamEngine) -> None:
+    """``current_day`` is null or a day, ``evicted_through`` -1 or a day;
+    a cumulative window has evicted nothing."""
+    current, evicted = engine._current_day, engine._evicted_through
+    if current is not None and not _is_count(current, 0, _INT64_MAX):
+        raise CheckpointError(
+            f"checkpoint {path}: current_day {current!r} is not null or an "
+            "integer in [0, 2**63 - 1]"
+        )
+    if not _is_count(evicted, -1, _INT64_MAX):
+        raise CheckpointError(
+            f"checkpoint {path}: evicted_through {evicted!r} is not an "
+            "integer in [-1, 2**63 - 1]"
+        )
+    if engine.window.mode == CUMULATIVE and evicted != -1:
+        raise CheckpointError(
+            f"checkpoint {path}: a cumulative window evicts nothing, but "
+            f"evicted_through is {evicted}"
+        )
+
+
+def _buffer_day(path, engine: StreamEngine, key: str) -> int:
+    """The day of a ``day_buffers`` key: a trailing window buffers only the
+    days in ``(evicted_through, current_day]``."""
+    if engine.window.mode == CUMULATIVE:
+        raise CheckpointError(
+            f"checkpoint {path}: a cumulative window keeps no day buffers, "
+            f"found day {key!r}"
+        )
+    low, high = engine._evicted_through, engine._current_day
+    day = int(key)
+    if str(day) != key or high is None or not low < day <= high:
+        raise CheckpointError(
+            f"checkpoint {path}: day_buffers key {key!r} is not a day in "
+            f"({low}, {high}]"
+        )
+    return day
+
+
+def _add_counts(table: dict, counts: dict, sign: int) -> None:
+    """Add ``sign`` times each count to ``table``; drop keys that reach 0."""
+    for key, count in counts.items():
+        value = table.get(key, 0) + sign * count
+        if value:
+            table[key] = value
+        else:
+            table.pop(key, None)
 
 
 def _is_count(value: object, low: int, high: int) -> bool:
     return type(value) is int and low <= value <= high
 
 
-def _check_counts(path, registry: SignalRegistry, acc: NodeAccumulator) -> None:
+def _entry(node: NodeId, day: int | None) -> str:
+    """How a checkpoint error names a node-table (``day`` None) or buffer entry."""
+    return f"node {node!r}" if day is None else f"day {day} buffer of node {node!r}"
+
+
+def _check_counts(path, signal_ids: set, node: NodeId, day: int | None,
+                  trials: object, hits: dict) -> None:
     """Every loaded tally must satisfy what scoring assumes:
     1 <= t < 2**63 and 0 <= s <= t per registered signal."""
-    if not _is_count(acc.trials, 1, _INT64_MAX):
+    where = _entry(node, day)
+    if not _is_count(trials, 1, _INT64_MAX):
         raise CheckpointError(
-            f"checkpoint {path}: node {acc.node!r} has trial count "
-            f"{acc.trials!r}; need an integer in [1, 2**63 - 1]"
+            f"checkpoint {path}: {where} has trial count "
+            f"{trials!r}; need an integer in [1, 2**63 - 1]"
         )
-    for signal, hits in acc.hits.items():
-        if signal not in registry:
+    for signal, count in hits.items():
+        if signal not in signal_ids:
             raise CheckpointError(
-                f"checkpoint {path}: node {acc.node!r} counts hits for "
+                f"checkpoint {path}: {where} counts hits for "
                 f"unregistered signal {signal!r}"
             )
-        if not _is_count(hits, 0, acc.trials):
+        if not _is_count(count, 0, trials):
             raise CheckpointError(
-                f"checkpoint {path}: node {acc.node!r} has hit count {hits!r} "
-                f"for {signal!r}; need an integer in [0, {acc.trials}]"
+                f"checkpoint {path}: {where} has hit count {count!r} "
+                f"for {signal!r}; need an integer in [0, {trials}]"
             )
+
+
+def _check_users(path, signal_ids: set, node: NodeId, day: int | None,
+                 hits: dict, table: dict) -> None:
+    """A per-user hit table may only name real hit senders: every count an
+    integer >= 1, and per signal the counts sum to the hit count."""
+    for signal, per_user in table.items():
+        if signal not in signal_ids:
+            raise CheckpointError(
+                f"checkpoint {path}: {_entry(node, day)} names users for "
+                f"unregistered signal {signal!r}"
+            )
+        for user, count in per_user.items():
+            if not _is_count(count, 1, _INT64_MAX):
+                raise CheckpointError(
+                    f"checkpoint {path}: {_entry(node, day)} has hit count "
+                    f"{count!r} for user {user!r} on {signal!r}; need an "
+                    "integer >= 1"
+                )
+    for signal in hits.keys() | table.keys():
+        named = sum(table.get(signal, {}).values())
+        if named != hits.get(signal, 0):
+            raise CheckpointError(
+                f"checkpoint {path}: {_entry(node, day)} names users with "
+                f"{named} hits on {signal!r}, but its hit count is "
+                f"{hits.get(signal, 0)}"
+            )
+
+
+def _check_entries(path, engine: StreamEngine, node_users: list) -> None:
+    """Check every loaded node-table and buffer entry.
+
+    The checks run column by column over all entries at once; when one
+    fails, the entry-by-entry checks find and name the first bad entry.
+    """
+    signal_ids, track = engine._signal_ids, engine.track_users
+    accs = engine._nodes.values()
+    buffers = engine._day_buffers
+    deltas = [delta for bucket in buffers.values() for delta in bucket.values()]
+    trials = [acc.trials for acc in accs] + [delta[0] for delta in deltas]
+    hits = [acc.hits for acc in accs] + [delta[1] for delta in deltas]
+    users = node_users + [delta[2] for delta in deltas] if track else []
+    counts = [*chain.from_iterable(h.values() for h in hits)]
+    named = [*chain.from_iterable(
+        per_user.values() for table in users for per_user in table.values())]
+    ok = (_ints_within(trials, 1, _INT64_MAX)
+          and set().union(*hits, *users) <= signal_ids
+          and _ints_within(counts, 0, _INT64_MAX)
+          and _ints_within(named, 1, _INT64_MAX))
+    for signal in signal_ids:
+        if not ok:
+            break
+        column = [h.get(signal, 0) for h in hits]
+        ok = all(map(le, column, trials)) and (not track or column == [
+            sum(table[signal].values()) if signal in table else 0 for table in users])
+    if ok:
+        return
+    entries = [(node, None, acc.trials, acc.hits)
+               for node, acc in engine._nodes.items()]
+    entries += [(node, day, delta[0], delta[1])
+                for day, bucket in buffers.items() for node, delta in bucket.items()]
+    for (node, day, t, s), table in zip(entries, users or repeat({})):
+        _check_counts(path, signal_ids, node, day, t, s)
+        if track:
+            _check_users(path, signal_ids, node, day, s, table)
+    raise CheckpointError(f"checkpoint {path}: inconsistent counts")
+
+
+def _ints_within(values, low: int, high: int) -> bool:
+    """Every value an int (not a bool) in ``[low, high]``."""
+    return not values or (
+        {*map(type, values)} == {int} and low <= min(values) and max(values) <= high)
 
 
 @dataclass(slots=True)
@@ -497,7 +722,7 @@ def _score_turn(engine: StreamEngine, day: int, threshold: float) -> DayOutcome:
 
 
 def replay_daily(
-    edges: Iterable[TransactionEdge],
+    edges: EdgeColumns | Iterable[TransactionEdge],
     registry: SignalRegistry | None = None,
     *,
     threshold: float,
@@ -507,10 +732,12 @@ def replay_daily(
 ) -> ReplayResult:
     """Feed a day-ordered edge stream through daily scoring turns.
 
-    Each day's edges are ingested, then every signal is rescored over the
-    configured window ending at that day. Gap days with no traffic still
-    get a scoring turn. Out-of-order days raise ``UnsortedEdgesError``;
-    callers holding an unordered stream sort it by day first.
+    The edges are converted to ``EdgeColumns`` once. Each day's edges are
+    folded in one grouped pass (``ingest_columns``), then every signal is
+    rescored over the configured window ending at that day. Gap days with
+    no traffic still get a scoring turn. Out-of-order days raise
+    ``UnsortedEdgesError`` before anything is ingested; callers holding an
+    unordered stream sort it by day first.
 
     Pass ``engine`` to continue from checkpointed state; scoring then
     resumes on the day after the checkpoint's last.
@@ -525,24 +752,33 @@ def replay_daily(
         raise ValueError("replay alerts need an engine with track_users=True")
 
     outcomes: list[DayOutcome] = []
-    resumed = engine.current_day is not None
-    pending_day: int | None = engine.current_day + 1 if resumed else None
-
-    for edge in edges:
-        if pending_day is None:
-            pending_day = edge.day
-        if edge.day < pending_day:
-            raise UnsortedEdgesError(
-                f"edge day {edge.day} arrived after day {pending_day} began "
-                "(sort the stream by day first)"
-            )
-        while edge.day > pending_day:
-            outcomes.append(_score_turn(engine, pending_day, threshold))
-            pending_day += 1
-        engine.ingest(edge)
-    if pending_day is not None:
-        last = engine.current_day
-        if last is not None and last >= pending_day:
-            for day in range(pending_day, last + 1):
-                outcomes.append(_score_turn(engine, day, threshold))
+    batch = EdgeColumns.from_edges(edges, engine.registry.ids())
+    if not len(batch):
+        return ReplayResult(outcomes, engine)
+    day = batch.day
+    pending = int(day[0]) if engine.current_day is None else engine.current_day + 1
+    _check_sorted(day, pending)
+    cuts = (np.flatnonzero(np.diff(day)) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, len(day)]):
+        today = int(day[lo])
+        for gap_day in range(pending, today):
+            outcomes.append(_score_turn(engine, gap_day, threshold))
+        engine.ingest_columns(batch[lo:hi])
+        outcomes.append(_score_turn(engine, today, threshold))
+        pending = today + 1
     return ReplayResult(outcomes, engine)
+
+
+def _check_sorted(day: np.ndarray, pending: int) -> None:
+    """Raise on the first edge whose day is before a day already begun."""
+    drops = np.flatnonzero(np.diff(day) < 0)
+    if day[0] < pending:
+        late, begun = day[0], pending
+    elif drops.size:
+        late, begun = day[drops[0] + 1], day[drops[0]]
+    else:
+        return
+    raise UnsortedEdgesError(
+        f"edge day {late} arrived after day {begun} began "
+        "(sort the stream by day first)"
+    )

@@ -8,8 +8,13 @@ scoring math ever needs.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import DuplicateSignalError, UnknownSignalError
 
@@ -88,6 +93,121 @@ class TransactionEdge:
             raise ValueError("edge user and node ids must be non-empty")
         if self.day < 0:
             raise ValueError(f"edge day must be >= 0, got {self.day}")
+
+
+class IdCodes:
+    """Distinct ids in first-seen order, each coded by its position."""
+
+    def __init__(self) -> None:
+        # A missing id takes the next code on lookup.
+        self._index: defaultdict[str, int] = defaultdict(count().__next__)
+
+    def encode(self, ids: list[str]) -> np.ndarray:
+        """Int64 codes of ``ids``, adding the ids not seen before."""
+        return np.fromiter(map(self._index.__getitem__, ids), np.int64, len(ids))
+
+    def ids(self) -> list[str]:
+        return list(self._index)
+
+
+class EdgeColumns(Sequence):
+    """A batch of edges held as columns.
+
+    ``users`` and ``nodes`` list each distinct id once; ``user_code`` and
+    ``node_code`` index them per edge. ``day`` is an int64 column and
+    ``hits`` a bool ``[len(signals), n]`` matrix. Indexing and iteration
+    build ``TransactionEdge`` objects on demand, carrying a 1 for each hit
+    signal; slices are ``EdgeColumns`` views that share the id lists.
+    """
+
+    __slots__ = ("signals", "users", "user_code", "nodes", "node_code", "day", "hits")
+
+    def __init__(
+        self,
+        signals: Sequence[SignalId],
+        users: list[UserId],
+        user_code: np.ndarray,
+        nodes: list[NodeId],
+        node_code: np.ndarray,
+        day: np.ndarray,
+        hits: np.ndarray,
+    ) -> None:
+        self.signals = tuple(signals)
+        self.users = users
+        self.user_code = user_code
+        self.nodes = nodes
+        self.node_code = node_code
+        self.day = day
+        self.hits = hits
+
+    @classmethod
+    def from_edges(
+        cls, edges: Iterable[TransactionEdge], signals: Sequence[SignalId]
+    ) -> "EdgeColumns":
+        """Columns of ``edges`` under ``signals``; an ``EdgeColumns`` is
+        returned as it is. A hit key outside ``signals`` raises
+        ``UnknownSignalError``, whatever its bit."""
+        if isinstance(edges, EdgeColumns):
+            return edges
+        column = {signal: k for k, signal in enumerate(signals)}
+        users: list[UserId] = []
+        nodes: list[NodeId] = []
+        days: list[int] = []
+        hit_at: list[tuple[int, int]] = []
+        for row, edge in enumerate(edges):
+            users.append(edge.user)
+            nodes.append(edge.node)
+            days.append(edge.day)
+            for signal, bit in edge.hits.items():
+                k = column.get(signal)
+                if k is None:
+                    raise UnknownSignalError(
+                        f"edge references unregistered signal {signal!r}"
+                    )
+                if bit:
+                    hit_at.append((k, row))
+        hits = np.zeros((len(column), len(days)), bool)
+        if hit_at:
+            hits[tuple(np.array(hit_at).T)] = True
+        user_ids, node_ids = IdCodes(), IdCodes()
+        user_code = user_ids.encode(users)
+        node_code = node_ids.encode(nodes)
+        return cls(signals, user_ids.ids(), user_code, node_ids.ids(), node_code,
+                   np.array(days, np.int64), hits)
+
+    def __len__(self) -> int:
+        return len(self.day)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return EdgeColumns(
+                self.signals, self.users, self.user_code[index], self.nodes,
+                self.node_code[index], self.day[index], self.hits[:, index],
+            )
+        row = range(len(self))[index]
+        return self._edge(self.user_code[row], self.node_code[row],
+                          int(self.day[row]), self.hits[:, row].tolist())
+
+    def __iter__(self) -> Iterator[TransactionEdge]:
+        for start in range(0, len(self), 4096):
+            part = self[start:start + 4096]
+            yield from map(self._edge, part.user_code.tolist(),
+                           part.node_code.tolist(), part.day.tolist(),
+                           part.hits.T.tolist())
+
+    def _edge(self, user: int, node: int, day: int, bits: list) -> TransactionEdge:
+        return TransactionEdge(
+            self.users[user], self.nodes[node], day,
+            {signal: 1 for signal, bit in zip(self.signals, bits) if bit},
+        )
+
+    def users_with_hits(self, signal: SignalId) -> set[UserId]:
+        """Distinct users of the edges that hit ``signal``."""
+        if signal not in self.signals:
+            return set()
+        rows = self.hits[self.signals.index(signal)]
+        users = self.users
+        return {users[code] for code in np.unique(self.user_code[rows]).tolist()}
 
 
 @dataclass(slots=True)

@@ -2,10 +2,17 @@
 benchmark scripts import, must keep resolving."""
 
 import ast
+import bisect
 import importlib
+from operator import attrgetter
 from pathlib import Path
 
 import signalamp
+from signalamp.backtest import raw_signal_baseline
+from signalamp.edgefile import read_edge_file, write_edge_file
+from signalamp.engine import StreamEngine, WindowConfig, replay_daily
+from signalamp.model import SignalRegistry
+from signalamp.scenario import generate, scenario_from_dict
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -49,3 +56,43 @@ def test_benchmark_imports_resolve():
         if name is not None and not hasattr(imported, name):
             missing.append(f"{source}: {module}.{name}")
     assert not missing
+
+
+def test_edge_file_result_supports_what_the_replica_does(tmp_path):
+    """``benchmarks/replica.py`` takes ``read_edge_file``'s edges through
+    ``len``, ``[-1]``, slices, ``bisect_right`` by day, per-edge ingest and
+    ``raw_signal_baseline``; each must keep working on the columns."""
+    scenario = scenario_from_dict({
+        "seed": 3, "days": 6, "n_users": 400, "n_nodes": 15,
+        "background_txn_per_user_per_day": 0.5,
+        "background_rates": {"a": 0.05, "b": 0.02},
+        "attack": {"n_sybil": 30, "k_cashout": 2, "start_day": 2, "end_day": 4,
+                   "txn_per_sybil_per_day": 2.0, "sybil_rates": {"a": 0.9, "b": 0.02}},
+    })
+    edges, truth = generate(scenario)
+    path = tmp_path / "edges.csv"
+    write_edge_file(path, edges, scenario.signals)
+    signals, columns = read_edge_file(path)
+    assert len(columns) == len(edges) and columns[-1] == edges[-1]
+
+    registry = SignalRegistry(signals)
+    engine = StreamEngine(registry, window=WindowConfig.trailing(2))
+    day_of = attrgetter("day")
+    lo = 0
+    for day in range(columns[0].day, columns[-1].day + 1):
+        hi = bisect.bisect_right(columns, day, lo=lo, key=day_of)
+        day_edges = columns[lo:hi]
+        assert list(day_edges) == [e for e in edges if e.day == day]
+        for edge in day_edges:
+            engine.ingest(edge)
+        engine.advance_to(day)
+        lo = hi
+    assert lo == len(edges)
+    replayed = replay_daily(columns, registry, threshold=40.0,
+                            window=WindowConfig.trailing(2))
+    assert engine.checkpoint_payload() == replayed.engine.checkpoint_payload()
+    for signal in signals:
+        carriers = {e.user for e in edges if e.hits.get(signal)}
+        raw = raw_signal_baseline(columns, truth, signal)
+        assert raw.carriers == len(carriers)
+        assert raw.fraud_carriers == len(carriers & truth.sybil_users)

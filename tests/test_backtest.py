@@ -24,7 +24,7 @@ from signalamp.backtest import (
     write_sweep_csv,
 )
 from signalamp.engine import replay_daily
-from signalamp.model import SignalRegistry, TransactionEdge
+from signalamp.model import EdgeColumns, SignalRegistry, TransactionEdge
 from signalamp.scenario import (
     AttackConfig,
     GroundTruth,
@@ -173,12 +173,12 @@ class TestMetricArithmetic:
 
 class TestRawBaseline:
     def _edges(self):
-        return [
+        return EdgeColumns.from_edges([
             TransactionEdge(user="a", node="n1", day=0, hits={"sig": 1}),
             TransactionEdge(user="a", node="n2", day=1, hits={"sig": 1}),
             TransactionEdge(user="b", node="n1", day=0, hits={}),
             TransactionEdge(user="c", node="n1", day=0, hits={"sig": 1}),
-        ]
+        ], ["sig"])
 
     def test_carriers_deduplicated(self):
         truth = GroundTruth(frozenset({"a"}), frozenset(), {})
@@ -190,7 +190,7 @@ class TestRawBaseline:
     def test_no_carriers_precision_undefined(self):
         truth = GroundTruth(frozenset({"a"}), frozenset(), {})
         edges = [TransactionEdge(user="a", node="n1", day=0, hits={})]
-        raw = raw_signal_baseline(edges, truth, "sig")
+        raw = raw_signal_baseline(EdgeColumns.from_edges(edges, ["sig"]), truth, "sig")
         assert raw.carriers == 0
         assert raw.precision is None
 

@@ -1,0 +1,263 @@
+"""Edge columns and the edge-file reader.
+
+``read_edge_file`` reads a file with ``str.split`` column by column when
+it can, and otherwise with the csv row parser, which is also the only
+source of error messages. The corpus below runs every case through both
+paths and requires the same edges, or the same error text.
+"""
+
+import csv
+import os
+from bisect import bisect_right
+from operator import attrgetter
+
+import numpy as np
+import pytest
+
+import signalamp.edgefile as edgefile
+from signalamp.edgefile import read_edge_file, write_edge_file
+from signalamp.errors import EdgeFileError, UnknownSignalError
+from signalamp.model import EdgeColumns, TransactionEdge
+
+HEADER = "user,node,day,a,b\n"
+
+# name -> (text, whether the split path reads it)
+VALID = {
+    "plain": (HEADER + "u1,n1,0,1,0\nu2,n1,0,0,0\nu1,n2,3,1,1\n", True),
+    "blank-lines": (HEADER + "\nu1,n1,0,1,0\n\n\nu2,n2,1,0,1\n\n", True),
+    "no-trailing-newline": (HEADER + "u1,n1,0,1,0\nu2,n2,1,0,1", True),
+    "header-only": (HEADER, True),
+    "header-only-no-newline": (HEADER.rstrip("\n"), True),
+    "day-spellings": (HEADER + "u1,n1,+3,1,0\nu2,n1, 3,0,0\nu3,n1,٣,0,1\n"
+                      "u4,n1,3_0,1,1\nu5,n1,-0,0,0\n", True),
+    "unicode-ids": (HEADER + "üser,nöde,0,1,0\n用户,节点,1,0,1\n"
+                    "u x,n\x85y,2,1,1\n", True),
+    "spaces-kept": (HEADER + " u1 ,n1 ,0,1,0\n", True),
+    "no-signals": ("user,node,day\nu1,n1,0\nu2,n2,1\n", True),
+    "user-named-signal": ("user,node,day,user\nu1,n1,0,1\n", True),
+    "crlf": (HEADER.replace("\n", "\r\n") + "u1,n1,0,1,0\r\nu2,n2,1,0,1\r\n", False),
+    "lone-cr": (HEADER + "u1,n1,0,1,0\ru2,n2,1,0,1\n", False),
+    "quoted-ids": (HEADER + '"u,1","n""1",0,1,0\n"u2",n2,1,0,1\n', False),
+    "quoted-multiline-id": (HEADER + '"u\n1",n1,0,1,0\n', False),
+    "nul-suffixed-ids": (HEADER + "u1,n1,0,1,0\nu1\x00,n1\x00\x00,0,1,0\n", False),
+    "quoted-header": ('user,node,day,"a,b"\nu1,n1,0,1\n', False),
+}
+
+LONG = "x" * (csv.field_size_limit() + 1)
+MALFORMED = {
+    "empty-file": "",
+    "bad-header": "uid,node,day,a\nu1,n1,0,1\n",
+    "blank-first-line": "\n" + HEADER + "u1,n1,0,1,0\n",
+    "duplicate-signal": "user,node,day,a,a\nu1,n1,0,1,1\n",
+    "field-count": HEADER + "u1,n1,0,1\nu2,n1,0,1,0,1\nu3,n1,0,1,0\n",
+    "compensating-field-counts": HEADER + "u1,n1,0,1,0,u2\nn2,3,1,0\n",
+    "empty-ids": HEADER + ",n1,0,1,0\nu1,,0,1,0\n",
+    "bad-days": HEADER + "u1,n1,zero,0,0\nu1,n1,-4,0,0\nu1,n1,1.5,0,0\n",
+    "huge-day": HEADER + f"u1,n1,{2**63},0,0\nu1,n1,{2**63 - 1},0,0\n",
+    "bad-bits": HEADER + "u1,n1,0,2,0\nu1,n1,0,0,true\nu1,n1,0, 1,0\n",
+    "many-bad-rows": HEADER + "u1,n1,x,0,0\n" * 12,
+    "whitespace-line": HEADER + "u1,n1,0,1,0\n \n",
+    "long-field": HEADER + f"u1,{LONG},0,1,0\n",
+    "long-header": f"user,node,day,{LONG}\n",
+    "quoted-bad-row": HEADER + '"u1",n1,x,0,0\n',
+    "crlf-bad-row": HEADER + "u1,n1,x,0,0\r\n",
+    "cr-inside-id": HEADER + "u\r1,n1,0,1,0\n",
+}
+
+
+def row_parse(path):
+    """The row parser alone, with ``read_edge_file``'s error wrapping."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        try:
+            return edgefile._parse_edges(path, csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise EdgeFileError(f"{path}: unreadable edge file: {exc}") from exc
+
+
+def split_parse(path):
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        return edgefile._split_columns(fh)
+
+
+@pytest.fixture(params=[7, 64, None], ids=["chunk7", "chunk64", "chunk-default"])
+def chunk(request, monkeypatch):
+    """Run each reader case with chunk boundaries inside lines too."""
+    if request.param is not None:
+        monkeypatch.setattr(edgefile, "_CHUNK_CHARS", request.param)
+
+
+@pytest.mark.parametrize("name", list(VALID))
+def test_split_path_equals_row_parser(tmp_path, chunk, name):
+    text, split_reads = VALID[name]
+    path = tmp_path / "edges.csv"
+    path.write_bytes(text.encode("utf-8"))
+    want_signals, want_edges = row_parse(path)
+    split = split_parse(path)
+    assert (split is not None) == split_reads
+    if split is not None:
+        assert split[0] == want_signals
+        assert list(split[1]) == want_edges
+    signals, columns = read_edge_file(path)
+    assert signals == want_signals
+    assert columns.signals == tuple(want_signals)
+    assert list(columns) == want_edges
+    assert len(columns) == len(want_edges)
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_malformed_files_raise_the_row_parser_error(tmp_path, chunk, name):
+    path = tmp_path / "edges.csv"
+    path.write_text(MALFORMED[name], encoding="utf-8", newline="")
+    assert split_parse(path) is None
+    with pytest.raises(EdgeFileError) as want:
+        row_parse(path)
+    with pytest.raises(EdgeFileError) as got:
+        read_edge_file(path)
+    assert str(got.value) == str(want.value)
+
+
+def test_error_texts_are_unchanged(tmp_path):
+    path = tmp_path / "edges.csv"
+    cases = {
+        "field-count": "line 2: expected 5 fields, got 4; "
+                       "line 3: expected 5 fields, got 6",
+        "bad-days": "line 2: day 'zero' is not an integer; line 3: day -4 is negative; "
+                    "line 4: day '1.5' is not an integer",
+        "huge-day": f"line 2: day {2**63} exceeds 2**63 - 1",
+        "many-bad-rows": "line 11: day 'x' is not an integer; more follow",
+    }
+    for name, fragment in cases.items():
+        path.write_text(MALFORMED[name], encoding="utf-8")
+        with pytest.raises(EdgeFileError, match="malformed rows") as err:
+            read_edge_file(path)
+        assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("offset", [10, 300_000], ids=["first-chunk", "later-chunk"])
+def test_undecodable_bytes_raise_the_row_parser_error(tmp_path, offset):
+    rows = "".join(f"u{i},n{i % 7},{i // 1000},1,0\n" for i in range(offset // 10))
+    path = tmp_path / "edges.csv"
+    path.write_bytes((HEADER + rows).encode("ascii") + b"u\xff,n1,0,1,0\n")
+    with pytest.raises(EdgeFileError) as want:
+        row_parse(path)
+    with pytest.raises(EdgeFileError) as got:
+        read_edge_file(path)
+    assert str(got.value) == str(want.value)
+    assert "unreadable edge file" in str(got.value)
+
+
+def test_writer_quoting_round_trips(tmp_path):
+    edges = [
+        TransactionEdge(user="u,1", node='n"1', day=0, hits={"a": 1}),
+        TransactionEdge(user='"u2"', node="n,,2", day=2, hits={"b": 1}),
+        TransactionEdge(user="u3", node="n\n3", day=2, hits={}),
+        TransactionEdge(user="u4\x00", node="n4", day=5, hits={"a": 1, "b": 1}),
+    ]
+    path = tmp_path / "edges.csv"
+    write_edge_file(path, edges, ["a", "b"])
+    signals, columns = read_edge_file(path)
+    assert signals == ["a", "b"]
+    assert list(columns) == edges
+
+
+def test_large_file_crosses_chunks(tmp_path):
+    """A file of many default-size chunks reads the same both ways."""
+    rng = np.random.default_rng(3)
+    n = 40_000
+    users = rng.integers(0, 5000, n)
+    nodes = rng.integers(0, 300, n)
+    days = np.sort(rng.integers(0, 20, n))
+    bits = rng.random((2, n)) < 0.1
+    path = tmp_path / "edges.csv"
+    path.write_text(HEADER + "".join(
+        f"user{u},node{v},{d},{int(a)},{int(b)}\n"
+        for u, v, d, a, b in zip(users, nodes, days, *bits)), encoding="utf-8")
+    signals, columns = read_edge_file(path)
+    assert path.stat().st_size > 3 * edgefile._CHUNK_CHARS
+    assert list(columns) == row_parse(path)[1]
+    assert np.array_equal(columns.day, days)
+    assert np.array_equal(columns.hits, bits)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("name", ["plain", "quoted-ids"])
+def test_reader_accepts_a_pipe(tmp_path, name):
+    """A file that cannot seek is read by the row parser alone."""
+    text = VALID[name][0]
+    path = tmp_path / "edges.csv"
+    path.write_text(text, encoding="utf-8")
+    read_fd, write_fd = os.pipe()
+    os.write(write_fd, text.encode("utf-8"))
+    os.close(write_fd)
+    try:
+        signals, columns = read_edge_file(f"/dev/fd/{read_fd}")
+    finally:
+        os.close(read_fd)
+    assert (signals, list(columns)) == row_parse(path)
+
+
+class TestEdgeColumns:
+    def edges(self):
+        return [
+            TransactionEdge(user="u1", node="n1", day=0, hits={"a": 1}),
+            TransactionEdge(user="u2", node="n1", day=0, hits={}),
+            TransactionEdge(user="u1", node="n2", day=3, hits={"a": 1, "b": 1}),
+            TransactionEdge(user="u3", node="n1", day=4, hits={"b": 1}),
+        ]
+
+    def test_sequence_of_edges(self):
+        edges = self.edges()
+        columns = EdgeColumns.from_edges(edges, ["a", "b"])
+        assert len(columns) == 4
+        assert list(columns) == edges
+        assert [columns[i] for i in range(-4, 4)] == edges + edges
+        assert columns[np.int64(2)] == edges[2]
+        for index in (4, -5):
+            with pytest.raises(IndexError):
+                columns[index]
+        assert edges[1] in columns and columns.index(edges[2]) == 2
+
+    def test_slices_are_columns(self):
+        edges = self.edges()
+        columns = EdgeColumns.from_edges(edges, ["a", "b"])
+        for part in (slice(1, 3), slice(None, None, 2), slice(-2, None), slice(3, 1)):
+            sliced = columns[part]
+            assert isinstance(sliced, EdgeColumns)
+            assert list(sliced) == edges[part]
+            assert sliced.users is columns.users
+
+    def test_bisect_by_day(self):
+        columns = EdgeColumns.from_edges(self.edges(), ["a", "b"])
+        day = attrgetter("day")
+        bounds = [bisect_right(columns, d, key=day) for d in range(6)]
+        assert bounds == [2, 2, 2, 3, 4, 4]
+
+    def test_from_edges_keeps_columns_and_rejects_unknown_signals(self):
+        columns = EdgeColumns.from_edges(self.edges(), ["a", "b"])
+        assert EdgeColumns.from_edges(columns, ["z"]) is columns
+        for hits in ({"c": 1}, {"c": 0}):
+            edge = TransactionEdge(user="u", node="n", day=0, hits=hits)
+            with pytest.raises(UnknownSignalError):
+                EdgeColumns.from_edges([edge], ["a", "b"])
+
+    def test_ids_stored_once(self):
+        columns = EdgeColumns.from_edges(self.edges(), ["a", "b"])
+        assert columns.users == ["u1", "u2", "u3"]
+        assert columns.nodes == ["n1", "n2"]
+        assert columns.user_code.tolist() == [0, 1, 0, 2]
+        assert columns.hits.shape == (2, 4)
+
+    def test_ids_differing_by_trailing_nuls_stay_distinct(self):
+        edges = [TransactionEdge(user=u, node="n", day=0, hits={"a": 1})
+                 for u in ("u", "u\x00", "u\x00\x00", "u")]
+        columns = EdgeColumns.from_edges(edges, ["a"])
+        assert columns.users == ["u", "u\x00", "u\x00\x00"]
+        assert columns.users_with_hits("a") == {"u", "u\x00", "u\x00\x00"}
+        assert list(columns) == edges
+
+    def test_users_with_hits(self):
+        columns = EdgeColumns.from_edges(self.edges(), ["a", "b"])
+        assert columns.users_with_hits("a") == {"u1"}
+        assert columns.users_with_hits("b") == {"u1", "u3"}
+        assert columns[1:2].users_with_hits("a") == set()
+        assert columns.users_with_hits("ghost") == set()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from signalamp.amplify import compute_baseline
-from signalamp.detect import build_alerts, flag_nodes
+from signalamp.detect import build_alerts, flag_nodes, serialize_alert
 from signalamp.engine import StreamEngine, WindowConfig, replay_daily
 from signalamp.errors import (
     CheckpointError,
@@ -20,7 +20,7 @@ from signalamp.errors import (
     UnknownSignalError,
     UnsortedEdgesError,
 )
-from signalamp.model import SignalRegistry, TransactionEdge
+from signalamp.model import EdgeColumns, SignalRegistry, TransactionEdge
 
 from reference import reference_fold, reference_scores
 
@@ -49,8 +49,9 @@ def batch_scores(edges, signal):
 
 
 def composed_turns(edges, registry, window, threshold):
-    """Each daily turn as ``scores()`` -> ``flag_nodes`` -> ``build_alerts``:
-    per day and signal, (max z, alerts, flagged users)."""
+    """Each daily turn as per-edge ``ingest``, then ``scores()`` ->
+    ``flag_nodes`` -> ``build_alerts``: per day and signal, (max z, alerts,
+    flagged users). Returns the turns and the engine."""
     engine = StreamEngine(registry, window=window)
     by_day = {}
     for edge in edges:
@@ -76,7 +77,19 @@ def composed_turns(edges, registry, window, threshold):
             users = frozenset(u for alert in alerts for u in alert.suspicious_users)
             turn[signal] = (scores[0].z, alerts, users)
         turns.append((day, turn))
-    return turns
+    return turns, engine
+
+
+def assert_outcomes_equal(outcomes, turns):
+    assert [d.day for d in outcomes] == [day for day, _ in turns]
+    for outcome, (_, turn) in zip(outcomes, turns):
+        for signal, (max_z, alerts, users) in turn.items():
+            assert outcome.max_z[signal] == max_z
+            assert outcome.alerts[signal] == alerts
+            assert outcome.flagged_users[signal] == users
+        assert outcome.inactive_signals == tuple(
+            signal for signal, (max_z, _, _) in turn.items() if max_z is None
+        )
 
 
 class TestIngest:
@@ -341,22 +354,14 @@ class TestReplayDaily:
         edges = random_edges(2500, seed, n_nodes=40, days=9, hit_rate=0.15,
                              signals=("a", "b"))
         peaks = sorted(
-            z for _, turn in composed_turns(edges, registry, window, 0.0)
+            z for _, turn in composed_turns(edges, registry, window, 0.0)[0]
             for z, _, _ in turn.values() if z is not None
         )
         # Below every z, exactly some turn's peak (the >= edge), above all.
         for threshold in (-1e9, peaks[len(peaks) // 2], peaks[-1] + 1.0):
-            expected = composed_turns(edges, registry, window, threshold)
+            expected, _ = composed_turns(edges, registry, window, threshold)
             result = replay_daily(edges, registry, threshold=threshold, window=window)
-            assert [d.day for d in result.days] == [day for day, _ in expected]
-            for outcome, (_, turn) in zip(result.days, expected):
-                for signal, (max_z, alerts, users) in turn.items():
-                    assert outcome.max_z[signal] == max_z
-                    assert outcome.alerts[signal] == alerts
-                    assert outcome.flagged_users[signal] == users
-                assert outcome.inactive_signals == tuple(
-                    signal for signal, (max_z, _, _) in turn.items() if max_z is None
-                )
+            assert_outcomes_equal(result.days, expected)
             flagged = [a for d in result.days for a in d.alerts["a"] + d.alerts["b"]]
             if threshold < 0:
                 assert all(d.alerts["a"] and d.alerts["b"] for d in result.days)
@@ -385,6 +390,113 @@ class TestReplayDaily:
         assert outcome.inactive_signals == ("sig",)
         assert outcome.max_z["sig"] is None
         assert outcome.alerts["sig"] == []
+
+
+def alert_bytes(alert_lists):
+    return "\n".join(serialize_alert(a) for alerts in alert_lists for a in alerts)
+
+
+class TestColumnsEqualPerEdge:
+    """``replay_daily`` folds each day's columns in one grouped pass; it
+    must end where per-edge ``ingest`` ends, across checkpoint splits."""
+
+    @pytest.mark.parametrize("window", [None, WindowConfig.trailing(3)],
+                             ids=["cumulative", "trailing3"])
+    @pytest.mark.parametrize("seed", [71, 72, 73])
+    def test_replay_over_columns_equals_per_edge_ingest(self, tmp_path, window, seed):
+        registry = SignalRegistry(["a", "b", "never"])
+        edges = random_edges(2000, seed, n_users=60, n_nodes=30, days=9,
+                             hit_rate=0.15, signals=("a", "b"))
+        peaks = sorted(
+            z for _, turn in composed_turns(edges, registry, window, 0.0)[0]
+            for z, _, _ in turn.values() if z is not None
+        )
+        threshold = peaks[len(peaks) // 2]
+        turns, per_edge = composed_turns(edges, registry, window, threshold)
+        want = per_edge.checkpoint_payload()
+        want_alerts = alert_bytes(
+            alerts for _, turn in turns for _, alerts, _ in turn.values())
+        assert want_alerts
+
+        last = edges[-1].day
+        inside = [e for e in edges if window is None or e.day > last - 3]
+        reference = reference_fold(inside)
+        assert {node: (e["t"], e["s"]) for node, e in want["nodes"].items()} \
+            == {node: (acc.trials, acc.hits) for node, acc in reference.items()}
+
+        columns = EdgeColumns.from_edges(edges, registry.ids())
+        days = [e.day for e in edges]
+        for cut_day in (edges[0].day, 1, 4, last, last + 1):
+            cut = days.index(cut_day) if cut_day <= last else len(edges)
+            head = replay_daily(columns[:cut], registry, threshold=threshold,
+                                window=window)
+            path = tmp_path / f"cut{cut_day}.json"
+            head.engine.save_checkpoint(path)
+            resumed = StreamEngine.load_checkpoint(path)
+            tail = replay_daily(columns[cut:], engine=resumed, threshold=threshold)
+            outcomes = head.days + tail.days
+            assert tail.engine.checkpoint_payload() == want
+            assert_outcomes_equal(outcomes, turns)
+            assert alert_bytes(
+                alerts for d in outcomes for alerts in d.alerts.values()) == want_alerts
+
+    @pytest.mark.parametrize("window", [None, WindowConfig.trailing(2)],
+                             ids=["cumulative", "trailing2"])
+    def test_ingest_columns_in_any_order_equals_ingest(self, window):
+        registry = SignalRegistry(["a", "b"])
+        edges = random_edges(1500, 74, n_users=50, days=6, signals=("a", "b"))
+        rng = np.random.default_rng(5)
+        shuffled = [edges[i] for i in rng.permutation(len(edges))]
+        one_by_one = StreamEngine(registry, window=window)
+        for edge in edges:
+            one_by_one.ingest(edge)
+        payload = json.dumps(one_by_one.checkpoint_payload())
+        for track in (True, False):
+            grouped = StreamEngine(registry, window=window, track_users=track)
+            grouped.ingest_columns(EdgeColumns.from_edges(shuffled[:700], ["a", "b"]))
+            grouped.ingest_columns(EdgeColumns.from_edges(shuffled[700:], ["b", "a"]))
+            got = grouped.checkpoint_payload()
+            want = json.loads(payload)
+            if not track:
+                for entry in want["nodes"].values():
+                    del entry["users"]
+                for bucket in want["day_buffers"].values():
+                    for delta in bucket.values():
+                        delta["users"] = {}
+            assert got == {**want, "track_users": track}
+            for engine in (grouped, one_by_one):
+                engine.advance_to(5)
+            assert grouped.scores("a") == one_by_one.scores("a")
+
+    def test_ingest_columns_checks_what_ingest_checks(self):
+        engine = StreamEngine(SignalRegistry(["a"]), WindowConfig.trailing(1))
+        quiet = TransactionEdge(user="u", node="n", day=0, hits={})
+        engine.ingest_columns(EdgeColumns.from_edges([quiet], ["a", "ghost"]))
+        loud = TransactionEdge(user="u", node="n", day=0, hits={"ghost": 1})
+        with pytest.raises(UnknownSignalError):
+            engine.ingest_columns(EdgeColumns.from_edges([loud], ["a", "ghost"]))
+        engine.advance_to(3)
+        with pytest.raises(UnsortedEdgesError, match="edge day 2 precedes"):
+            late = [TransactionEdge(user="u", node="n", day=day, hits={})
+                    for day in (4, 2)]
+            engine.ingest_columns(EdgeColumns.from_edges(late, ["a"]))
+        assert engine.total_transactions == 0
+
+    def test_unsorted_replay_rejected_before_ingest(self, tmp_path):
+        registry = SignalRegistry(["sig"])
+        first = replay_daily(random_edges(100, 75, days=3), registry, threshold=5.0)
+        path = tmp_path / "state.json"
+        first.engine.save_checkpoint(path)
+        cases = [
+            ([3, 5, 4], "edge day 4 arrived after day 5 began"),
+            ([2, 3], "edge day 2 arrived after day 3 began"),
+        ]
+        for days, message in cases:
+            engine = StreamEngine.load_checkpoint(path)
+            edges = [TransactionEdge(user="u", node="n", day=d, hits={}) for d in days]
+            with pytest.raises(UnsortedEdgesError, match=message):
+                replay_daily(edges, engine=engine, threshold=5.0)
+            assert engine.checkpoint_payload() == first.engine.checkpoint_payload()
 
 
 class TestCheckpoint:
@@ -470,6 +582,153 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="node 'n000'"):
             StreamEngine.load_checkpoint(path)
+
+    def _small_payload(self, tmp_path, window=None):
+        """20 edges on days 0..3: exactly one hit on "a", seven on "b"."""
+        engine = StreamEngine(SignalRegistry(["a", "b"]), window=window)
+        for i in range(20):
+            hits = {"a": 1} if i == 7 else {"b": 1} if i % 3 == 0 else {}
+            engine.ingest(TransactionEdge(user=f"u{i % 3}", node=f"n{i % 4}",
+                                          day=i // 5, hits=hits))
+        if window is not None:
+            engine.advance_to(3)
+        path = tmp_path / "state.json"
+        engine.save_checkpoint(path)
+        return path, json.loads(path.read_text())
+
+    def _load_tampered(self, path, payload):
+        path.write_text(json.dumps(payload))
+        return StreamEngine.load_checkpoint(path)
+
+    @pytest.mark.parametrize("name, value", [
+        ("transactions", 20.0), ("transactions", "20"), ("a", True), ("a", 1.0),
+        ("active_nodes", 4.0), ("active_nodes", True),
+    ])
+    def test_totals_must_be_integers(self, tmp_path, name, value):
+        """Each tampered total equals the node-table sum as a number."""
+        path, payload = self._small_payload(tmp_path)
+        totals = payload["totals"]
+        assert (totals["transactions"], totals["hits"]["a"], totals["active_nodes"]) \
+            == (20, 1, 4)
+        if name in totals:
+            totals[name] = value
+        else:
+            totals["hits"][name] = value
+        with pytest.raises(CheckpointError, match=f"total '{name}' is"):
+            self._load_tampered(path, payload)
+
+    @pytest.mark.parametrize("window", [None, WindowConfig.trailing(2)],
+                             ids=["cumulative", "trailing2"])
+    @pytest.mark.parametrize("field, value", [
+        ("current_day", True), ("current_day", "3"), ("current_day", 2.0),
+        ("current_day", -1), ("current_day", 2**63), ("current_day", None),
+        ("evicted_through", True), ("evicted_through", -2), ("evicted_through", 1.0),
+    ])
+    def test_day_fields_checked(self, tmp_path, window, field, value):
+        path, payload = self._small_payload(tmp_path, window)
+        payload[field] = value
+        with pytest.raises(CheckpointError):
+            self._load_tampered(path, payload)
+
+    def test_cumulative_window_evicts_nothing(self, tmp_path):
+        path, payload = self._small_payload(tmp_path)
+        with pytest.raises(CheckpointError, match="evicts nothing"):
+            self._load_tampered(path, {**payload, "evicted_through": 0})
+        _, trailing = self._small_payload(tmp_path, WindowConfig.trailing(2))
+        buffers = {**payload, "day_buffers": trailing["day_buffers"]}
+        with pytest.raises(CheckpointError, match="keeps no day buffers"):
+            self._load_tampered(path, buffers)
+
+    @pytest.mark.parametrize("key", ["1", "4", "03", "+3", " 3", "x"])
+    def test_buffer_days_lie_inside_the_window(self, tmp_path, key):
+        path, payload = self._small_payload(tmp_path, WindowConfig.trailing(2))
+        assert (payload["evicted_through"], payload["current_day"]) == (1, 3)
+        assert sorted(payload["day_buffers"]) == ["2", "3"]
+        payload["day_buffers"][key] = payload["day_buffers"].pop("3")
+        with pytest.raises(CheckpointError):
+            self._load_tampered(path, payload)
+
+    def test_corrupted_buffer_cannot_drive_totals_negative(self, tmp_path):
+        """A buffer that claims 4 more trials than its node holds used to
+        load, and evicting it drove ``total_transactions`` to -4."""
+        path, payload = self._small_payload(tmp_path, WindowConfig.trailing(2))
+        for node, delta in payload["day_buffers"]["2"].items():
+            delta["t"] += 4
+            break
+        with pytest.raises(CheckpointError, match=f"day buffers of node '{node}'"):
+            self._load_tampered(path, payload)
+
+    @pytest.mark.parametrize("tamper", [
+        "t-plus-one", "s-plus-one", "drop-buffer-entry", "ghost-buffer-node",
+        "user-renamed", "user-moved-between-days",
+    ])
+    def test_buffers_must_add_up_to_the_node_table(self, tmp_path, tamper):
+        path, payload = self._small_payload(tmp_path, WindowConfig.trailing(2))
+        day2, day3 = payload["day_buffers"]["2"], payload["day_buffers"]["3"]
+        node = next(n for n, d in day2.items() if d["s"].get("b") and n in day3)
+        delta = day2[node]
+        user = next(iter(delta["users"]["b"]))
+        if tamper == "t-plus-one":
+            delta["t"] += 1
+        elif tamper == "s-plus-one":
+            delta["s"]["b"] += 1
+            delta["users"]["b"][user] += 1
+        elif tamper == "drop-buffer-entry":
+            del day2[node]
+        elif tamper == "ghost-buffer-node":
+            day2["ghost"] = {"t": 1, "s": {}, "users": {}}
+        elif tamper == "user-renamed":
+            delta["users"]["b"]["stranger"] = delta["users"]["b"].pop(user)
+        else:
+            count = delta["users"]["b"].pop(user)
+            moved = day3[node]["users"].setdefault("b", {})
+            moved[user] = moved.get(user, 0) + count
+            day3[node]["s"]["b"] = day3[node]["s"].get("b", 0) + count
+            day3[node]["t"] += count
+            delta["s"]["b"] -= count
+            delta["t"] -= count
+            if not delta["users"]["b"]:
+                del delta["users"]["b"]
+                del delta["s"]["b"]
+        with pytest.raises(CheckpointError):
+            self._load_tampered(path, payload)
+
+    @pytest.mark.parametrize("where", ["node", "buffer"])
+    @pytest.mark.parametrize("tamper", [
+        "zero", "negative", "float", "bool", "fabricated-user", "missing-users",
+        "unregistered-signal",
+    ])
+    def test_user_tables_checked(self, tmp_path, where, tamper):
+        path, payload = self._small_payload(tmp_path, WindowConfig.trailing(2))
+        if where == "node":
+            entry = next(e for e in payload["nodes"].values() if e["s"].get("b"))
+        else:
+            entry = next(d for d in payload["day_buffers"]["3"].values()
+                         if d["s"].get("b"))
+        table = entry["users"]["b"]
+        user = next(iter(table))
+        if tamper == "fabricated-user":
+            table["stranger"] = 1
+        elif tamper == "missing-users":
+            del entry["users"]["b"]
+        elif tamper == "unregistered-signal":
+            entry["users"]["ghost"] = {}
+        else:
+            table[user] = {"zero": 0, "negative": -1, "float": float(table[user]),
+                           "bool": True}[tamper]
+        with pytest.raises(CheckpointError, match="(users|user|hit count)"):
+            self._load_tampered(path, payload)
+
+    def test_untracked_trailing_round_trip_is_byte_stable(self, tmp_path):
+        engine = StreamEngine(SignalRegistry(["a", "b"]), WindowConfig.trailing(3),
+                              track_users=False)
+        engine.ingest_columns(EdgeColumns.from_edges(
+            random_edges(600, seed=54, signals=("a", "b"), days=6), ["a", "b"]))
+        engine.advance_to(5)
+        first, second = tmp_path / "one.json", tmp_path / "two.json"
+        engine.save_checkpoint(first)
+        StreamEngine.load_checkpoint(first).save_checkpoint(second)
+        assert first.read_bytes() == second.read_bytes()
 
     def test_unsupported_version_rejected(self, tmp_path):
         engine = self._engine()

@@ -189,7 +189,7 @@ class TestEdgeFile:
         assert count == 3
         signals, edges = read_edge_file(path)
         assert signals == ["a", "b"]
-        assert edges == self._edges()
+        assert list(edges) == self._edges()
 
     def test_header_names_signals_in_registry_order(self, tmp_path):
         path = tmp_path / "edges.csv"

@@ -8,12 +8,9 @@ scores regardless of arrival order: every counter is an integer sum.
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import le
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -388,18 +385,6 @@ class StreamEngine:
     @classmethod
     def load_checkpoint(cls, path: str | Path) -> "StreamEngine":
         """Rebuild an engine from a snapshot, verifying counter consistency."""
-        # A load builds many containers and no reference cycles, so cycle
-        # collection passes during it are wasted work.
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return cls._load_checkpoint(path)
-        finally:
-            if enabled:
-                gc.enable()
-
-    @classmethod
-    def _load_checkpoint(cls, path: str | Path) -> "StreamEngine":
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -426,23 +411,27 @@ class StreamEngine:
                 raise CheckpointError(
                     f"checkpoint {path}: holds nodes but no current_day"
                 )
-            track = engine.track_users
-            node_users = []  # as written, before empty tables are dropped
+            signal_ids, track = engine._signal_ids, engine.track_users
             for node, entry in payload["nodes"].items():
-                engine._nodes[node] = NodeAccumulator(node, entry["t"], entry["s"])
+                trials, hits = entry["t"], entry["s"]
+                _check_counts(path, signal_ids, node, None, trials, hits)
+                engine._nodes[node] = NodeAccumulator(node, trials, hits)
                 if track:
                     users = entry.get("users", {})
-                    node_users.append(users)
+                    _check_users(path, signal_ids, node, None, hits, users)
                     users = {signal: per for signal, per in users.items() if per}
                     if users:
                         engine._hit_users[node] = users
             for key, bucket in payload["day_buffers"].items():
-                engine._day_buffers[_buffer_day(path, engine, key)] = {
-                    node: [delta["t"], delta["s"],
-                           delta.get("users", {}) if track else {}]
-                    for node, delta in bucket.items()
-                }
-            _check_entries(path, engine, node_users)
+                day = _buffer_day(path, engine, key)
+                deltas = engine._day_buffers[day] = {}
+                for node, delta in bucket.items():
+                    trials, hits = delta["t"], delta["s"]
+                    _check_counts(path, signal_ids, node, day, trials, hits)
+                    users = delta.get("users", {}) if track else {}
+                    if track:
+                        _check_users(path, signal_ids, node, day, hits, users)
+                    deltas[node] = [trials, hits, users]
             totals = payload["totals"]
             engine._total_trials = totals["transactions"]
             for signal, count in totals["hits"].items():
@@ -566,22 +555,21 @@ def _check_counts(path, signal_ids: set, node: NodeId, day: int | None,
                   trials: object, hits: dict) -> None:
     """Every loaded tally must satisfy what scoring assumes:
     1 <= t < 2**63 and 0 <= s <= t per registered signal."""
-    where = _entry(node, day)
     if not _is_count(trials, 1, _INT64_MAX):
         raise CheckpointError(
-            f"checkpoint {path}: {where} has trial count "
+            f"checkpoint {path}: {_entry(node, day)} has trial count "
             f"{trials!r}; need an integer in [1, 2**63 - 1]"
         )
     for signal, count in hits.items():
         if signal not in signal_ids:
             raise CheckpointError(
-                f"checkpoint {path}: {where} counts hits for "
+                f"checkpoint {path}: {_entry(node, day)} counts hits for "
                 f"unregistered signal {signal!r}"
             )
-        if not _is_count(count, 0, trials):
+        if type(count) is not int or not 0 <= count <= trials:
             raise CheckpointError(
-                f"checkpoint {path}: {where} has hit count {count!r} "
-                f"for {signal!r}; need an integer in [0, {trials}]"
+                f"checkpoint {path}: {_entry(node, day)} has hit count "
+                f"{count!r} for {signal!r}; need an integer in [0, {trials}]"
             )
 
 
@@ -595,66 +583,28 @@ def _check_users(path, signal_ids: set, node: NodeId, day: int | None,
                 f"checkpoint {path}: {_entry(node, day)} names users for "
                 f"unregistered signal {signal!r}"
             )
+        named = 0
         for user, count in per_user.items():
-            if not _is_count(count, 1, _INT64_MAX):
+            if type(count) is not int or count < 1:
                 raise CheckpointError(
                     f"checkpoint {path}: {_entry(node, day)} has hit count "
                     f"{count!r} for user {user!r} on {signal!r}; need an "
                     "integer >= 1"
                 )
-    for signal in hits.keys() | table.keys():
-        named = sum(table.get(signal, {}).values())
-        if named != hits.get(signal, 0):
-            raise CheckpointError(
-                f"checkpoint {path}: {_entry(node, day)} names users with "
-                f"{named} hits on {signal!r}, but its hit count is "
-                f"{hits.get(signal, 0)}"
-            )
+            named += count
+        _check_named(path, node, day, signal, named, hits.get(signal, 0))
+    for signal, count in hits.items():
+        if signal not in table:
+            _check_named(path, node, day, signal, 0, count)
 
 
-def _check_entries(path, engine: StreamEngine, node_users: list) -> None:
-    """Check every loaded node-table and buffer entry.
-
-    The checks run column by column over all entries at once; when one
-    fails, the entry-by-entry checks find and name the first bad entry.
-    """
-    signal_ids, track = engine._signal_ids, engine.track_users
-    accs = engine._nodes.values()
-    buffers = engine._day_buffers
-    deltas = [delta for bucket in buffers.values() for delta in bucket.values()]
-    trials = [acc.trials for acc in accs] + [delta[0] for delta in deltas]
-    hits = [acc.hits for acc in accs] + [delta[1] for delta in deltas]
-    users = node_users + [delta[2] for delta in deltas] if track else []
-    counts = [*chain.from_iterable(h.values() for h in hits)]
-    named = [*chain.from_iterable(
-        per_user.values() for table in users for per_user in table.values())]
-    ok = (_ints_within(trials, 1, _INT64_MAX)
-          and set().union(*hits, *users) <= signal_ids
-          and _ints_within(counts, 0, _INT64_MAX)
-          and _ints_within(named, 1, _INT64_MAX))
-    for signal in signal_ids:
-        if not ok:
-            break
-        column = [h.get(signal, 0) for h in hits]
-        ok = all(map(le, column, trials)) and (not track or column == [
-            sum(table[signal].values()) if signal in table else 0 for table in users])
-    if ok:
-        return
-    entries = [(node, None, acc.trials, acc.hits)
-               for node, acc in engine._nodes.items()]
-    entries += [(node, day, delta[0], delta[1])
-                for day, bucket in buffers.items() for node, delta in bucket.items()]
-    for (node, day, t, s), table in zip(entries, users or repeat({})):
-        _check_counts(path, signal_ids, node, day, t, s)
-        if track:
-            _check_users(path, signal_ids, node, day, s, table)
-    raise CheckpointError(f"checkpoint {path}: inconsistent counts")
-
-
-def _ints_within(values, low: int, high: int) -> bool:
-    """Every value an int (not a bool) in ``[low, high]``."""
-    return not values or (
-        {*map(type, values)} == {int} and low <= min(values) and max(values) <= high)
+def _check_named(path, node: NodeId, day: int | None, signal: SignalId,
+                 named: int, count: int) -> None:
+    if named != count:
+        raise CheckpointError(
+            f"checkpoint {path}: {_entry(node, day)} names users with "
+            f"{named} hits on {signal!r}, but its hit count is {count}"
+        )
 
 
 @dataclass(slots=True)
@@ -732,9 +682,12 @@ def replay_daily(
 ) -> ReplayResult:
     """Feed a day-ordered edge stream through daily scoring turns.
 
-    The edges are converted to ``EdgeColumns`` once. Each day's edges are
-    folded in one grouped pass (``ingest_columns``), then every signal is
-    rescored over the configured window ending at that day. Gap days with
+    The edges are converted to ``EdgeColumns`` once, before the first
+    turn, so the whole input is held in memory; replay a long stream one
+    slice of days at a time, passing each result's engine to the next
+    call. Each day's edges are folded in one grouped pass
+    (``ingest_columns``), then every signal is rescored over the
+    configured window ending at that day. Gap days with
     no traffic still get a scoring turn. Out-of-order days raise
     ``UnsortedEdgesError`` before anything is ingested; callers holding an
     unordered stream sort it by day first.

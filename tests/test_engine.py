@@ -237,6 +237,22 @@ class TestTrailingWindow:
 
 
 class TestReplayDaily:
+    @pytest.mark.parametrize("window", [None, WindowConfig.trailing(3)],
+                             ids=["cumulative", "trailing3"])
+    def test_replay_in_day_slices_equals_one_replay(self, window):
+        """A long stream can be replayed a slice of days at a time, each
+        call continuing the previous call's engine in memory."""
+        registry = SignalRegistry(["sig"])
+        edges = random_edges(2000, seed=57, days=9)
+        whole = replay_daily(iter(edges), registry, threshold=3.0, window=window)
+        engine, days = StreamEngine(registry, window=window), []
+        for day in range(0, 9, 2):
+            part = replay_daily((e for e in edges if day <= e.day < day + 2),
+                                engine=engine, threshold=3.0)
+            engine, days = part.engine, days + part.days
+        assert days == whole.days
+        assert engine.checkpoint_payload() == whole.engine.checkpoint_payload()
+
     def _attack_edges(self):
         """Quiet background plus a three-day burst into one node."""
         rng = np.random.default_rng(31)

@@ -90,25 +90,6 @@ class NodeScore:
     z: float
 
 
-def score_node(acc: NodeAccumulator, baseline: GlobalBaseline) -> NodeScore:
-    """Score a single node tally against a precomputed baseline."""
-    trials = acc.trials
-    if trials < 1:
-        raise ValueError(f"node {acc.node!r} has no transactions in window")
-    hits = acc.hits.get(baseline.signal, 0)
-    rate = baseline.rate
-    shrunk = shrink(hits, trials, rate, baseline.prior_strength)
-    return NodeScore(
-        node=acc.node,
-        signal=baseline.signal,
-        hits=hits,
-        trials=trials,
-        raw_rate=hits / trials,
-        shrunk_rate=shrunk,
-        z=z_score(shrunk, rate, trials),
-    )
-
-
 def score_columns(
     trials: np.ndarray, hits: np.ndarray, baseline: GlobalBaseline
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

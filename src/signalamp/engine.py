@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .amplify import NodeScore, build_scores, score_all, score_node, score_rows
+from .amplify import NodeScore, build_scores, score_all, score_rows
 from .detect import Alert, build_alerts, flag_nodes
 from .errors import (
     CheckpointError,
@@ -79,10 +79,11 @@ class WindowConfig:
 class StreamEngine:
     """Mutable scoring state over a window of the edge stream.
 
-    Holds per-node tallies, global totals for each signal, and (when
-    ``track_users`` is on) the hit-carrying users per node per signal so
-    alerts can name who to investigate. Global totals are maintained
-    incrementally and always equal the sums over the node table.
+    Holds a ``NodeAccumulator`` per node and global totals for each
+    signal. With ``track_users`` on, each tally also counts its
+    hit-carrying users per signal, so alerts can name who to investigate.
+    Global totals are maintained incrementally and always equal the sums
+    over the node table.
     """
 
     def __init__(
@@ -96,13 +97,12 @@ class StreamEngine:
         self.track_users = track_users
         self._signal_ids = set(registry.ids())
         self._nodes: dict[NodeId, NodeAccumulator] = {}
-        self._hit_users: dict[NodeId, dict[SignalId, dict[UserId, int]]] = {}
         self._total_trials = 0
         self._total_hits: dict[SignalId, int] = {s: 0 for s in registry.ids()}
         self._current_day: int | None = None
         # Trailing mode holds per-day deltas so old days can be subtracted
         # back out; a day at or below _evicted_through is gone for good.
-        self._day_buffers: dict[int, dict[NodeId, list]] = {}
+        self._day_buffers: dict[int, dict[NodeId, NodeAccumulator]] = {}
         self._evicted_through = -1
 
     # -- properties ------------------------------------------------------
@@ -141,7 +141,8 @@ class StreamEngine:
                 )
             if bit:
                 hits[signal] = 1
-        users = {signal: {edge.user: 1} for signal in hits} if hits else hits
+        users = ({signal: {edge.user: 1} for signal in hits}
+                 if self.track_users else {})
         self._apply(day, edge.node, 1, hits, users, 1)
 
     def ingest_columns(self, batch: EdgeColumns) -> None:
@@ -209,29 +210,23 @@ class StreamEngine:
         """Add (``sign`` 1) or remove (``sign`` -1) one node's counts of one day.
 
         ``hits`` maps each signal to its hit count, ``users`` each signal
-        to the hit count per user. Adding also records the counts in the
-        day's buffer of a trailing window; removing drops every entry that
-        reaches zero, the node's included. This is the engine's only fold.
+        to the hit count per user (empty when users are not tracked).
+        Removing drops every count and user table that reaches zero, and
+        the node once its trials do. Adding also records the counts in the
+        day's buffer of a trailing window: the first counts of a (day, node)
+        become its buffer entry, which then owns ``hits`` and ``users``, so
+        the caller must pass dicts it built for this call alone and not
+        touch them again; later counts are added into that entry. This is
+        the engine's only fold.
         """
         acc = self._nodes.get(node)
         if acc is None:
             acc = self._nodes[node] = NodeAccumulator(node)
-        acc.trials += sign * trials
+        _merge(acc, trials, hits, users, sign)
         self._total_trials += sign * trials
         if hits:
-            _add_counts(acc.hits, hits, sign)
             for signal, count in hits.items():
                 self._total_hits[signal] += sign * count
-        track = self.track_users
-        if track and users:
-            per_node = self._hit_users.setdefault(node, {})
-            for signal, counts in users.items():
-                per_sig = per_node.setdefault(signal, {})
-                _add_counts(per_sig, counts, sign)
-                if not per_sig:
-                    del per_node[signal]
-            if not per_node:
-                del self._hit_users[node]
         if sign < 0:
             if not acc.trials:
                 del self._nodes[node]
@@ -240,15 +235,11 @@ class StreamEngine:
             self._current_day = day
         if self.window.mode == TRAILING:
             bucket = self._day_buffers.setdefault(day, {})
-            delta = bucket.get(node)
-            if delta is None:
-                delta = bucket[node] = [0, {}, {}]
-            delta[0] += trials
-            if hits:
-                _add_counts(delta[1], hits, 1)
-            if track:
-                for signal, counts in users.items():
-                    _add_counts(delta[2].setdefault(signal, {}), counts, 1)
+            entry = bucket.get(node)
+            if entry is None:
+                bucket[node] = NodeAccumulator(node, trials, hits, users)
+            else:
+                _merge(entry, trials, hits, users, 1)
 
     def advance_to(self, day: int) -> None:
         """Move the window forward to a scoring turn at ``day``.
@@ -264,9 +255,9 @@ class StreamEngine:
         for buffered_day in sorted(self._day_buffers):
             if buffered_day > horizon:
                 continue
-            for node, (trials, hits, users) in self._day_buffers.pop(
-                    buffered_day).items():
-                self._apply(buffered_day, node, trials, hits, users, -1)
+            for node, delta in self._day_buffers.pop(buffered_day).items():
+                self._apply(buffered_day, node, delta.trials, delta.hits,
+                            delta.users, -1)
         self._evicted_through = horizon
 
     # -- scoring ---------------------------------------------------------
@@ -304,23 +295,24 @@ class StreamEngine:
         acc = self._nodes.get(node)
         if acc is None:
             raise UnknownNodeError(f"node {node!r} has no transactions in window")
-        return score_node(acc, self.baseline(signal))
+        columns = score_rows([acc], self.baseline(signal))
+        return build_scores([acc], signal, columns, np.arange(1))[0]
 
     def hit_users(self, node: NodeId, signal: SignalId) -> frozenset[UserId]:
         """Users that sent ``node`` a hit-carrying edge inside the window."""
         if not self.track_users:
             raise ValueError("engine was built with track_users=False")
-        per_node = self._hit_users.get(node)
-        if not per_node:
+        acc = self._nodes.get(node)
+        if acc is None:
             return frozenset()
-        return frozenset(per_node.get(signal, ()))
+        return frozenset(acc.users.get(signal, ()))
 
     def node_hit_users(self, signal: SignalId) -> dict[NodeId, frozenset[UserId]]:
         if not self.track_users:
             raise ValueError("engine was built with track_users=False")
         out = {}
-        for node, per_node in self._hit_users.items():
-            users = per_node.get(signal)
+        for node, acc in self._nodes.items():
+            users = acc.users.get(signal)
             if users:
                 out[node] = frozenset(users)
         return out
@@ -329,21 +321,9 @@ class StreamEngine:
 
     def checkpoint_payload(self) -> dict:
         """Serializable snapshot of configuration and every counter."""
-        nodes = {}
-        for node, acc in self._nodes.items():
-            entry: dict = {"t": acc.trials, "s": dict(acc.hits)}
-            if self.track_users:
-                per_node = self._hit_users.get(node, {})
-                entry["users"] = {sig: dict(users) for sig, users in per_node.items()}
-            nodes[node] = entry
-        buffers = {
-            str(day): {
-                node: {"t": delta[0], "s": dict(delta[1]),
-                       "users": {sig: dict(u) for sig, u in delta[2].items()}}
-                for node, delta in bucket.items()
-            }
-            for day, bucket in self._day_buffers.items()
-        }
+        nodes = _table_payload(self._nodes, with_users=self.track_users)
+        buffers = {str(day): _table_payload(bucket, with_users=True)
+                   for day, bucket in self._day_buffers.items()}
         return {
             "format_version": CHECKPOINT_VERSION,
             "signals": [
@@ -411,27 +391,10 @@ class StreamEngine:
                 raise CheckpointError(
                     f"checkpoint {path}: holds nodes but no current_day"
                 )
-            signal_ids, track = engine._signal_ids, engine.track_users
-            for node, entry in payload["nodes"].items():
-                trials, hits = entry["t"], entry["s"]
-                _check_counts(path, signal_ids, node, None, trials, hits)
-                engine._nodes[node] = NodeAccumulator(node, trials, hits)
-                if track:
-                    users = entry.get("users", {})
-                    _check_users(path, signal_ids, node, None, hits, users)
-                    users = {signal: per for signal, per in users.items() if per}
-                    if users:
-                        engine._hit_users[node] = users
+            engine._nodes = engine._load_table(path, payload["nodes"], None)
             for key, bucket in payload["day_buffers"].items():
                 day = _buffer_day(path, engine, key)
-                deltas = engine._day_buffers[day] = {}
-                for node, delta in bucket.items():
-                    trials, hits = delta["t"], delta["s"]
-                    _check_counts(path, signal_ids, node, day, trials, hits)
-                    users = delta.get("users", {}) if track else {}
-                    if track:
-                        _check_users(path, signal_ids, node, day, hits, users)
-                    deltas[node] = [trials, hits, users]
+                engine._day_buffers[day] = engine._load_table(path, bucket, day)
             totals = payload["totals"]
             engine._total_trials = totals["transactions"]
             for signal, count in totals["hits"].items():
@@ -465,6 +428,26 @@ class StreamEngine:
             engine._check_buffer_sums(path)
         return engine
 
+    def _load_table(self, path, entries: dict,
+                    day: int | None) -> dict[NodeId, NodeAccumulator]:
+        """Check the checkpoint entries of the node table (``day`` None) or
+        of one day buffer, and build their tallies. User tables are checked
+        only when users are tracked, and ignored otherwise; empty
+        per-signal tables are dropped."""
+        signal_ids, track = self._signal_ids, self.track_users
+        table = {}
+        for node, entry in entries.items():
+            trials, hits = entry["t"], entry["s"]
+            _check_counts(path, signal_ids, node, day, trials, hits)
+            users = {}
+            if track:
+                users = entry.get("users", {})
+                _check_users(path, signal_ids, node, day, hits, users)
+                if not all(users.values()):
+                    users = {signal: per for signal, per in users.items() if per}
+            table[node] = NodeAccumulator(node, trials, hits, users)
+        return table
+
     def _check_buffer_sums(self, path) -> None:
         """A trailing window's day buffers must add up to the node table,
         user tables included, or eviction would leave wrong counts."""
@@ -472,21 +455,19 @@ class StreamEngine:
         hits_sum: dict[NodeId, dict] = {}
         users_sum: dict[NodeId, dict] = {}
         for bucket in self._day_buffers.values():
-            for node, (trials, hits, users) in bucket.items():
-                trials_sum[node] = trials_sum.get(node, 0) + trials
-                if hits:
-                    _add_counts(hits_sum.setdefault(node, {}), hits, 1)
-                for signal, counts in users.items():
-                    if counts:
-                        table = users_sum.setdefault(node, {}).setdefault(signal, {})
-                        for user, count in counts.items():
-                            table[user] = table.get(user, 0) + count
+            for node, delta in bucket.items():
+                trials_sum[node] = trials_sum.get(node, 0) + delta.trials
+                if delta.hits:
+                    _add_counts(hits_sum.setdefault(node, {}), delta.hits, 1)
+                for signal, counts in delta.users.items():
+                    table = users_sum.setdefault(node, {}).setdefault(signal, {})
+                    for user, count in counts.items():
+                        table[user] = table.get(user, 0) + count
         for node in self._nodes.keys() | trials_sum.keys():
             acc = self._nodes.get(node)
             if acc is None or trials_sum.get(node) != acc.trials or (
                 hits_sum.get(node, {}) != {s: c for s, c in acc.hits.items() if c}
-            ) or (self.track_users and
-                  users_sum.get(node, {}) != self._hit_users.get(node, {})):
+            ) or users_sum.get(node, {}) != acc.users:
                 raise CheckpointError(
                     f"checkpoint {path}: the day buffers of node {node!r} do "
                     "not add up to its node-table entry"
@@ -530,6 +511,31 @@ def _buffer_day(path, engine: StreamEngine, key: str) -> int:
             f"({low}, {high}]"
         )
     return day
+
+
+def _table_payload(table: dict[NodeId, NodeAccumulator], with_users: bool) -> dict:
+    """The node table or a day buffer as checkpoint format v1 writes it:
+    buffer entries always carry ``users``, node entries only when tracked."""
+    out = {}
+    for node, acc in table.items():
+        entry = out[node] = {"t": acc.trials, "s": dict(acc.hits)}
+        if with_users:
+            entry["users"] = {signal: dict(per) for signal, per in acc.users.items()}
+    return out
+
+
+def _merge(acc: NodeAccumulator, trials: int, hits: dict, users: dict,
+           sign: int) -> None:
+    """Add ``sign`` times one node's counts into ``acc``, dropping the
+    counts and per-signal user tables that reach zero."""
+    acc.trials += sign * trials
+    if hits:
+        _add_counts(acc.hits, hits, sign)
+    for signal, counts in users.items():
+        table = acc.users.setdefault(signal, {})
+        _add_counts(table, counts, sign)
+        if not table:
+            del acc.users[signal]
 
 
 def _add_counts(table: dict, counts: dict, sign: int) -> None:
@@ -678,7 +684,6 @@ def replay_daily(
     threshold: float,
     window: WindowConfig | None = None,
     engine: StreamEngine | None = None,
-    track_users: bool = True,
 ) -> ReplayResult:
     """Feed a day-ordered edge stream through daily scoring turns.
 
@@ -698,7 +703,7 @@ def replay_daily(
     if engine is None:
         if registry is None:
             raise ValueError("replay_daily needs a registry or an engine")
-        engine = StreamEngine(registry, window=window, track_users=track_users)
+        engine = StreamEngine(registry, window=window)
     elif registry is not None or window is not None:
         raise ValueError("registry and window come from the engine when resuming")
     if not engine.track_users:

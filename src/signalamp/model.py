@@ -216,12 +216,17 @@ class NodeAccumulator:
 
     ``trials`` counts every edge touching the node; ``hits[signal]`` counts
     the subset whose bit for that signal was 1. Missing keys mean zero.
-    ``StreamEngine.ingest`` is the only code that folds edges into a tally.
+    ``users[signal]`` counts those hits per sending user; it stays empty
+    in an engine that does not track users. Scoring reads only ``trials``
+    and ``hits``. ``StreamEngine`` is the only code that folds edges into
+    a tally; a tally in one of its day buffers owns the dicts it was built
+    from, which the engine never hands out or shares.
     """
 
     node: NodeId
     trials: int = 0
     hits: dict[SignalId, int] = field(default_factory=dict)
+    users: dict[SignalId, dict[UserId, int]] = field(default_factory=dict)
 
     def hit_count(self, signal: SignalId) -> int:
         return self.hits.get(signal, 0)

@@ -26,6 +26,17 @@ def reference_fold(edges):
     return {node: NodeAccumulator(node, t, hits[node]) for node, t in trials.items()}
 
 
+def reference_users(edges):
+    """Map each node to its per-signal hit counts by user, hit nodes only."""
+    users = {}
+    for edge in edges:
+        for signal, bit in edge.hits.items():
+            if bit:
+                table = users.setdefault(edge.node, {}).setdefault(signal, {})
+                table[edge.user] = table.get(edge.user, 0) + 1
+    return users
+
+
 def reference_scores(accs, baseline):
     """Scalar scores of every node with a transaction, by (-z, node)."""
     rate = baseline.rate

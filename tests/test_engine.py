@@ -22,7 +22,7 @@ from signalamp.errors import (
 )
 from signalamp.model import EdgeColumns, SignalRegistry, TransactionEdge
 
-from reference import reference_fold, reference_scores
+from reference import reference_fold, reference_scores, reference_users
 
 
 def random_edges(n, seed, n_users=200, n_nodes=25, days=10, hit_rate=0.2,
@@ -407,6 +407,13 @@ class TestReplayDaily:
         assert outcome.max_z["sig"] is None
         assert outcome.alerts["sig"] == []
 
+    def test_replay_needs_an_engine_that_tracks_users(self):
+        engine = StreamEngine(SignalRegistry(["sig"]), track_users=False)
+        edges = [TransactionEdge(user="u", node="n", day=0, hits={"sig": 1})]
+        with pytest.raises(ValueError, match="track_users=True"):
+            replay_daily(edges, engine=engine, threshold=40.0)
+        assert engine.total_transactions == 0
+
 
 def alert_bytes(alert_lists):
     return "\n".join(serialize_alert(a) for alerts in alert_lists for a in alerts)
@@ -484,6 +491,52 @@ class TestColumnsEqualPerEdge:
                 engine.advance_to(5)
             assert grouped.scores("a") == one_by_one.scores("a")
 
+    @pytest.mark.parametrize("track", [True, False], ids=["tracked", "untracked"])
+    def test_buffer_entries_start_from_the_callers_deltas(self, track):
+        """The first delta of a (day, node) becomes its trailing buffer
+        entry. Folding more columns and single edges into that entry, and
+        then evicting it, must match one call and the reference at every
+        step, and leave nothing behind."""
+        registry = SignalRegistry(["a", "b"])
+        window = WindowConfig.trailing(3)
+
+        def one_call(edges):
+            engine = StreamEngine(registry, window, track_users=track)
+            engine.ingest_columns(EdgeColumns.from_edges(edges, ["a", "b"]))
+            return engine
+
+        edges = random_edges(300, 76, n_users=20, n_nodes=6, days=1,
+                             signals=("a", "b"))
+        late = [TransactionEdge(user="late", node=node, day=0, hits=hits)
+                for node in (edges[0].node, "fresh") for hits in ({}, {"a": 1})]
+        engine = StreamEngine(registry, window, track_users=track)
+        seen = []
+        for step in (edges[:150], edges[150:], *([edge] for edge in late)):
+            if len(step) == 1:
+                engine.ingest(step[0])
+            else:
+                engine.ingest_columns(EdgeColumns.from_edges(step, ["a", "b"]))
+            seen += step
+            got = engine.checkpoint_payload()
+            assert got == one_call(seen).checkpoint_payload()
+            nodes = got["nodes"]
+            assert {node: (e["t"], e["s"]) for node, e in nodes.items()} == {
+                node: (acc.trials, acc.hits)
+                for node, acc in reference_fold(seen).items()}
+            assert got["day_buffers"] == {
+                "0": {node: {"users": {}, **e} for node, e in nodes.items()}}
+            if track:
+                users = reference_users(seen)
+                assert {node: e["users"] for node, e in nodes.items()} == {
+                    node: users.get(node, {}) for node in nodes}
+        evicted = one_call(seen)
+        for each in (engine, evicted):
+            each.advance_to(3)
+        got = engine.checkpoint_payload()
+        assert got == evicted.checkpoint_payload()
+        assert (got["nodes"], got["day_buffers"], got["totals"]) == (
+            {}, {}, {"active_nodes": 0, "hits": {"a": 0, "b": 0}, "transactions": 0})
+
     def test_ingest_columns_checks_what_ingest_checks(self):
         engine = StreamEngine(SignalRegistry(["a"]), WindowConfig.trailing(1))
         quiet = TransactionEdge(user="u", node="n", day=0, hits={})
@@ -513,6 +566,99 @@ class TestColumnsEqualPerEdge:
             with pytest.raises(UnsortedEdgesError, match=message):
                 replay_daily(edges, engine=engine, threshold=5.0)
             assert engine.checkpoint_payload() == first.engine.checkpoint_payload()
+
+
+# Thirty edges on days 0..3: "b" hits every other edge, "a" every seventh,
+# three users over four nodes, so user tables hold counts above 1 and some
+# node and buffer entries hold no hits at all.
+GOLDEN_EDGES = [
+    TransactionEdge(user=f"u{i % 3}", node=f"n{i % 4}", day=i // 8,
+                    hits={s: 1 for s, on in (("a", i % 7 == 3), ("b", i % 2 == 0))
+                          if on})
+    for i in range(30)
+]
+
+GOLDEN_CHECKPOINTS = {
+    "trailing3": (
+        '{"current_day":3,"day_buffers":{"1":{"n0":{"s":{"b":2},"t":2,"user'
+        's":{"b":{"u0":1,"u2":1}}},"n1":{"s":{},"t":2,"users":{}},"n2":{"s"'
+        ':{"a":1,"b":2},"t":2,"users":{"a":{"u1":1},"b":{"u1":1,"u2":1}}},"'
+        'n3":{"s":{},"t":2,"users":{}}},"2":{"n0":{"s":{"b":2},"t":2,"users'
+        '":{"b":{"u1":1,"u2":1}}},"n1":{"s":{"a":1},"t":2,"users":{"a":{"u2'
+        '":1}}},"n2":{"s":{"b":2},"t":2,"users":{"b":{"u0":1,"u1":1}}},"n3"'
+        ':{"s":{},"t":2,"users":{}}},"3":{"n0":{"s":{"a":1,"b":2},"t":2,"us'
+        'ers":{"a":{"u0":1},"b":{"u0":1,"u1":1}}},"n1":{"s":{},"t":2,"users'
+        '":{}},"n2":{"s":{"b":1},"t":1,"users":{"b":{"u2":1}}},"n3":{"s":{}'
+        ',"t":1,"users":{}}}},"evicted_through":0,"format_version":1,"nodes'
+        '":{"n0":{"s":{"a":1,"b":6},"t":6,"users":{"a":{"u0":1},"b":{"u0":2'
+        ',"u1":2,"u2":2}}},"n1":{"s":{"a":1},"t":6,"users":{"a":{"u2":1}}},'
+        '"n2":{"s":{"a":1,"b":5},"t":5,"users":{"a":{"u1":1},"b":{"u0":1,"u'
+        '1":2,"u2":2}}},"n3":{"s":{},"t":5,"users":{}}},"signals":[{"descri'
+        'ption":"","signal":"a"},{"description":"","signal":"b"}],"totals":'
+        '{"active_nodes":4,"hits":{"a":3,"b":11},"transactions":22},"track_'
+        'users":true,"window":{"mode":"trailing","trailing_days":3}}\n'
+    ),
+    "cumulative": (
+        '{"current_day":3,"day_buffers":{},"evicted_through":-1,"format_ver'
+        'sion":1,"nodes":{"n0":{"s":{"a":1,"b":8},"t":8,"users":{"a":{"u0":'
+        '1},"b":{"u0":3,"u1":3,"u2":2}}},"n1":{"s":{"a":1},"t":8,"users":{"'
+        'a":{"u2":1}}},"n2":{"s":{"a":1,"b":7},"t":7,"users":{"a":{"u1":1},'
+        '"b":{"u0":2,"u1":2,"u2":3}}},"n3":{"s":{"a":1},"t":7,"users":{"a":'
+        '{"u0":1}}}},"signals":[{"description":"","signal":"a"},{"descripti'
+        'on":"","signal":"b"}],"totals":{"active_nodes":4,"hits":{"a":4,"b"'
+        ':15},"transactions":30},"track_users":true,"window":{"mode":"cumul'
+        'ative","trailing_days":null}}\n'
+    ),
+    "untracked_trailing3": (
+        '{"current_day":3,"day_buffers":{"1":{"n0":{"s":{"b":2},"t":2,"user'
+        's":{}},"n1":{"s":{},"t":2,"users":{}},"n2":{"s":{"a":1,"b":2},"t":'
+        '2,"users":{}},"n3":{"s":{},"t":2,"users":{}}},"2":{"n0":{"s":{"b":'
+        '2},"t":2,"users":{}},"n1":{"s":{"a":1},"t":2,"users":{}},"n2":{"s"'
+        ':{"b":2},"t":2,"users":{}},"n3":{"s":{},"t":2,"users":{}}},"3":{"n'
+        '0":{"s":{"a":1,"b":2},"t":2,"users":{}},"n1":{"s":{},"t":2,"users"'
+        ':{}},"n2":{"s":{"b":1},"t":1,"users":{}},"n3":{"s":{},"t":1,"users'
+        '":{}}}},"evicted_through":0,"format_version":1,"nodes":{"n0":{"s":'
+        '{"a":1,"b":6},"t":6},"n1":{"s":{"a":1},"t":6},"n2":{"s":{"a":1,"b"'
+        ':5},"t":5},"n3":{"s":{},"t":5}},"signals":[{"description":"","sign'
+        'al":"a"},{"description":"","signal":"b"}],"totals":{"active_nodes"'
+        ':4,"hits":{"a":3,"b":11},"transactions":22},"track_users":false,"w'
+        'indow":{"mode":"trailing","trailing_days":3}}\n'
+    ),
+}
+
+
+def golden_engines():
+    """The three engines whose checkpoints ``GOLDEN_CHECKPOINTS`` holds."""
+    tracked = StreamEngine(SignalRegistry(["a", "b"]), WindowConfig.trailing(3))
+    cumulative = StreamEngine(SignalRegistry(["a", "b"]))
+    for edge in GOLDEN_EDGES:
+        tracked.ingest(edge)
+        cumulative.ingest(edge)
+    untracked = StreamEngine(SignalRegistry(["a", "b"]), WindowConfig.trailing(3),
+                             track_users=False)
+    untracked.ingest_columns(EdgeColumns.from_edges(GOLDEN_EDGES, ["a", "b"]))
+    for engine in (tracked, untracked):
+        engine.advance_to(3)
+    return {"trailing3": tracked, "cumulative": cumulative,
+            "untracked_trailing3": untracked}
+
+
+class TestCheckpointFormat:
+    """Format v1 pinned to literal bytes: a change to what the engine holds
+    must not change what it writes, nor what it reads back."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CHECKPOINTS))
+    def test_save_writes_the_v1_bytes(self, tmp_path, name):
+        path = tmp_path / "state.json"
+        golden_engines()[name].save_checkpoint(path)
+        assert path.read_text(encoding="utf-8") == GOLDEN_CHECKPOINTS[name]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CHECKPOINTS))
+    def test_load_then_save_keeps_the_v1_bytes(self, tmp_path, name):
+        first, second = tmp_path / "one.json", tmp_path / "two.json"
+        first.write_text(GOLDEN_CHECKPOINTS[name], encoding="utf-8")
+        StreamEngine.load_checkpoint(first).save_checkpoint(second)
+        assert second.read_text(encoding="utf-8") == GOLDEN_CHECKPOINTS[name]
 
 
 class TestCheckpoint:
@@ -734,6 +880,19 @@ class TestCheckpoint:
                            "bool": True}[tamper]
         with pytest.raises(CheckpointError, match="(users|user|hit count)"):
             self._load_tampered(path, payload)
+
+    @pytest.mark.parametrize("where", ["node", "buffer"])
+    def test_empty_user_tables_dropped_on_load(self, tmp_path, where):
+        """A signal without hits may hold an empty user table; it loads,
+        and is not written back."""
+        path, payload = self._small_payload(tmp_path, WindowConfig.trailing(2))
+        entries = (payload["nodes"] if where == "node"
+                   else payload["day_buffers"]["3"]).values()
+        entry = next(e for e in entries if not e["s"].get("a"))
+        entry["users"]["a"] = {}
+        self._load_tampered(path, payload).save_checkpoint(path)
+        del entry["users"]["a"]
+        assert json.loads(path.read_text()) == payload
 
     def test_untracked_trailing_round_trip_is_byte_stable(self, tmp_path):
         engine = StreamEngine(SignalRegistry(["a", "b"]), WindowConfig.trailing(3),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -119,49 +119,39 @@ def score_columns(
     return s / t, shrunk, z
 
 
-def score_rows(
-    accs: Collection[NodeAccumulator], baseline: GlobalBaseline
-) -> tuple[np.ndarray, ...]:
-    """``trials``, ``hits``, ``raw``, ``shrunk`` and ``z`` columns for ``accs``.
-
-    A degenerate baseline raises before any column is gathered.
-    """
-    _require_variance(baseline.rate)
-    signal = baseline.signal
-    trials = np.fromiter((acc.trials for acc in accs), np.int64, len(accs))
-    hits = np.fromiter((acc.hits.get(signal, 0) for acc in accs), np.int64, len(accs))
-    return (trials, hits, *score_columns(trials, hits, baseline))
-
-
-def build_scores(
-    accs: Sequence[NodeAccumulator],
-    signal: SignalId,
-    columns: tuple[np.ndarray, ...],
-    rows: np.ndarray,
+def rank_columns(
+    nodes: Sequence[NodeId],
+    trials: np.ndarray,
+    hits: np.ndarray,
+    baseline: GlobalBaseline,
 ) -> list[NodeScore]:
-    """``NodeScore``s with Python-number fields for ``rows`` of ``score_rows``."""
-    picked = [column[rows].tolist() for column in columns]
-    return [
-        NodeScore(accs[i].node, signal, s, t, raw, shrunk, z)
-        for i, t, s, raw, shrunk, z in zip(rows.tolist(), *picked)
-    ]
-
-
-def score_all(
-    accumulators: Iterable[NodeAccumulator], baseline: GlobalBaseline
-) -> list[NodeScore]:
-    """Score every node with at least one transaction.
+    """Score int64 columns of node tallies, ``nodes`` naming each row.
 
     Returns scores ordered by z descending, node id ascending on ties, so
     identical inputs always yield an identical ranking.
     """
     # Node ids are ordered in Python: a numpy string array would drop
     # trailing NUL characters and could break ties differently.
-    accs = sorted(
-        (acc for acc in accumulators if acc.trials >= 1), key=lambda acc: acc.node
-    )
+    by_node = np.array(sorted(range(len(nodes)), key=nodes.__getitem__), np.int64)
+    trials, hits = trials[by_node], hits[by_node]
+    columns = (trials, hits, *score_columns(trials, hits, baseline))
+    order = np.argsort(-columns[-1], kind="stable")
+    picked = [column[order].tolist() for column in columns]
+    return [
+        NodeScore(nodes[row], baseline.signal, s, t, raw, shrunk, z)
+        for row, t, s, raw, shrunk, z in zip(by_node[order].tolist(), *picked)
+    ]
+
+
+def score_all(
+    accumulators: Iterable[NodeAccumulator], baseline: GlobalBaseline
+) -> list[NodeScore]:
+    """Score every node with at least one transaction, ranked as
+    ``rank_columns`` ranks."""
+    accs = [acc for acc in accumulators if acc.trials >= 1]
     if not accs:
         return []
-    columns = score_rows(accs, baseline)
-    order = np.argsort(-columns[-1], kind="stable")
-    return build_scores(accs, baseline.signal, columns, order)
+    signal = baseline.signal
+    trials = np.fromiter((acc.trials for acc in accs), np.int64, len(accs))
+    hits = np.fromiter((acc.hits.get(signal, 0) for acc in accs), np.int64, len(accs))
+    return rank_columns([acc.node for acc in accs], trials, hits, baseline)

@@ -105,16 +105,16 @@ def _parse_sweep(text) -> tuple[float, ...]:
     return tuple(_finite(value, "sweep threshold") for value in text)
 
 
-def _parse_top(value) -> int:
+def _count(value, label: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise _CliError(f"bad top {value!r}: need an integer >= 0")
+        raise _CliError(f"bad {label} {value!r}: need an integer >= 0")
     try:
-        top = int(value)
+        number = int(value)
     except ValueError as exc:
-        raise _CliError(f"bad top {value!r}: {exc}") from exc
-    if top < 0:
-        raise _CliError(f"bad top {value!r}: need an integer >= 0")
-    return top
+        raise _CliError(f"bad {label} {value!r}: {exc}") from exc
+    if number < 0:
+        raise _CliError(f"bad {label} {value!r}: need an integer >= 0")
+    return number
 
 
 def _require_dir(path_text: str, label: str) -> Path:
@@ -143,7 +143,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         )
     seed = _setting(args.seed, config, "seed")
     if seed is not None:
-        scenario = with_seed(scenario, int(seed))
+        scenario = with_seed(scenario, _count(seed, "seed"))
     out_dir = _setting(args.out, config, "output_dir")
     if out_dir is None:
         raise _CliError("an output directory is required (--out)")
@@ -173,7 +173,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 # -- backtest ---------------------------------------------------------------
 
 def _bounds_from(args: argparse.Namespace, config: dict) -> AcceptanceBounds | None:
-    block = dict(config.get("bounds") or {})
+    block = config.get("bounds") or {}
+    if not isinstance(block, dict):
+        raise _CliError(f"bad bounds block {block!r}: need a JSON object")
+    block = dict(block)
     if args.bounds_signal is not None:
         block["signal"] = args.bounds_signal
     if args.min_precision is not None:
@@ -188,6 +191,12 @@ def _bounds_from(args: argparse.Namespace, config: dict) -> AcceptanceBounds | N
         return None
     if "signal" not in block:
         raise _CliError("bounds need a signal (--bounds-signal)")
+    for key in ("min_precision", "min_scr", "min_amplification"):
+        if block.get(key) is not None:
+            block[key] = _finite(block[key], f"bound {key}")
+    if block.get("max_flagged_users") is not None:
+        block["max_flagged_users"] = _count(block["max_flagged_users"],
+                                            "bound max_flagged_users")
     try:
         return AcceptanceBounds(**block)
     except TypeError as exc:
@@ -205,6 +214,7 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
                         "threshold")
     sweep = _parse_sweep(_setting(args.sweep, config, "sweep"))
     window = _parse_window(_setting(args.window, config, "window"))
+    bounds = _bounds_from(args, config)
 
     signals, edges = read_edge_file(edges_path)
     if not signals:
@@ -242,7 +252,6 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
         for path in write_report_files(report, out):
             print(f"wrote {path}")
 
-    bounds = _bounds_from(args, config)
     if bounds is not None:
         failures = check_bounds(report, bounds)
         if failures:
@@ -260,7 +269,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     edges_path = _setting(args.edges, config, "edges")
     if not edges_path:
         raise _CliError("score needs --edges")
-    top = _parse_top(_setting(args.top, config, "top", 10))
+    top = _count(_setting(args.top, config, "top", 10), "top")
     window = _parse_window(_setting(args.window, config, "window"))
     only = _setting(args.signal, config, "signal")
 
@@ -268,7 +277,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     registry = SignalRegistry(signals)
     if only is not None:
         registry.require(only)
-    engine = StreamEngine(registry, window=window, track_users=False)
+    engine = StreamEngine(registry, window=window)
     engine.ingest_columns(edges)
     if engine.current_day is not None:
         engine.advance_to(engine.current_day)

@@ -1,5 +1,6 @@
-"""Incremental scoring engine: O(1) per-edge ingest, daily scoring turns,
-trailing or cumulative windows, and resumable checkpoints.
+"""Incremental scoring engine: int64 count columns folded in grouped numpy
+passes, daily scoring turns, trailing or cumulative windows, and
+resumable checkpoints.
 
 The engine keeps exactly the counters the batch pipeline would build, so
 a stream run and a batch run over the same edges produce bit-identical
@@ -11,24 +12,26 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .amplify import NodeScore, build_scores, score_all, score_rows
+from .amplify import NodeScore, rank_columns, score_columns
 from .detect import Alert, build_alerts, flag_nodes
 from .errors import (
     CheckpointError,
     DegenerateBaselineError,
+    DuplicateSignalError,
     NoBaselineError,
-    UnknownNodeError,
     UnknownSignalError,
     UnsortedEdgesError,
 )
 from .model import (
     EdgeColumns,
     GlobalBaseline,
+    IdCodes,
     NodeAccumulator,
     NodeId,
     SignalId,
@@ -40,6 +43,14 @@ from .model import (
 CHECKPOINT_VERSION = 1
 
 _INT64_MAX = 2**63 - 1
+
+# Hit-user rows (node code, signal, user code, count) of an empty table.
+_NO_ROWS = np.zeros((4, 0), np.int64)
+_NO_ROWS.setflags(write=False)
+
+# Per-edge ``ingest`` queues edges and folds the queue through
+# ``ingest_columns`` once it holds this many, which bounds its memory.
+_QUEUE_EDGES = 1 << 16
 
 CUMULATIVE = "cumulative"
 TRAILING = "trailing"
@@ -79,118 +90,133 @@ class WindowConfig:
 class StreamEngine:
     """Mutable scoring state over a window of the edge stream.
 
-    Holds a ``NodeAccumulator`` per node and global totals for each
-    signal. With ``track_users`` on, each tally also counts its
-    hit-carrying users per signal, so alerts can name who to investigate.
-    Global totals are maintained incrementally and always equal the sums
-    over the node table.
+    Per node code the engine holds an int64 trial count and an int64 hit
+    count per signal; a node is active while its trial count is positive.
+    Per-user hit counts let alerts name who to investigate. The node and
+    user id tables grow with every distinct id the engine has seen; a
+    checkpoint round trip keeps only the active nodes.
     """
 
     def __init__(
         self,
         registry: SignalRegistry,
         window: WindowConfig | None = None,
-        track_users: bool = True,
     ) -> None:
         self.registry = registry
         self.window = window or WindowConfig.cumulative()
-        self.track_users = track_users
-        self._signal_ids = set(registry.ids())
-        self._nodes: dict[NodeId, NodeAccumulator] = {}
-        self._total_trials = 0
-        self._total_hits: dict[SignalId, int] = {s: 0 for s in registry.ids()}
+        self._signals = registry.ids()
+        self._column = {signal: k for k, signal in enumerate(self._signals)}
+        # Per-edge ingest queues each edge's user, node, day and
+        # (signal, row) hit pairs, the arguments of EdgeColumns.from_rows.
+        self._queue: tuple[list, list, list, list] = ([], [], [], [])
+        self._node_ids = IdCodes()
+        self._user_ids = IdCodes()
+        self._trials = np.zeros(0, np.int64)
+        self._hits = np.zeros((len(self._signals), 0), np.int64)
         self._current_day: int | None = None
-        # Trailing mode holds per-day deltas so old days can be subtracted
-        # back out; a day at or below _evicted_through is gone for good.
-        self._day_buffers: dict[int, dict[NodeId, NodeAccumulator]] = {}
+        # Per day, an int64 [2 + K, m] delta of (node code, trials, hits per
+        # signal) holding each node code once; trailing windows only. A day
+        # at or below _evicted_through is gone for good.
+        self._deltas: dict[int, np.ndarray] = {}
+        # Per day, int64 [4, r] hit-user rows of (node code, signal, user
+        # code, count) holding each (node, signal, user) once, with the
+        # rows of one (node, signal) next to each other.
+        self._user_rows: dict[int, np.ndarray] = {}
         self._evicted_through = -1
 
     # -- properties ------------------------------------------------------
 
     @property
     def current_day(self) -> int | None:
+        self._flush()
         return self._current_day
 
     @property
     def total_transactions(self) -> int:
-        return self._total_trials
+        self._flush()
+        return int(self._trials.sum())
 
     @property
     def active_node_count(self) -> int:
-        return len(self._nodes)
+        self._flush()
+        return int(np.count_nonzero(self._trials))
 
     def total_hits(self, signal: SignalId) -> int:
         self.registry.require(signal)
-        return self._total_hits[signal]
+        self._flush()
+        return int(self._hits[self._column[signal]].sum())
 
     def accumulators(self) -> Iterator[NodeAccumulator]:
-        return iter(self._nodes.values())
+        """A ``NodeAccumulator`` per active node, built on demand."""
+        self._flush()
+        table = self._table_payload(self._node_table(), _NO_ROWS)
+        return iter([NodeAccumulator(node, entry["t"], entry["s"])
+                     for node, entry in table.items()])
+
+    def _node_table(self) -> np.ndarray:
+        """The active nodes as one delta."""
+        active = np.flatnonzero(self._trials > 0)
+        return np.vstack([active, self._trials[active], self._hits[:, active]])
 
     # -- ingest ----------------------------------------------------------
 
     def ingest(self, edge: TransactionEdge) -> None:
-        """Fold one edge into the window. Constant work per edge."""
-        day = edge.day
-        if day <= self._evicted_through:
-            raise self._precedes_window(day)
-        hits = {}
+        """Fold one edge into the window.
+
+        The window and signal checks run at once. The edge's fields are
+        then queued, and the queue goes through ``ingest_columns`` once it
+        holds ``_QUEUE_EDGES`` edges, or before anything reads the engine.
+        Queueing builds no object per edge, only a small tuple per hit bit,
+        so the garbage collector's work stays flat as the stream grows.
+        """
+        if edge.day <= self._evicted_through:
+            raise self._precedes_window(edge.day)
+        if not edge.hits.keys() <= self._column.keys():
+            unknown = next(signal for signal in edge.hits if signal not in self._column)
+            raise UnknownSignalError(f"edge references unregistered signal {unknown!r}")
+        users, nodes, days, hit_at = self._queue
         for signal, bit in edge.hits.items():
-            if signal not in self._signal_ids:
-                raise UnknownSignalError(
-                    f"edge references unregistered signal {signal!r}"
-                )
             if bit:
-                hits[signal] = 1
-        users = ({signal: {edge.user: 1} for signal in hits}
-                 if self.track_users else {})
-        self._apply(day, edge.node, 1, hits, users, 1)
+                hit_at.append((self._column[signal], len(days)))
+        users.append(edge.user)
+        nodes.append(edge.node)
+        days.append(edge.day)
+        if len(days) >= _QUEUE_EDGES:
+            self._flush()
+
+    def _flush(self) -> None:
+        if self._queue[2]:
+            queue, self._queue = self._queue, ([], [], [], [])
+            self.ingest_columns(EdgeColumns.from_rows(self._signals, *queue))
 
     def ingest_columns(self, batch: EdgeColumns) -> None:
         """Fold a batch of edges into the window, in any order.
 
-        Rows are grouped by (day, node), and each group is applied as one
-        delta: the counters end up as if every edge had been ingested.
+        Each day's rows are grouped by node and added as one delta: the
+        counters end up as if every edge had been ingested.
         """
         if not len(batch):
             return
         first = int(batch.day.min())
         if first <= self._evicted_through:
             raise self._precedes_window(first)
-        signals = []
+        hits = np.zeros((len(self._signals), len(batch)), bool)
         for signal, bits in zip(batch.signals, batch.hits):
-            if signal in self._signal_ids:
-                signals.append((signal, bits))
+            if signal in self._column:
+                hits[self._column[signal]] = bits
             elif bits.any():
                 raise UnknownSignalError(
                     f"edge references unregistered signal {signal!r}"
                 )
-        days, day_code = np.unique(batch.day, return_inverse=True)
-        n_nodes = len(batch.nodes)
-        keys, group = np.unique(day_code * n_nodes + batch.node_code,
-                                return_inverse=True)
-        trials = np.bincount(group, minlength=len(keys)).tolist()
-        hits: list[dict] = [{} for _ in range(len(keys))]
-        users: list[dict] = [{} for _ in range(len(keys))]
-        user_ids = batch.users
-        n_users = len(user_ids)
-        for signal, bits in signals:
-            hit_group = group[bits]
-            counts = np.bincount(hit_group, minlength=len(keys))
-            hit_groups = np.flatnonzero(counts)
-            for g, count in zip(hit_groups.tolist(), counts[hit_groups].tolist()):
-                hits[g][signal] = count
-            if not self.track_users:
-                continue
-            pairs, per_pair = np.unique(
-                hit_group * n_users + batch.user_code[bits], return_counts=True)
-            for pair, count in zip(pairs.tolist(), per_pair.tolist()):
-                g, user = divmod(pair, n_users)
-                users[g].setdefault(signal, {})[user_ids[user]] = count
-        group_day = days[keys // n_nodes].tolist()
-        group_node = [batch.nodes[code] for code in (keys % n_nodes).tolist()]
-        apply = self._apply
-        for g, day in enumerate(group_day):
-            apply(day, group_node[g], trials[g], hits[g], users[g], 1)
+        # Every count is at most the total, so no int64 counter can wrap.
+        if int(self._trials.sum()) + len(batch) > _INT64_MAX:
+            raise OverflowError("a window holds at most 2**63 - 1 transactions")
+        order = np.argsort(batch.day, kind="stable")
+        day = batch.day[order]
+        for lo, hi in _runs(day):
+            self._fold(int(day[lo]), batch, order[lo:hi], hits[:, order[lo:hi]])
+        if self._current_day is None or day[-1] > self._current_day:
+            self._current_day = int(day[-1])
 
     def _precedes_window(self, day: int) -> UnsortedEdgesError:
         return UnsortedEdgesError(
@@ -198,48 +224,45 @@ class StreamEngine:
             f"(evicted through day {self._evicted_through})"
         )
 
-    def _apply(
-        self,
-        day: int,
-        node: NodeId,
-        trials: int,
-        hits: dict[SignalId, int],
-        users: dict[SignalId, dict[UserId, int]],
-        sign: int,
-    ) -> None:
-        """Add (``sign`` 1) or remove (``sign`` -1) one node's counts of one day.
-
-        ``hits`` maps each signal to its hit count, ``users`` each signal
-        to the hit count per user (empty when users are not tracked).
-        Removing drops every count and user table that reaches zero, and
-        the node once its trials do. Adding also records the counts in the
-        day's buffer of a trailing window: the first counts of a (day, node)
-        become its buffer entry, which then owns ``hits`` and ``users``, so
-        the caller must pass dicts it built for this call alone and not
-        touch them again; later counts are added into that entry. This is
-        the engine's only fold.
-        """
-        acc = self._nodes.get(node)
-        if acc is None:
-            acc = self._nodes[node] = NodeAccumulator(node)
-        _merge(acc, trials, hits, users, sign)
-        self._total_trials += sign * trials
-        if hits:
-            for signal, count in hits.items():
-                self._total_hits[signal] += sign * count
-        if sign < 0:
-            if not acc.trials:
-                del self._nodes[node]
-            return
-        if self._current_day is None or day > self._current_day:
-            self._current_day = day
+    def _fold(self, day: int, batch: EdgeColumns, rows: np.ndarray,
+              hits: np.ndarray) -> None:
+        """Add the edges ``rows`` of ``batch``, all on ``day``, with their
+        ``hits`` in registry order, as one delta plus its hit-user rows."""
+        local, group = np.unique(batch.node_code[rows], return_inverse=True)
+        m = len(local)
+        delta = np.empty((2 + len(hits), m), np.int64)
+        delta[0] = self._node_codes([batch.nodes[code] for code in local.tolist()])
+        delta[1] = np.bincount(group, minlength=m)
+        for k, bits in enumerate(hits):
+            delta[2 + k] = np.bincount(group[bits], minlength=m)
+        self._count(delta, 1)
         if self.window.mode == TRAILING:
-            bucket = self._day_buffers.setdefault(day, {})
-            entry = bucket.get(node)
-            if entry is None:
-                bucket[node] = NodeAccumulator(node, trials, hits, users)
-            else:
-                _merge(entry, trials, hits, users, 1)
+            _accumulate(self._deltas, day, delta, 1)
+        signal, edge = np.nonzero(hits)
+        user = self._user_ids.encode(
+            [batch.users[code] for code in batch.user_code[rows[edge]].tolist()])
+        n_users = len(self._user_ids)
+        keys, counts = np.unique((signal * m + group[edge]) * n_users + user,
+                                 return_counts=True)
+        pair, user = np.divmod(keys, n_users)
+        signal, node = np.divmod(pair, m)
+        rows = np.stack([delta[0, node], signal, user, counts])
+        _accumulate(self._user_rows, day, rows, 3)
+
+    def _node_codes(self, nodes: list[NodeId]) -> np.ndarray:
+        """Codes of ``nodes``; the count columns grow to cover new ones."""
+        codes = self._node_ids.encode(nodes)
+        grow = len(self._node_ids) - len(self._trials)
+        if grow:
+            self._trials = np.concatenate([self._trials, np.zeros(grow, np.int64)])
+            self._hits = np.hstack([self._hits, np.zeros((len(self._signals), grow),
+                                                         np.int64)])
+        return codes
+
+    def _count(self, delta: np.ndarray, sign: int) -> None:
+        """Add (``sign`` 1) or remove (``sign`` -1) a delta's counts."""
+        self._trials[delta[0]] += sign * delta[1]
+        self._hits[:, delta[0]] += sign * delta[2:]
 
     def advance_to(self, day: int) -> None:
         """Move the window forward to a scoring turn at ``day``.
@@ -247,33 +270,38 @@ class StreamEngine:
         In trailing mode this drops every day at or before
         ``day - trailing_days``; cumulative windows never evict.
         """
+        self._flush()
         if self.window.mode != TRAILING:
             return
         horizon = day - self.window.trailing_days
         if horizon <= self._evicted_through:
             return
-        for buffered_day in sorted(self._day_buffers):
-            if buffered_day > horizon:
-                continue
-            for node, delta in self._day_buffers.pop(buffered_day).items():
-                self._apply(buffered_day, node, delta.trials, delta.hits,
-                            delta.users, -1)
+        for old in [buffered for buffered in self._deltas if buffered <= horizon]:
+            self._count(self._deltas.pop(old), -1)
+            self._user_rows.pop(old, None)
         self._evicted_through = horizon
 
     # -- scoring ---------------------------------------------------------
 
     def baseline(self, signal: SignalId) -> GlobalBaseline:
-        """Baseline from the engine's running totals; O(1)."""
-        self.registry.require(signal)
-        if self._total_trials == 0:
+        """Baseline from the sums of the engine's count columns."""
+        hits, trials = self.total_hits(signal), self.total_transactions
+        if trials == 0:
             raise NoBaselineError(f"window is empty for signal {signal!r}")
-        return GlobalBaseline(
-            signal, self._total_hits[signal], self._total_trials, len(self._nodes)
-        )
+        return GlobalBaseline(signal, hits, trials, self.active_node_count)
 
     def scores(self, signal: SignalId) -> list[NodeScore]:
         """Score every node in the window, same ordering as the batch path."""
-        return score_all(self._nodes.values(), self.baseline(signal))
+        return rank_columns(*self._window_columns(signal))
+
+    def _window_columns(self, signal: SignalId) -> tuple:
+        """Id, trials and hits on ``signal`` of every active node, and the
+        baseline: the arguments of ``rank_columns``."""
+        baseline = self.baseline(signal)
+        active = np.flatnonzero(self._trials > 0)
+        ids = self._node_ids.ids()
+        return ([ids[code] for code in active.tolist()], self._trials[active],
+                self._hits[self._column[signal], active], baseline)
 
     def flagged(
         self, signal: SignalId, threshold: float
@@ -281,68 +309,99 @@ class StreamEngine:
         """Peak z over the window and the nodes with ``z >= threshold``.
 
         Equals ``scores()`` followed by ``flag_nodes``, and raises what
-        ``scores()`` raises, but builds a ``NodeScore`` only for the
-        flagged nodes.
+        ``scores()`` raises, but ranks only the flagged nodes.
         """
-        columns = score_rows(self._nodes.values(), self.baseline(signal))
-        z = columns[-1]
+        nodes, trials, hits, baseline = self._window_columns(signal)
+        z = score_columns(trials, hits, baseline)[-1]
         rows = np.flatnonzero(z >= threshold)
-        kept = build_scores(list(self._nodes.values()), signal, columns, rows)
+        kept = rank_columns([nodes[row] for row in rows.tolist()], trials[rows],
+                            hits[rows], baseline)
         return float(z.max()), flag_nodes(kept, threshold)
-
-    def query_score(self, node: NodeId, signal: SignalId) -> NodeScore:
-        """Score one node on demand; equals the batch score over the window."""
-        acc = self._nodes.get(node)
-        if acc is None:
-            raise UnknownNodeError(f"node {node!r} has no transactions in window")
-        columns = score_rows([acc], self.baseline(signal))
-        return build_scores([acc], signal, columns, np.arange(1))[0]
 
     def hit_users(self, node: NodeId, signal: SignalId) -> frozenset[UserId]:
         """Users that sent ``node`` a hit-carrying edge inside the window."""
-        if not self.track_users:
-            raise ValueError("engine was built with track_users=False")
-        acc = self._nodes.get(node)
-        if acc is None:
-            return frozenset()
-        return frozenset(acc.users.get(signal, ()))
+        return self._hit_users(signal, [node]).get(node, frozenset())
 
     def node_hit_users(self, signal: SignalId) -> dict[NodeId, frozenset[UserId]]:
-        if not self.track_users:
-            raise ValueError("engine was built with track_users=False")
-        out = {}
-        for node, acc in self._nodes.items():
-            users = acc.users.get(signal)
-            if users:
-                out[node] = frozenset(users)
-        return out
+        """``hit_users`` of every node with a hit on ``signal`` in the window."""
+        return self._hit_users(signal, None)
+
+    def _hit_users(self, signal: SignalId,
+                   nodes: list[NodeId] | None) -> dict[NodeId, frozenset[UserId]]:
+        """Hit users on ``signal`` of each of ``nodes`` (every node if None)
+        that has any, gathered from the hit-user rows in one grouped pass."""
+        self._flush()
+        if signal not in self._column:
+            return {}
+        node_ids = self._node_ids.ids()
+        days = [_NO_ROWS, *self._user_rows.values()]
+        keep = [rows[1] == self._column[signal] for rows in days]
+        if nodes is not None:
+            wanted = set(nodes)
+            codes = [code for code, node in enumerate(node_ids) if node in wanted]
+            keep = [mask & np.isin(rows[0], codes) for rows, mask in zip(days, keep)]
+        # The code columns are built one at a time and freed before the
+        # sets, which keeps the peak memory of a turn low; a frozenset
+        # copied from a set is sized to fit.
+        node = np.concatenate([rows[0, mask] for rows, mask in zip(days, keep)])
+        order = np.argsort(node, kind="stable")
+        node = node[order]
+        user = np.concatenate([rows[2, mask] for rows, mask in zip(days, keep)])[order]
+        del keep, order
+        user = np.array(self._user_ids.ids(), object)[user]
+        runs = [(node_ids[node[lo]], lo, hi) for lo, hi in _runs(node)]
+        del node
+        return {node: frozenset(set(user[lo:hi].tolist())) for node, lo, hi in runs}
 
     # -- checkpointing -----------------------------------------------------
 
     def checkpoint_payload(self) -> dict:
         """Serializable snapshot of configuration and every counter."""
-        nodes = _table_payload(self._nodes, with_users=self.track_users)
-        buffers = {str(day): _table_payload(bucket, with_users=True)
-                   for day, bucket in self._day_buffers.items()}
+        self._flush()
+        table = self._node_table()
         return {
             "format_version": CHECKPOINT_VERSION,
             "signals": [
                 {"signal": d.signal, "description": d.description}
-                for d in (self.registry.describe(s) for s in self.registry.ids())
+                for d in (self.registry.describe(s) for s in self._signals)
             ],
             "window": {"mode": self.window.mode,
                        "trailing_days": self.window.trailing_days},
-            "track_users": self.track_users,
+            # Format v1 also named files without user tables, which can no
+            # longer be written or read.
+            "track_users": True,
             "current_day": self._current_day,
             "evicted_through": self._evicted_through,
             "totals": {
-                "transactions": self._total_trials,
-                "active_nodes": len(self._nodes),
-                "hits": dict(self._total_hits),
+                "transactions": int(self._trials.sum()),
+                "active_nodes": table.shape[1],
+                "hits": dict(zip(self._signals, self._hits.sum(axis=1).tolist())),
             },
-            "nodes": nodes,
-            "day_buffers": buffers,
+            "nodes": self._table_payload(
+                table, _collapse(np.hstack([_NO_ROWS, *self._user_rows.values()]), 3)),
+            "day_buffers": {
+                str(day): self._table_payload(delta, self._user_rows.get(day, _NO_ROWS))
+                for day, delta in self._deltas.items()
+            },
         }
+
+    def _table_payload(self, table: np.ndarray, user_rows: np.ndarray) -> dict:
+        """The node table or a day buffer as checkpoint format v1 writes it,
+        from a delta and hit-user rows laid out like a day's; a signal
+        without hits has no count and no user table."""
+        node_ids, signals = self._node_ids.ids(), self._signals
+        out = {node_ids[code]: {"t": trials, "s": {}, "users": {}}
+               for code, trials in zip(table[0].tolist(), table[1].tolist())}
+        for signal, hits in zip(signals, table[2:]):
+            held = np.flatnonzero(hits)
+            for code, count in zip(table[0, held].tolist(), hits[held].tolist()):
+                out[node_ids[code]]["s"][signal] = count
+        node, k, _, count = user_rows.tolist()
+        users = np.array(self._user_ids.ids(), object)[user_rows[2]].tolist()
+        for lo, hi in _runs(user_rows[0], user_rows[1]):
+            table = out[node_ids[node[lo]]]["users"]
+            table[signals[k[lo]]] = dict(zip(users[lo:hi], count[lo:hi]))
+        return out
 
     def save_checkpoint(self, path: str | Path) -> None:
         """Write a versioned snapshot; identical state gives identical bytes.
@@ -380,10 +439,17 @@ class StreamEngine:
         try:
             registry = SignalRegistry()
             for entry in payload["signals"]:
+                if type(entry["signal"]) is not str:
+                    raise TypeError(f"signal id {entry['signal']!r} is not a string")
                 registry.register(entry["signal"], entry.get("description", ""))
             window = WindowConfig(payload["window"]["mode"],
                                   payload["window"]["trailing_days"])
-            engine = cls(registry, window, payload["track_users"])
+            if payload["track_users"] is not True:
+                raise CheckpointError(
+                    f"checkpoint {path}: track_users is {payload['track_users']!r}; "
+                    "only a file with user tables (true) can name alert users"
+                )
+            engine = cls(registry, window)
             engine._current_day = payload["current_day"]
             engine._evicted_through = payload["evicted_through"]
             _check_days(path, engine)
@@ -391,87 +457,128 @@ class StreamEngine:
                 raise CheckpointError(
                     f"checkpoint {path}: holds nodes but no current_day"
                 )
-            engine._nodes = engine._load_table(path, payload["nodes"], None)
+            table, node_rows = engine._load_table(path, payload["nodes"], None)
+            buffers = {}
             for key, bucket in payload["day_buffers"].items():
                 day = _buffer_day(path, engine, key)
-                engine._day_buffers[day] = engine._load_table(path, bucket, day)
-            totals = payload["totals"]
-            engine._total_trials = totals["transactions"]
-            for signal, count in totals["hits"].items():
+                buffers[day] = engine._load_table(path, bucket, day)
+            totals, hits = payload["totals"], payload["totals"]["hits"]
+            for signal in hits:
                 registry.require(signal)
-                engine._total_hits[signal] = count
-            active_nodes = totals["active_nodes"]
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            # Exact sums; transactions come first, and once they match no
+            # int64 count below can have wrapped.
+            recorded = [
+                ("transactions", totals["transactions"], sum(table[1].tolist())),
+                *((signal, hits.get(signal, 0), sum(row)) for signal, row
+                  in zip(engine._signals, table[2:].tolist())),
+                ("active_nodes", totals["active_nodes"], table.shape[1]),
+            ]
+        except (AttributeError, KeyError, TypeError, ValueError,
+                DuplicateSignalError) as exc:
             raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
-        for name, value in [("transactions", engine._total_trials),
-                            *engine._total_hits.items(),
-                            ("active_nodes", active_nodes)]:
-            if type(value) is not int:
+        for name, value, computed in recorded:
+            if not _is_count(value, 0, _INT64_MAX):
                 raise CheckpointError(
-                    f"checkpoint {path}: total {name!r} is {value!r}; need an integer"
+                    f"checkpoint {path}: total {name!r} is {value!r}; need an "
+                    "integer in [0, 2**63 - 1]"
                 )
-        recomputed_trials = sum(a.trials for a in engine._nodes.values())
-        if recomputed_trials != engine._total_trials:
-            raise CheckpointError(
-                "checkpoint totals disagree with the node table "
-                f"({engine._total_trials} recorded, {recomputed_trials} recomputed)"
-            )
-        for signal in registry.ids():
-            recomputed = sum(a.hits.get(signal, 0) for a in engine._nodes.values())
-            if recomputed != engine._total_hits[signal]:
+            if value != computed:
                 raise CheckpointError(
-                    f"checkpoint hit totals for {signal!r} disagree with node table"
+                    f"checkpoint {path}: total {name!r} is {value}, but the "
+                    f"node table adds up to {computed}"
                 )
-        if active_nodes != len(engine._nodes):
-            raise CheckpointError("checkpoint active node count disagrees")
+        engine._count(table, 1)
         if window.mode == TRAILING:
-            engine._check_buffer_sums(path)
+            _check_buffer_sums(path, engine, table, node_rows, buffers)
+            for day, (delta, rows) in buffers.items():
+                engine._deltas[day], engine._user_rows[day] = delta, rows
+        elif engine._current_day is not None:
+            engine._user_rows[engine._current_day] = node_rows
         return engine
 
     def _load_table(self, path, entries: dict,
-                    day: int | None) -> dict[NodeId, NodeAccumulator]:
+                    day: int | None) -> tuple[np.ndarray, np.ndarray]:
         """Check the checkpoint entries of the node table (``day`` None) or
-        of one day buffer, and build their tallies. User tables are checked
-        only when users are tracked, and ignored otherwise; empty
-        per-signal tables are dropped."""
-        signal_ids, track = self._signal_ids, self.track_users
-        table = {}
-        for node, entry in entries.items():
-            trials, hits = entry["t"], entry["s"]
-            _check_counts(path, signal_ids, node, day, trials, hits)
-            users = {}
-            if track:
-                users = entry.get("users", {})
-                _check_users(path, signal_ids, node, day, hits, users)
-                if not all(users.values()):
-                    users = {signal: per for signal, per in users.items() if per}
-            table[node] = NodeAccumulator(node, trials, hits, users)
-        return table
+        of one day buffer, and return them as a delta and its hit-user
+        rows; an empty per-signal user table leaves no row."""
+        column, signals = self._column, self._signals
+        counts, owners, users, user_counts = [], [], [], []
+        for i, (node, entry) in enumerate(entries.items()):
+            trials, hits, tables = entry["t"], entry["s"], entry.get("users", {})
+            _check_counts(path, column, node, day, trials, hits)
+            _check_users(path, column, node, day, hits, tables)
+            counts.append(trials)
+            counts += map(hits.get, signals, repeat(0))
+            for signal, per_user in tables.items():
+                owners += (i, column[signal], len(per_user))
+                users += per_user
+                user_counts += per_user.values()
+        delta = np.empty((2 + len(signals), len(entries)), np.int64)
+        delta[0] = self._node_codes(list(entries))
+        delta[1:] = np.array(counts, np.int64).reshape(len(entries), 1 + len(signals)).T
+        owner, signal, size = np.array(owners, np.int64).reshape(-1, 3).T
+        rows = np.array([np.repeat(delta[0, owner], size), np.repeat(signal, size),
+                         self._user_ids.encode(users), user_counts], np.int64)
+        return delta, rows
 
-    def _check_buffer_sums(self, path) -> None:
-        """A trailing window's day buffers must add up to the node table,
-        user tables included, or eviction would leave wrong counts."""
-        trials_sum: dict[NodeId, int] = {}
-        hits_sum: dict[NodeId, dict] = {}
-        users_sum: dict[NodeId, dict] = {}
-        for bucket in self._day_buffers.values():
-            for node, delta in bucket.items():
-                trials_sum[node] = trials_sum.get(node, 0) + delta.trials
-                if delta.hits:
-                    _add_counts(hits_sum.setdefault(node, {}), delta.hits, 1)
-                for signal, counts in delta.users.items():
-                    table = users_sum.setdefault(node, {}).setdefault(signal, {})
-                    for user, count in counts.items():
-                        table[user] = table.get(user, 0) + count
-        for node in self._nodes.keys() | trials_sum.keys():
-            acc = self._nodes.get(node)
-            if acc is None or trials_sum.get(node) != acc.trials or (
-                hits_sum.get(node, {}) != {s: c for s, c in acc.hits.items() if c}
-            ) or users_sum.get(node, {}) != acc.users:
-                raise CheckpointError(
-                    f"checkpoint {path}: the day buffers of node {node!r} do "
-                    "not add up to its node-table entry"
-                )
+
+def _check_buffer_sums(path, engine: StreamEngine, table: np.ndarray,
+                       node_rows: np.ndarray, buffers: dict) -> None:
+    """A trailing window's day buffers must add up to the node table,
+    user tables included, or eviction would leave wrong counts."""
+    wrong = set()
+    for part, whole, keys in ((0, table, 1), (1, node_rows, 3)):
+        # The sum of the buffers minus the node table, per record key.
+        whole = whole.copy()
+        whole[keys:] *= -1
+        parts = [buffer[part] for buffer in buffers.values()]
+        summed = _collapse(np.hstack([*parts, whole]), keys)
+        wrong.update(summed[0, (summed[keys:] != 0).any(axis=0)].tolist())
+    if wrong:
+        node = engine._node_ids.ids()[min(wrong)]
+        raise CheckpointError(
+            f"checkpoint {path}: the day buffers of node {node!r} do "
+            "not add up to its node-table entry"
+        )
+    # The per-node sums above are int64; their exact total rules out a
+    # match that only holds after wrapping around.
+    buffered = sum(sum(delta[1].tolist()) for delta, _ in buffers.values())
+    held = sum(table[1].tolist())
+    if buffered != held:
+        raise CheckpointError(
+            f"checkpoint {path}: the day buffers hold {buffered} transactions, "
+            f"but the node table holds {held}"
+        )
+
+
+def _accumulate(by_day: dict[int, np.ndarray], day: int, records: np.ndarray,
+                keys: int) -> None:
+    """Add ``records`` to the day's records in ``by_day``, summing the ones
+    that agree on their first ``keys`` fields."""
+    held = by_day.get(day)
+    if held is not None:
+        records = _collapse(np.hstack([held, records]), keys)
+    by_day[day] = records
+
+
+def _runs(*keys: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of each run of equal values in ``keys`` taken together."""
+    changed = np.any([np.diff(key) != 0 for key in keys], axis=0)
+    cuts = (np.flatnonzero(changed) + 1).tolist()
+    return [(lo, hi) for lo, hi in zip([0, *cuts], [*cuts, len(keys[0])]) if lo < hi]
+
+
+def _collapse(records: np.ndarray, keys: int) -> np.ndarray:
+    """``records``, one per column, with those that agree on their first
+    ``keys`` fields summed into one, sorted by those fields."""
+    if not records.shape[1]:
+        return records
+    records = records[:, np.lexsort(records[keys - 1::-1])]
+    starts = np.flatnonzero(np.concatenate(
+        [[True], (records[:keys, 1:] != records[:keys, :-1]).any(axis=0)]))
+    out = records[:, starts]
+    out[keys:] = np.add.reduceat(records[keys:], starts, axis=1)
+    return out
 
 
 def _check_days(path, engine: StreamEngine) -> None:
@@ -511,41 +618,6 @@ def _buffer_day(path, engine: StreamEngine, key: str) -> int:
             f"({low}, {high}]"
         )
     return day
-
-
-def _table_payload(table: dict[NodeId, NodeAccumulator], with_users: bool) -> dict:
-    """The node table or a day buffer as checkpoint format v1 writes it:
-    buffer entries always carry ``users``, node entries only when tracked."""
-    out = {}
-    for node, acc in table.items():
-        entry = out[node] = {"t": acc.trials, "s": dict(acc.hits)}
-        if with_users:
-            entry["users"] = {signal: dict(per) for signal, per in acc.users.items()}
-    return out
-
-
-def _merge(acc: NodeAccumulator, trials: int, hits: dict, users: dict,
-           sign: int) -> None:
-    """Add ``sign`` times one node's counts into ``acc``, dropping the
-    counts and per-signal user tables that reach zero."""
-    acc.trials += sign * trials
-    if hits:
-        _add_counts(acc.hits, hits, sign)
-    for signal, counts in users.items():
-        table = acc.users.setdefault(signal, {})
-        _add_counts(table, counts, sign)
-        if not table:
-            del acc.users[signal]
-
-
-def _add_counts(table: dict, counts: dict, sign: int) -> None:
-    """Add ``sign`` times each count to ``table``; drop keys that reach 0."""
-    for key, count in counts.items():
-        value = table.get(key, 0) + sign * count
-        if value:
-            table[key] = value
-        else:
-            table.pop(key, None)
 
 
 def _is_count(value: object, low: int, high: int) -> bool:
@@ -589,7 +661,6 @@ def _check_users(path, signal_ids: set, node: NodeId, day: int | None,
                 f"checkpoint {path}: {_entry(node, day)} names users for "
                 f"unregistered signal {signal!r}"
             )
-        named = 0
         for user, count in per_user.items():
             if type(count) is not int or count < 1:
                 raise CheckpointError(
@@ -597,20 +668,13 @@ def _check_users(path, signal_ids: set, node: NodeId, day: int | None,
                     f"{count!r} for user {user!r} on {signal!r}; need an "
                     "integer >= 1"
                 )
-            named += count
-        _check_named(path, node, day, signal, named, hits.get(signal, 0))
-    for signal, count in hits.items():
-        if signal not in table:
-            _check_named(path, node, day, signal, 0, count)
-
-
-def _check_named(path, node: NodeId, day: int | None, signal: SignalId,
-                 named: int, count: int) -> None:
-    if named != count:
-        raise CheckpointError(
-            f"checkpoint {path}: {_entry(node, day)} names users with "
-            f"{named} hits on {signal!r}, but its hit count is {count}"
-        )
+    for signal in [*table, *hits]:
+        named, count = sum(table.get(signal, {}).values()), hits.get(signal, 0)
+        if named != count:
+            raise CheckpointError(
+                f"checkpoint {path}: {_entry(node, day)} names users with "
+                f"{named} hits on {signal!r}, but its hit count is {count}"
+            )
 
 
 @dataclass(slots=True)
@@ -665,9 +729,7 @@ def _score_turn(engine: StreamEngine, day: int, threshold: float) -> DayOutcome:
             inactive.append(signal)
             continue
         day_alerts = build_alerts(
-            flagged,
-            {sc.node: engine.hit_users(sc.node, signal) for sc in flagged},
-            day,
+            flagged, engine._hit_users(signal, [sc.node for sc in flagged]), day
         )
         alerts[signal] = day_alerts
         users: set[UserId] = set()
@@ -706,8 +768,6 @@ def replay_daily(
         engine = StreamEngine(registry, window=window)
     elif registry is not None or window is not None:
         raise ValueError("registry and window come from the engine when resuming")
-    if not engine.track_users:
-        raise ValueError("replay alerts need an engine with track_users=True")
 
     outcomes: list[DayOutcome] = []
     batch = EdgeColumns.from_edges(edges, engine.registry.ids())
@@ -716,8 +776,7 @@ def replay_daily(
     day = batch.day
     pending = int(day[0]) if engine.current_day is None else engine.current_day + 1
     _check_sorted(day, pending)
-    cuts = (np.flatnonzero(np.diff(day)) + 1).tolist()
-    for lo, hi in zip([0, *cuts], [*cuts, len(day)]):
+    for lo, hi in _runs(day):
         today = int(day[lo])
         for gap_day in range(pending, today):
             outcomes.append(_score_turn(engine, gap_day, threshold))

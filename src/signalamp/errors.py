@@ -22,10 +22,6 @@ class DegenerateBaselineError(SignalAmpError):
     signal is inactive for the window."""
 
 
-class UnknownNodeError(SignalAmpError):
-    """A score was requested for a node the engine has never seen."""
-
-
 class UnsortedEdgesError(SignalAmpError):
     """Edges arrived out of day order where day order is required."""
 

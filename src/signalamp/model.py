@@ -102,6 +102,9 @@ class IdCodes:
         # A missing id takes the next code on lookup.
         self._index: defaultdict[str, int] = defaultdict(count().__next__)
 
+    def __len__(self) -> int:
+        return len(self._index)
+
     def encode(self, ids: list[str]) -> np.ndarray:
         """Int64 codes of ``ids``, adding the ids not seen before."""
         return np.fromiter(map(self._index.__getitem__, ids), np.int64, len(ids))
@@ -166,7 +169,15 @@ class EdgeColumns(Sequence):
                     )
                 if bit:
                     hit_at.append((k, row))
-        hits = np.zeros((len(column), len(days)), bool)
+        return cls.from_rows(signals, users, nodes, days, hit_at)
+
+    @classmethod
+    def from_rows(cls, signals: Sequence[SignalId], users: list[UserId],
+                  nodes: list[NodeId], days: list[int],
+                  hit_at: list[tuple[int, int]]) -> "EdgeColumns":
+        """Columns of edges given as lists of their ``users``, ``nodes``
+        and ``days``, with a (signal index, row) pair per hit bit."""
+        hits = np.zeros((len(signals), len(days)), bool)
         if hit_at:
             hits[tuple(np.array(hit_at).T)] = True
         user_ids, node_ids = IdCodes(), IdCodes()
@@ -216,20 +227,13 @@ class NodeAccumulator:
 
     ``trials`` counts every edge touching the node; ``hits[signal]`` counts
     the subset whose bit for that signal was 1. Missing keys mean zero.
-    ``users[signal]`` counts those hits per sending user; it stays empty
-    in an engine that does not track users. Scoring reads only ``trials``
-    and ``hits``. ``StreamEngine`` is the only code that folds edges into
-    a tally; a tally in one of its day buffers owns the dicts it was built
-    from, which the engine never hands out or shares.
+    It is the input of ``compute_baseline`` and ``score_all``;
+    ``StreamEngine.accumulators()`` builds one per active node on demand.
     """
 
     node: NodeId
     trials: int = 0
     hits: dict[SignalId, int] = field(default_factory=dict)
-    users: dict[SignalId, dict[UserId, int]] = field(default_factory=dict)
-
-    def hit_count(self, signal: SignalId) -> int:
-        return self.hits.get(signal, 0)
 
 
 @dataclass(frozen=True, slots=True)

@@ -145,7 +145,7 @@ def test_criterion_3_stream_equals_batch():
                 users.tolist(), nodes.tolist(), days.tolist(), hits.tolist()
             )
         ]
-        engine = StreamEngine(registry, track_users=False)
+        engine = StreamEngine(registry)
         for edge in edges:
             engine.ingest(edge)
         accs = reference_fold(edges)
@@ -388,7 +388,7 @@ def _prop_conservation(rng):
         accs = list(engine.accumulators())
         if engine.total_transactions != sum(a.trials for a in accs):
             return False
-        if engine.total_hits("sig") != sum(a.hit_count("sig") for a in accs):
+        if engine.total_hits("sig") != sum(a.hits.get("sig", 0) for a in accs):
             return False
     return True
 
@@ -433,11 +433,12 @@ def _perf_edges(n, seed):
 
 
 def _time_ingest(edges):
-    engine = StreamEngine(SignalRegistry(["sig"]), track_users=False)
+    engine = StreamEngine(SignalRegistry(["sig"]))
     start = time.perf_counter()
     ingest = engine.ingest
     for edge in edges:
         ingest(edge)
+    engine.total_transactions  # folds what is still queued
     return time.perf_counter() - start, engine
 
 

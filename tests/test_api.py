@@ -33,18 +33,36 @@ def test_top_level_names_are_the_readme_library_api():
         assert hasattr(signalamp, name), name
 
 
+def benchmark_trees():
+    """(file name, syntax tree) of every benchmark script."""
+    for path in sorted(BENCHMARKS.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def benchmark_imports():
     """(file, module, name) for every package import in the benchmark scripts."""
     found = []
-    for path in sorted(BENCHMARKS.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for source, tree in benchmark_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 0 and \
                     node.module.split(".")[0] == "signalamp":
-                found += [(path.name, node.module, a.name) for a in node.names]
+                found += [(source, node.module, a.name) for a in node.names]
             elif isinstance(node, ast.Import):
-                found += [(path.name, a.name, None) for a in node.names
+                found += [(source, a.name, None) for a in node.names
                           if a.name.split(".")[0] == "signalamp"]
     return found
+
+
+def benchmark_engine_attributes():
+    """(file, name) for every ``engine.<name>`` and ``StreamEngine.<name>``
+    the benchmark scripts use."""
+    return sorted({
+        (source, node.attr)
+        for source, tree in benchmark_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in ("engine", "StreamEngine")
+    })
 
 
 def test_benchmark_imports_resolve():
@@ -55,6 +73,16 @@ def test_benchmark_imports_resolve():
         imported = importlib.import_module(module)
         if name is not None and not hasattr(imported, name):
             missing.append(f"{source}: {module}.{name}")
+    assert not missing
+
+
+def test_benchmark_engine_attributes_resolve():
+    used = benchmark_engine_attributes()
+    assert {"ingest", "advance_to", "scores", "hit_users", "node_hit_users",
+            "save_checkpoint", "load_checkpoint"} <= {name for _, name in used}
+    engine = StreamEngine(SignalRegistry(["sig"]))
+    missing = [f"{source}: {name}" for source, name in used
+               if not hasattr(engine, name)]
     assert not missing
 
 

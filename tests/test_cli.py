@@ -537,6 +537,32 @@ def _checkpoint_ghost_node(dataset, tmp_path, capsys):
     return bad, _resume_from(bad, dataset, tmp_path)
 
 
+def _checkpoint_entry(dataset, tmp_path, capsys, **fields):
+    payload = _good_checkpoint(dataset, tmp_path, capsys)
+    payload.update(fields)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    return bad, _resume_from(bad, dataset, tmp_path)
+
+
+def _checkpoint_untracked(dataset, tmp_path, capsys):
+    return _checkpoint_entry(dataset, tmp_path, capsys, track_users=False)
+
+
+def _checkpoint_track_users_text(dataset, tmp_path, capsys):
+    return _checkpoint_entry(dataset, tmp_path, capsys, track_users="yes")
+
+
+def _checkpoint_duplicate_signal(dataset, tmp_path, capsys):
+    signals = [{"signal": "sig", "description": ""}] * 2
+    return _checkpoint_entry(dataset, tmp_path, capsys, signals=signals)
+
+
+def _checkpoint_signal_not_text(dataset, tmp_path, capsys):
+    signals = [{"signal": "sig", "description": ""}, {"signal": 5}]
+    return _checkpoint_entry(dataset, tmp_path, capsys, signals=signals)
+
+
 def _edges_args(dataset):
     return ["--edges", str(dataset / "edges.csv")]
 
@@ -592,6 +618,31 @@ def _top_negative(dataset, tmp_path, capsys):
     return "-3", ["score", *_edges_args(dataset), "--top", "-3"]
 
 
+def _config_bounds_list(dataset, tmp_path, capsys):
+    config = write_config(tmp_path, bounds=["sig", 0.5])
+    return "['sig', 0.5]", [*_backtest_args(dataset), "--config", config]
+
+
+def _config_bounds_text(dataset, tmp_path, capsys):
+    config = write_config(tmp_path, bounds="sig")
+    return "'sig'", [*_backtest_args(dataset), "--config", config]
+
+
+def _config_min_precision_text(dataset, tmp_path, capsys):
+    config = write_config(tmp_path, bounds={"signal": "sig", "min_precision": "abc"})
+    return "'abc'", [*_backtest_args(dataset), "--config", config]
+
+
+def _config_max_flagged_users_fraction(dataset, tmp_path, capsys):
+    config = write_config(tmp_path, bounds={"signal": "sig", "max_flagged_users": 1.5})
+    return "1.5", [*_backtest_args(dataset), "--config", config]
+
+
+def _config_seed_text(dataset, tmp_path, capsys):
+    config = write_config(tmp_path, preset="calm", seed="abc", output_dir=str(tmp_path))
+    return "'abc'", ["generate", "--config", config]
+
+
 class TestUnreadableInput:
     """Every bad input file or argument fails with one named error line,
     never a traceback."""
@@ -612,6 +663,10 @@ class TestUnreadableInput:
         _checkpoint_trials_beyond_int64,
         _checkpoint_unregistered_signal,
         _checkpoint_ghost_node,
+        _checkpoint_untracked,
+        _checkpoint_track_users_text,
+        _checkpoint_duplicate_signal,
+        _checkpoint_signal_not_text,
         _threshold_nan,
         _threshold_inf,
         _sweep_nan,
@@ -621,6 +676,11 @@ class TestUnreadableInput:
         _config_window_days_text,
         _config_top_text,
         _top_negative,
+        _config_bounds_list,
+        _config_bounds_text,
+        _config_min_precision_text,
+        _config_max_flagged_users_fraction,
+        _config_seed_text,
     ], ids=lambda fn: fn.__name__.lstrip("_"))
     def test_named_error_without_traceback(self, make_case, dataset, tmp_path, capsys):
         bad, argv = make_case(dataset, tmp_path, capsys)

@@ -11,12 +11,12 @@ import pytest
 
 from signalamp.amplify import compute_baseline
 from signalamp.detect import build_alerts, flag_nodes, serialize_alert
+from signalamp import engine as engine_module
 from signalamp.engine import StreamEngine, WindowConfig, replay_daily
 from signalamp.errors import (
     CheckpointError,
     DegenerateBaselineError,
     NoBaselineError,
-    UnknownNodeError,
     UnknownSignalError,
     UnsortedEdgesError,
 )
@@ -123,7 +123,7 @@ class TestIngest:
             assert engine.total_transactions == sum(x.trials for x in accs)
             for signal in ("a", "b"):
                 assert engine.total_hits(signal) == sum(
-                    x.hit_count(signal) for x in accs
+                    x.hits.get(signal, 0) for x in accs
                 )
             assert engine.active_node_count == len(accs)
 
@@ -132,7 +132,7 @@ class TestStreamEqualsBatch:
     def test_bit_exact_scores_after_full_stream(self):
         registry = SignalRegistry(["sig"])
         edges = random_edges(3000, seed=11)
-        engine = StreamEngine(registry, track_users=False)
+        engine = StreamEngine(registry)
         for edge in edges:
             engine.ingest(edge)
         assert engine.scores("sig") == batch_scores(edges, "sig")
@@ -146,7 +146,7 @@ class TestStreamEqualsBatch:
         for _ in range(3):
             shuffled = list(edges)
             rng.shuffle(shuffled)
-            engine = StreamEngine(registry, track_users=False)
+            engine = StreamEngine(registry)
             for edge in shuffled:
                 engine.ingest(edge)
             scores = engine.scores("sig")
@@ -156,26 +156,37 @@ class TestStreamEqualsBatch:
                 assert scores == baseline_scores
 
     def test_query_score_matches_batch(self):
+        """Each node's score, looked up in ``scores()``, and its on-demand
+        tally equal the batch path's."""
         registry = SignalRegistry(["sig"])
         edges = random_edges(800, seed=13)
         engine = StreamEngine(registry)
         for edge in edges:
             engine.ingest(edge)
-        by_node = {s.node: s for s in batch_scores(edges, "sig")}
-        for node, want in by_node.items():
-            assert engine.query_score(node, "sig") == want
+        by_node = {s.node: s for s in engine.scores("sig")}
+        for node, want in {s.node: s for s in batch_scores(edges, "sig")}.items():
+            assert by_node[node] == want
+        assert {acc.node: (acc.trials, acc.hits) for acc in engine.accumulators()} \
+            == {node: (acc.trials, acc.hits)
+                for node, acc in reference_fold(edges).items()}
 
     def test_unknown_node_rejected(self):
+        """A read about a node the engine has never seen finds nothing and
+        adds nothing."""
         engine = StreamEngine(SignalRegistry(["sig"]))
-        engine.ingest(TransactionEdge(user="u", node="n", day=0, hits={}))
-        with pytest.raises(UnknownNodeError):
-            engine.query_score("ghost", "sig")
+        engine.ingest(TransactionEdge(user="u", node="n", day=0, hits={"sig": 1}))
+        before = engine.checkpoint_payload()
+        assert engine.hit_users("ghost", "sig") == frozenset()
+        assert engine.hit_users("n", "sig") == frozenset({"u"})
+        assert engine.checkpoint_payload() == before
 
     def test_single_all_hit_edge_leaves_signal_inactive(self):
         engine = StreamEngine(SignalRegistry(["sig"]))
         engine.ingest(TransactionEdge(user="u", node="n", day=0, hits={"sig": 1}))
         with pytest.raises(DegenerateBaselineError):
-            engine.query_score("n", "sig")
+            engine.scores("sig")
+        with pytest.raises(DegenerateBaselineError):
+            engine.flagged("sig", 1.0)
 
 
 class TestTrailingWindow:
@@ -206,7 +217,7 @@ class TestTrailingWindow:
             engine.advance_to(day)
             accs = list(engine.accumulators())
             assert engine.total_transactions == sum(x.trials for x in accs)
-            assert engine.total_hits("sig") == sum(x.hit_count("sig") for x in accs)
+            assert engine.total_hits("sig") == sum(x.hits.get("sig", 0) for x in accs)
 
     def test_hit_users_evicted_with_their_days(self):
         registry = SignalRegistry(["sig"])
@@ -398,6 +409,14 @@ class TestReplayDaily:
             with pytest.raises(UnknownSignalError):
                 call("ghost")
 
+    def test_replay_needs_an_engine_that_tracks_users(self, tmp_path):
+        """Every engine keeps per-user hit counts. A format v1 file saved
+        without them cannot become an engine, so it cannot resume a replay."""
+        path = tmp_path / "state.json"
+        path.write_text(UNTRACKED_V1, encoding="utf-8")
+        with pytest.raises(CheckpointError, match=f"{path}: track_users is False"):
+            StreamEngine.load_checkpoint(path)
+
     def test_degenerate_day_reported_inactive(self):
         registry = SignalRegistry(["sig"])
         edges = [TransactionEdge(user="u1", node="n1", day=0, hits={"sig": 1})]
@@ -406,13 +425,6 @@ class TestReplayDaily:
         assert outcome.inactive_signals == ("sig",)
         assert outcome.max_z["sig"] is None
         assert outcome.alerts["sig"] == []
-
-    def test_replay_needs_an_engine_that_tracks_users(self):
-        engine = StreamEngine(SignalRegistry(["sig"]), track_users=False)
-        edges = [TransactionEdge(user="u", node="n", day=0, hits={"sig": 1})]
-        with pytest.raises(ValueError, match="track_users=True"):
-            replay_daily(edges, engine=engine, threshold=40.0)
-        assert engine.total_transactions == 0
 
 
 def alert_bytes(alert_lists):
@@ -473,35 +485,56 @@ class TestColumnsEqualPerEdge:
         one_by_one = StreamEngine(registry, window=window)
         for edge in edges:
             one_by_one.ingest(edge)
-        payload = json.dumps(one_by_one.checkpoint_payload())
-        for track in (True, False):
-            grouped = StreamEngine(registry, window=window, track_users=track)
-            grouped.ingest_columns(EdgeColumns.from_edges(shuffled[:700], ["a", "b"]))
-            grouped.ingest_columns(EdgeColumns.from_edges(shuffled[700:], ["b", "a"]))
-            got = grouped.checkpoint_payload()
-            want = json.loads(payload)
-            if not track:
-                for entry in want["nodes"].values():
-                    del entry["users"]
-                for bucket in want["day_buffers"].values():
-                    for delta in bucket.values():
-                        delta["users"] = {}
-            assert got == {**want, "track_users": track}
-            for engine in (grouped, one_by_one):
-                engine.advance_to(5)
-            assert grouped.scores("a") == one_by_one.scores("a")
+        grouped = StreamEngine(registry, window=window)
+        grouped.ingest_columns(EdgeColumns.from_edges(shuffled[:700], ["a", "b"]))
+        grouped.ingest_columns(EdgeColumns.from_edges(shuffled[700:], ["b", "a"]))
+        assert grouped.checkpoint_payload() == one_by_one.checkpoint_payload()
+        for engine in (grouped, one_by_one):
+            engine.advance_to(5)
+        assert grouped.scores("a") == one_by_one.scores("a")
 
-    @pytest.mark.parametrize("track", [True, False], ids=["tracked", "untracked"])
-    def test_buffer_entries_start_from_the_callers_deltas(self, track):
-        """The first delta of a (day, node) becomes its trailing buffer
-        entry. Folding more columns and single edges into that entry, and
-        then evicting it, must match one call and the reference at every
-        step, and leave nothing behind."""
+        # More edges than per-edge ingest queues before a fold, fed through
+        # ingest and ingest_columns in turn with reads in between.
+        n = engine_module._QUEUE_EDGES + 5000
+        rng = np.random.default_rng(6)
+        many = [TransactionEdge(user=f"u{u}", node=f"n{v:02d}", day=d,
+                                hits={s: 1 for s, on in (("a", a), ("b", b)) if on})
+                for u, v, d, a, b in zip(*(column.tolist() for column in (
+                    rng.integers(0, 300, n), rng.integers(0, 40, n),
+                    rng.integers(6, 9, n), rng.random(n) < 0.1,
+                    rng.random(n) < 0.03)))]
+        whole = StreamEngine(registry, window=window)
+        whole.ingest_columns(EdgeColumns.from_edges(many, ["a", "b"]))
+        mixed = StreamEngine(registry, window=window)
+        cuts = [0, 100, 3000, 4000, n - 900, n]
+        for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            if i % 2:
+                mixed.ingest_columns(EdgeColumns.from_edges(many[lo:hi], ["b", "a"]))
+            else:
+                for edge in many[lo:hi]:
+                    mixed.ingest(edge)
+            assert mixed.total_transactions == hi
+            assert mixed.hit_users(many[0].node, "a") == {
+                e.user for e in many[:hi] if e.node == many[0].node and e.hits.get("a")}
+        want = whole.checkpoint_payload()
+        assert mixed.checkpoint_payload() == want
+        assert {node: (e["t"], e["s"]) for node, e in want["nodes"].items()} == {
+            node: (acc.trials, acc.hits) for node, acc in reference_fold(many).items()}
+        assert {node: e["users"] for node, e in want["nodes"].items()} == {
+            node: reference_users(many).get(node, {}) for node in want["nodes"]}
+        for engine in (mixed, whole):
+            engine.advance_to(8)
+        assert mixed.scores("b") == whole.scores("b")
+
+    def test_day_buffer_folds_and_evicts_like_one_call(self):
+        """Folding more columns and single edges into a trailing day that
+        already holds a delta, and then evicting it, must match one call
+        and the reference at every step, and leave nothing behind."""
         registry = SignalRegistry(["a", "b"])
         window = WindowConfig.trailing(3)
 
         def one_call(edges):
-            engine = StreamEngine(registry, window, track_users=track)
+            engine = StreamEngine(registry, window)
             engine.ingest_columns(EdgeColumns.from_edges(edges, ["a", "b"]))
             return engine
 
@@ -509,7 +542,7 @@ class TestColumnsEqualPerEdge:
                              signals=("a", "b"))
         late = [TransactionEdge(user="late", node=node, day=0, hits=hits)
                 for node in (edges[0].node, "fresh") for hits in ({}, {"a": 1})]
-        engine = StreamEngine(registry, window, track_users=track)
+        engine = StreamEngine(registry, window)
         seen = []
         for step in (edges[:150], edges[150:], *([edge] for edge in late)):
             if len(step) == 1:
@@ -525,10 +558,9 @@ class TestColumnsEqualPerEdge:
                 for node, acc in reference_fold(seen).items()}
             assert got["day_buffers"] == {
                 "0": {node: {"users": {}, **e} for node, e in nodes.items()}}
-            if track:
-                users = reference_users(seen)
-                assert {node: e["users"] for node, e in nodes.items()} == {
-                    node: users.get(node, {}) for node in nodes}
+            users = reference_users(seen)
+            assert {node: e["users"] for node, e in nodes.items()} == {
+                node: users.get(node, {}) for node in nodes}
         evicted = one_call(seen)
         for each in (engine, evicted):
             each.advance_to(3)
@@ -609,38 +641,36 @@ GOLDEN_CHECKPOINTS = {
         ':15},"transactions":30},"track_users":true,"window":{"mode":"cumul'
         'ative","trailing_days":null}}\n'
     ),
-    "untracked_trailing3": (
-        '{"current_day":3,"day_buffers":{"1":{"n0":{"s":{"b":2},"t":2,"user'
-        's":{}},"n1":{"s":{},"t":2,"users":{}},"n2":{"s":{"a":1,"b":2},"t":'
-        '2,"users":{}},"n3":{"s":{},"t":2,"users":{}}},"2":{"n0":{"s":{"b":'
-        '2},"t":2,"users":{}},"n1":{"s":{"a":1},"t":2,"users":{}},"n2":{"s"'
-        ':{"b":2},"t":2,"users":{}},"n3":{"s":{},"t":2,"users":{}}},"3":{"n'
-        '0":{"s":{"a":1,"b":2},"t":2,"users":{}},"n1":{"s":{},"t":2,"users"'
-        ':{}},"n2":{"s":{"b":1},"t":1,"users":{}},"n3":{"s":{},"t":1,"users'
-        '":{}}}},"evicted_through":0,"format_version":1,"nodes":{"n0":{"s":'
-        '{"a":1,"b":6},"t":6},"n1":{"s":{"a":1},"t":6},"n2":{"s":{"a":1,"b"'
-        ':5},"t":5},"n3":{"s":{},"t":5}},"signals":[{"description":"","sign'
-        'al":"a"},{"description":"","signal":"b"}],"totals":{"active_nodes"'
-        ':4,"hits":{"a":3,"b":11},"transactions":22},"track_users":false,"w'
-        'indow":{"mode":"trailing","trailing_days":3}}\n'
-    ),
 }
+
+# The trailing3 state as format v1 wrote it for an engine that kept no
+# per-user hit tables; it must not load.
+UNTRACKED_V1 = (
+    '{"current_day":3,"day_buffers":{"1":{"n0":{"s":{"b":2},"t":2,"user'
+    's":{}},"n1":{"s":{},"t":2,"users":{}},"n2":{"s":{"a":1,"b":2},"t":'
+    '2,"users":{}},"n3":{"s":{},"t":2,"users":{}}},"2":{"n0":{"s":{"b":'
+    '2},"t":2,"users":{}},"n1":{"s":{"a":1},"t":2,"users":{}},"n2":{"s"'
+    ':{"b":2},"t":2,"users":{}},"n3":{"s":{},"t":2,"users":{}}},"3":{"n'
+    '0":{"s":{"a":1,"b":2},"t":2,"users":{}},"n1":{"s":{},"t":2,"users"'
+    ':{}},"n2":{"s":{"b":1},"t":1,"users":{}},"n3":{"s":{},"t":1,"users'
+    '":{}}}},"evicted_through":0,"format_version":1,"nodes":{"n0":{"s":'
+    '{"a":1,"b":6},"t":6},"n1":{"s":{"a":1},"t":6},"n2":{"s":{"a":1,"b"'
+    ':5},"t":5},"n3":{"s":{},"t":5}},"signals":[{"description":"","sign'
+    'al":"a"},{"description":"","signal":"b"}],"totals":{"active_nodes"'
+    ':4,"hits":{"a":3,"b":11},"transactions":22},"track_users":false,"w'
+    'indow":{"mode":"trailing","trailing_days":3}}\n'
+)
 
 
 def golden_engines():
-    """The three engines whose checkpoints ``GOLDEN_CHECKPOINTS`` holds."""
+    """The engines whose checkpoints ``GOLDEN_CHECKPOINTS`` holds."""
     tracked = StreamEngine(SignalRegistry(["a", "b"]), WindowConfig.trailing(3))
     cumulative = StreamEngine(SignalRegistry(["a", "b"]))
     for edge in GOLDEN_EDGES:
         tracked.ingest(edge)
         cumulative.ingest(edge)
-    untracked = StreamEngine(SignalRegistry(["a", "b"]), WindowConfig.trailing(3),
-                             track_users=False)
-    untracked.ingest_columns(EdgeColumns.from_edges(GOLDEN_EDGES, ["a", "b"]))
-    for engine in (tracked, untracked):
-        engine.advance_to(3)
-    return {"trailing3": tracked, "cumulative": cumulative,
-            "untracked_trailing3": untracked}
+    tracked.advance_to(3)
+    return {"trailing3": tracked, "cumulative": cumulative}
 
 
 class TestCheckpointFormat:
@@ -893,17 +923,6 @@ class TestCheckpoint:
         self._load_tampered(path, payload).save_checkpoint(path)
         del entry["users"]["a"]
         assert json.loads(path.read_text()) == payload
-
-    def test_untracked_trailing_round_trip_is_byte_stable(self, tmp_path):
-        engine = StreamEngine(SignalRegistry(["a", "b"]), WindowConfig.trailing(3),
-                              track_users=False)
-        engine.ingest_columns(EdgeColumns.from_edges(
-            random_edges(600, seed=54, signals=("a", "b"), days=6), ["a", "b"]))
-        engine.advance_to(5)
-        first, second = tmp_path / "one.json", tmp_path / "two.json"
-        engine.save_checkpoint(first)
-        StreamEngine.load_checkpoint(first).save_checkpoint(second)
-        assert first.read_bytes() == second.read_bytes()
 
     def test_unsupported_version_rejected(self, tmp_path):
         engine = self._engine()

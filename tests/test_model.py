@@ -76,9 +76,7 @@ class TestNodeAccumulator:
         engine.ingest(TransactionEdge(user="u3", node="n1", day=1, hits={"a": 1, "b": 1}))
         acc = node_tally(engine, "n1")
         assert acc.trials == 3
-        assert acc.hit_count("a") == 2
-        assert acc.hit_count("b") == 1
-        assert acc.hit_count("unseen") == 0
+        assert acc.hits == {"a": 2, "b": 1}
 
     def test_hits_never_exceed_trials(self):
         rng = np.random.default_rng(5)
@@ -87,7 +85,7 @@ class TestNodeAccumulator:
             hits = {"a": 1} if rng.random() < 0.5 else {}
             engine.ingest(TransactionEdge(user="u", node="n1", day=0, hits=hits))
             acc = node_tally(engine, "n1")
-            assert 0 <= acc.hit_count("a") <= acc.trials
+            assert 0 <= acc.hits.get("a", 0) <= acc.trials
 
 
 def tally_edges(trials, hits, signal="sig"):
@@ -112,7 +110,7 @@ class TestMergeAlgebra:
                            tally_edges(5, 2), tmp_path / "ckpt.json")
         merged = node_tally(engine, "v")
         assert merged.trials == 15
-        assert merged.hit_count("sig") == 5
+        assert merged.hits == {"sig": 5}
 
     def test_identity_element(self, tmp_path):
         registry = SignalRegistry(["sig"])

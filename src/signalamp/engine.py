@@ -40,7 +40,7 @@ from .model import (
     UserId,
 )
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _INT64_MAX = 2**63 - 1
 
@@ -51,6 +51,10 @@ _NO_ROWS.setflags(write=False)
 # Per-edge ``ingest`` queues edges and folds the queue through
 # ``ingest_columns`` once it holds this many, which bounds its memory.
 _QUEUE_EDGES = 1 << 16
+
+# Checkpoint checks: a ufunc reduction skips ``.any``'s per-call overhead.
+_ANY = np.logical_or.reduce
+_RISE = np.array([4, 2, 1])
 
 CUMULATIVE = "cumulative"
 TRAILING = "trailing"
@@ -149,9 +153,10 @@ class StreamEngine:
     def accumulators(self) -> Iterator[NodeAccumulator]:
         """A ``NodeAccumulator`` per active node, built on demand."""
         self._flush()
-        table = self._table_payload(self._node_table(), _NO_ROWS)
-        return iter([NodeAccumulator(node, entry["t"], entry["s"])
-                     for node, entry in table.items()])
+        ids = self._node_ids.ids()
+        return iter([NodeAccumulator(ids[code], trials, {
+            signal: count for signal, count in zip(self._signals, hits) if count})
+            for code, trials, *hits in self._node_table().T.tolist()])
 
     def _node_table(self) -> np.ndarray:
         """The active nodes as one delta."""
@@ -356,9 +361,27 @@ class StreamEngine:
     # -- checkpointing -----------------------------------------------------
 
     def checkpoint_payload(self) -> dict:
-        """Serializable snapshot of configuration and every counter."""
+        """Serializable snapshot of configuration and every counter, in
+        checkpoint format v2 (see the README): sorted id tables, so a window
+        gives the same payload whatever order its ids arrived in, and per
+        day, or once for a cumulative window, flat int lists of its delta
+        and hit-user rows."""
         self._flush()
-        table = self._node_table()
+        days = {d: (delta, self._user_rows[d]) for d, delta in self._deltas.items()}
+        if self.window.mode == CUMULATIVE and self._current_day is not None:
+            rows = np.hstack([_NO_ROWS, *self._user_rows.values()])
+            days = {self._current_day: (self._node_table(), rows)}
+        nodes, node_at = _sorted_ids(self._node_ids.ids(), np.flatnonzero(self._trials))
+        users, user_at = _sorted_ids(self._user_ids.ids(), np.unique(
+            np.concatenate([_NO_ROWS[2], *(rows[2] for _, rows in days.values())])))
+        entries = {}
+        for day, (delta, rows) in days.items():
+            delta = delta[:, np.argsort(node_at[delta[0]])]
+            delta[0] = node_at[delta[0]]
+            rows = _collapse(np.stack(
+                [node_at[rows[0]], rows[1], user_at[rows[2]], rows[3]]), 3)
+            entries[str(day)] = {"counts": delta.ravel().tolist(),
+                                 "users": rows.ravel().tolist()}
         return {
             "format_version": CHECKPOINT_VERSION,
             "signals": [
@@ -367,41 +390,12 @@ class StreamEngine:
             ],
             "window": {"mode": self.window.mode,
                        "trailing_days": self.window.trailing_days},
-            # Format v1 also named files without user tables, which can no
-            # longer be written or read.
-            "track_users": True,
             "current_day": self._current_day,
             "evicted_through": self._evicted_through,
-            "totals": {
-                "transactions": int(self._trials.sum()),
-                "active_nodes": table.shape[1],
-                "hits": dict(zip(self._signals, self._hits.sum(axis=1).tolist())),
-            },
-            "nodes": self._table_payload(
-                table, _collapse(np.hstack([_NO_ROWS, *self._user_rows.values()]), 3)),
-            "day_buffers": {
-                str(day): self._table_payload(delta, self._user_rows.get(day, _NO_ROWS))
-                for day, delta in self._deltas.items()
-            },
+            "nodes": nodes,
+            "users": users,
+            "days": entries,
         }
-
-    def _table_payload(self, table: np.ndarray, user_rows: np.ndarray) -> dict:
-        """The node table or a day buffer as checkpoint format v1 writes it,
-        from a delta and hit-user rows laid out like a day's; a signal
-        without hits has no count and no user table."""
-        node_ids, signals = self._node_ids.ids(), self._signals
-        out = {node_ids[code]: {"t": trials, "s": {}, "users": {}}
-               for code, trials in zip(table[0].tolist(), table[1].tolist())}
-        for signal, hits in zip(signals, table[2:]):
-            held = np.flatnonzero(hits)
-            for code, count in zip(table[0, held].tolist(), hits[held].tolist()):
-                out[node_ids[code]]["s"][signal] = count
-        node, k, _, count = user_rows.tolist()
-        users = np.array(self._user_ids.ids(), object)[user_rows[2]].tolist()
-        for lo, hi in _runs(user_rows[0], user_rows[1]):
-            table = out[node_ids[node[lo]]]["users"]
-            table[signals[k[lo]]] = dict(zip(users[lo:hi], count[lo:hi]))
-        return out
 
     def save_checkpoint(self, path: str | Path) -> None:
         """Write a versioned snapshot; identical state gives identical bytes.
@@ -423,7 +417,10 @@ class StreamEngine:
 
     @classmethod
     def load_checkpoint(cls, path: str | Path) -> "StreamEngine":
-        """Rebuild an engine from a snapshot, verifying counter consistency."""
+        """Rebuild an engine from a snapshot, checking every count.
+
+        A format v1 file is converted to v2 first; the next save writes v2.
+        """
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -431,10 +428,10 @@ class StreamEngine:
         if not isinstance(payload, dict):
             raise CheckpointError(f"checkpoint {path} must hold a JSON object")
         version = payload.get("format_version")
-        if version != CHECKPOINT_VERSION:
+        if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
             raise CheckpointError(
-                f"checkpoint format version {version!r} is not supported "
-                f"(expected {CHECKPOINT_VERSION})"
+                f"checkpoint {path}: format version {version!r} is not "
+                f"supported (expected 1 or {CHECKPOINT_VERSION})"
             )
         try:
             registry = SignalRegistry()
@@ -444,111 +441,184 @@ class StreamEngine:
                 registry.register(entry["signal"], entry.get("description", ""))
             window = WindowConfig(payload["window"]["mode"],
                                   payload["window"]["trailing_days"])
-            if payload["track_users"] is not True:
-                raise CheckpointError(
-                    f"checkpoint {path}: track_users is {payload['track_users']!r}; "
-                    "only a file with user tables (true) can name alert users"
-                )
             engine = cls(registry, window)
             engine._current_day = payload["current_day"]
             engine._evicted_through = payload["evicted_through"]
-            _check_days(path, engine)
-            if engine._current_day is None and payload["nodes"]:
-                raise CheckpointError(
-                    f"checkpoint {path}: holds nodes but no current_day"
-                )
-            table, node_rows = engine._load_table(path, payload["nodes"], None)
-            buffers = {}
-            for key, bucket in payload["day_buffers"].items():
-                day = _buffer_day(path, engine, key)
-                buffers[day] = engine._load_table(path, bucket, day)
-            totals, hits = payload["totals"], payload["totals"]["hits"]
-            for signal in hits:
-                registry.require(signal)
-            # Exact sums; transactions come first, and once they match no
-            # int64 count below can have wrapped.
-            recorded = [
-                ("transactions", totals["transactions"], sum(table[1].tolist())),
-                *((signal, hits.get(signal, 0), sum(row)) for signal, row
-                  in zip(engine._signals, table[2:].tolist())),
-                ("active_nodes", totals["active_nodes"], table.shape[1]),
-            ]
+            if version == 1:
+                payload = _from_v1(path, engine, payload)
+            nodes = _check_ids(path, "node", payload["nodes"])
+            users = _check_ids(path, "user", payload["users"])
+            days = dict(zip(_days(path, engine, payload["days"]), (
+                _check_entry(path, f"day {key}", entry, nodes, users, engine._signals)
+                for key, entry in payload["days"].items())))
         except (AttributeError, KeyError, TypeError, ValueError,
                 DuplicateSignalError) as exc:
             raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
-        for name, value, computed in recorded:
-            if not _is_count(value, 0, _INT64_MAX):
-                raise CheckpointError(
-                    f"checkpoint {path}: total {name!r} is {value!r}; need an "
-                    "integer in [0, 2**63 - 1]"
-                )
-            if value != computed:
-                raise CheckpointError(
-                    f"checkpoint {path}: total {name!r} is {value}, but the "
-                    f"node table adds up to {computed}"
-                )
-        engine._count(table, 1)
-        if window.mode == TRAILING:
-            _check_buffer_sums(path, engine, table, node_rows, buffers)
-            for day, (delta, rows) in buffers.items():
-                engine._deltas[day], engine._user_rows[day] = delta, rows
-        elif engine._current_day is not None:
-            engine._user_rows[engine._current_day] = node_rows
+        # Exact, so that no int64 sum of the window's counts can wrap.
+        trials = sum(sum(delta[1].tolist()) for delta, _ in days.values())
+        if trials > _INT64_MAX:
+            raise CheckpointError(f"checkpoint {path}: its days hold {trials} "
+                                  "transactions; a window holds at most 2**63 - 1")
+        engine._node_codes(nodes)
+        engine._user_ids.encode(users)
+        for day, (delta, rows) in days.items():
+            engine._count(delta, 1)
+            if window.mode == TRAILING:
+                engine._deltas[day] = delta
+            engine._user_rows[day] = rows
         return engine
 
-    def _load_table(self, path, entries: dict,
-                    day: int | None) -> tuple[np.ndarray, np.ndarray]:
-        """Check the checkpoint entries of the node table (``day`` None) or
-        of one day buffer, and return them as a delta and its hit-user
-        rows; an empty per-signal user table leaves no row."""
-        column, signals = self._column, self._signals
-        counts, owners, users, user_counts = [], [], [], []
-        for i, (node, entry) in enumerate(entries.items()):
-            trials, hits, tables = entry["t"], entry["s"], entry.get("users", {})
-            _check_counts(path, column, node, day, trials, hits)
-            _check_users(path, column, node, day, hits, tables)
-            counts.append(trials)
-            counts += map(hits.get, signals, repeat(0))
-            for signal, per_user in tables.items():
-                owners += (i, column[signal], len(per_user))
-                users += per_user
-                user_counts += per_user.values()
-        delta = np.empty((2 + len(signals), len(entries)), np.int64)
-        delta[0] = self._node_codes(list(entries))
-        delta[1:] = np.array(counts, np.int64).reshape(len(entries), 1 + len(signals)).T
-        owner, signal, size = np.array(owners, np.int64).reshape(-1, 3).T
-        rows = np.array([np.repeat(delta[0, owner], size), np.repeat(signal, size),
-                         self._user_ids.encode(users), user_counts], np.int64)
-        return delta, rows
+
+def _sorted_ids(ids: list[str], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The ids of ``codes`` sorted by value, and an array that maps each of
+    ``codes`` to its position in that list."""
+    order = sorted(codes.tolist(), key=ids.__getitem__)
+    position = np.zeros(len(ids), np.int64)
+    position[order] = np.arange(len(order))
+    return [ids[code] for code in order], position
 
 
-def _check_buffer_sums(path, engine: StreamEngine, table: np.ndarray,
-                       node_rows: np.ndarray, buffers: dict) -> None:
-    """A trailing window's day buffers must add up to the node table,
-    user tables included, or eviction would leave wrong counts."""
+def _check_ids(path, kind: str, ids: object) -> list[str]:
+    """A node or user id table: distinct non-empty strings, sorted."""
+    if type(ids) is list and {str}.issuperset(map(type, ids)) \
+            and all(map(str.__lt__, ["", *ids], ids)):
+        return ids
+    raise CheckpointError(f"checkpoint {path}: the {kind} ids must be distinct "
+                          f"non-empty strings in sorted order, not {ids!r:.80}")
+
+
+def _check_entry(path, where: str, entry: dict, nodes: list[NodeId],
+                 users: list[UserId], signals: list[SignalId]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """A checkpoint entry as its delta and hit-user rows, checked whole-array
+    as each error below says; an error names the first bad column or row."""
+    delta = _int_rows(path, where, "counts", entry["counts"], 2 + len(signals), nodes)
+    rows = _int_rows(path, where, "users", entry["users"], 4, nodes)
+    code, trials, hits = delta[0], delta[1], delta[2:]
+    # Read as uint64, a negative value exceeds every bound. Keys rise where
+    # the signs of their steps, weighted (node, signal, user) by _RISE, sum
+    # above 0; a step can only wrap next to a value that is out of range.
+    wide = delta.view(np.uint64)
+    bad = (wide[0] >= len(nodes)) | (trials < 1) | _ANY(wide[2:] > wide[1], axis=0)
+    bad[1:] |= code[1:] <= code[:-1]
+    node, signal, user, count = rows
+    column = code.searchsorted(node)
+    bounds = np.array([[len(nodes)], [len(signals)], [len(users)]], np.uint64)
+    bad_row = (np.concatenate([code, [-1]])[column] != node) | (count < 1)
+    bad_row |= _ANY(rows[:3].view(np.uint64) >= bounds, axis=0)
+    bad_row[1:] |= np.sign(rows[:3, 1:] - rows[:3, :-1]).T @ _RISE <= 0
+    for name, records, wrong, need in (
+            ("counts", delta, bad, "node codes in range and rising, t >= 1, "
+             "0 <= s <= t"),
+            ("user row", rows, bad_row, "a node the entry counts, codes in range, "
+             "count >= 1, rows rising by (node, signal, user)")):
+        if np.count_nonzero(wrong):
+            j = int(wrong.argmax())
+            node = _node(int(records[0, j]), nodes)
+            raise CheckpointError(f"checkpoint {path}: {where}: {node} has {name} "
+                                  f"{records[:, j].tolist()}; need {need}")
+    named = np.zeros(hits.shape, np.int64)
+    np.add.at(named, (signal, column), count)
+    # The exact totals rule out per-node sums that only match after wrapping.
+    if np.count_nonzero(named != hits) \
+            or sum(count.tolist()) != sum(hits.ravel().tolist()):
+        wrong = _ANY(named != hits, axis=0)
+        node = _node(int(code[wrong.argmax()]), nodes) if wrong.any() else "its nodes"
+        raise CheckpointError(f"checkpoint {path}: {where}: the user rows of "
+                              f"{node} do not add up to the hit counts")
+    return delta, rows
+
+
+def _int_rows(path, where: str, name: str, flat: object, width: int,
+              nodes: list[NodeId]) -> np.ndarray:
+    """``flat`` as an int64 ``[width, n]`` array, read row-major, whose first
+    row holds node codes. The type check runs on the decoded values, as
+    ``np.array`` would turn 1.5 or True into 1."""
+    if type(flat) is not list or len(flat) % width:
+        raise CheckpointError(f"checkpoint {path}: {where}: {name} is not a flat "
+                              f"list of {width} equal rows")
+    try:
+        if {int}.issuperset(map(type, flat)):
+            return np.array(flat, np.int64).reshape(width, -1)
+    except OverflowError:
+        pass
+    at = next(i for i, value in enumerate(flat)
+              if not _is_count(value, -_INT64_MAX - 1, _INT64_MAX))
+    node = _node(flat[at % (len(flat) // width)], nodes)
+    raise CheckpointError(f"checkpoint {path}: {where}: {node} has {name} value "
+                          f"{flat[at]!r}; need an integer in [-2**63, 2**63 - 1]")
+
+
+def _node(code: object, nodes: list[NodeId]) -> str:
+    """How a checkpoint error names the node of ``code``."""
+    named = _is_count(code, 0, len(nodes) - 1)
+    return f"node {nodes[code]!r}" if named else f"node code {code!r}"
+
+
+def _from_v1(path, engine: StreamEngine, payload: dict) -> dict:
+    """A format v1 payload as v2, once user tables are present and the node
+    table matches the totals and the sum of the day buffers (a cumulative
+    window's node table is its one day). Values stay as decoded."""
+    table, buffers, totals = payload["nodes"], payload["day_buffers"], payload["totals"]
+    column, signals = engine._column, engine._signals
+    for wrong, problem in (
+            (payload["track_users"] is not True,
+             f"track_users is {payload['track_users']!r}; only a file with user "
+             "tables (true) can name alert users"),
+            (engine.window.mode == CUMULATIVE and buffers,
+             "a cumulative window keeps no day buffers"),
+            (not totals["hits"].keys() <= column.keys(),
+             "totals count hits for an unregistered signal")):
+        if wrong:
+            raise CheckpointError(f"checkpoint {path}: {problem}")
+    if engine.window.mode == CUMULATIVE:
+        buffers = {str(engine._current_day): table} if table else {}
+    tables = [table, *buffers.values()]
+    nodes = sorted({node for held in tables for node in held})
+    users = sorted({user for held in tables for entry in held.values()
+                    for named in entry.get("users", {}).values() for user in named})
+    node_at, user_at = ({id_: i for i, id_ in enumerate(ids)} for ids in (nodes, users))
+
+    def convert(where: str, held: dict) -> dict:
+        # An empty per-signal user table leaves no row.
+        counts, rows = [], []
+        for node, entry in sorted(held.items()):
+            code, hits, named = node_at[node], entry["s"], entry.get("users", {})
+            if not hits.keys() | named.keys() <= column.keys():
+                raise CheckpointError(f"checkpoint {path}: {where}: node {node!r} "
+                                      "counts hits or users of an unregistered signal")
+            counts.append([code, entry["t"], *map(hits.get, column, repeat(0))])
+            for signal in sorted(named, key=column.get):
+                rows += ([code, column[signal], user_at[user], count]
+                         for user, count in sorted(named[signal].items()))
+        return {"counts": [value for row in zip(*counts) for value in row],
+                "users": [value for row in zip(*rows) for value in row]}
+
+    days = {key: convert(f"day {key}", bucket) for key, bucket in buffers.items()}
+    held = _check_entry(path, "node table", convert("node table", table), nodes,
+                        users, signals)
+    parts = [_check_entry(path, f"day {key}", day, nodes, users, signals)
+             for key, day in days.items()]
+    for name, value, computed in [
+        ("transactions", totals["transactions"], sum(held[0][1].tolist())),
+        *((signal, totals["hits"].get(signal, 0), sum(row))
+          for signal, row in zip(signals, held[0][2:].tolist())),
+        ("active_nodes", totals["active_nodes"], held[0].shape[1]),
+    ]:
+        if not _is_count(value, 0, _INT64_MAX) or value != computed:
+            raise CheckpointError(f"checkpoint {path}: total {name!r} is {value!r}; "
+                                  f"need the node table's sum, {computed}")
     wrong = set()
-    for part, whole, keys in ((0, table, 1), (1, node_rows, 3)):
-        # The sum of the buffers minus the node table, per record key.
-        whole = whole.copy()
+    for part, keys in ((0, 1), (1, 3)):
+        # The buffers minus the node table; the loader's exact total fails a wrap.
+        whole = held[part].copy()
         whole[keys:] *= -1
-        parts = [buffer[part] for buffer in buffers.values()]
-        summed = _collapse(np.hstack([*parts, whole]), keys)
-        wrong.update(summed[0, (summed[keys:] != 0).any(axis=0)].tolist())
+        summed = _collapse(np.hstack([*(entry[part] for entry in parts), whole]), keys)
+        wrong.update(summed[0, _ANY(summed[keys:] != 0, axis=0)].tolist())
     if wrong:
-        node = engine._node_ids.ids()[min(wrong)]
-        raise CheckpointError(
-            f"checkpoint {path}: the day buffers of node {node!r} do "
-            "not add up to its node-table entry"
-        )
-    # The per-node sums above are int64; their exact total rules out a
-    # match that only holds after wrapping around.
-    buffered = sum(sum(delta[1].tolist()) for delta, _ in buffers.values())
-    held = sum(table[1].tolist())
-    if buffered != held:
-        raise CheckpointError(
-            f"checkpoint {path}: the day buffers hold {buffered} transactions, "
-            f"but the node table holds {held}"
-        )
+        raise CheckpointError(f"checkpoint {path}: the day buffers of node "
+                              f"{nodes[min(wrong)]!r} do not add up to its node table")
+    return {"nodes": nodes, "users": users, "days": days}
 
 
 def _accumulate(by_day: dict[int, np.ndarray], day: int, records: np.ndarray,
@@ -581,100 +651,30 @@ def _collapse(records: np.ndarray, keys: int) -> np.ndarray:
     return out
 
 
-def _check_days(path, engine: StreamEngine) -> None:
-    """``current_day`` is null or a day, ``evicted_through`` -1 or a day;
-    a cumulative window has evicted nothing."""
-    current, evicted = engine._current_day, engine._evicted_through
-    if current is not None and not _is_count(current, 0, _INT64_MAX):
-        raise CheckpointError(
-            f"checkpoint {path}: current_day {current!r} is not null or an "
-            "integer in [0, 2**63 - 1]"
-        )
-    if not _is_count(evicted, -1, _INT64_MAX):
-        raise CheckpointError(
-            f"checkpoint {path}: evicted_through {evicted!r} is not an "
-            "integer in [-1, 2**63 - 1]"
-        )
-    if engine.window.mode == CUMULATIVE and evicted != -1:
-        raise CheckpointError(
-            f"checkpoint {path}: a cumulative window evicts nothing, but "
-            f"evicted_through is {evicted}"
-        )
-
-
-def _buffer_day(path, engine: StreamEngine, key: str) -> int:
-    """The day of a ``day_buffers`` key: a trailing window buffers only the
-    days in ``(evicted_through, current_day]``."""
-    if engine.window.mode == CUMULATIVE:
-        raise CheckpointError(
-            f"checkpoint {path}: a cumulative window keeps no day buffers, "
-            f"found day {key!r}"
-        )
+def _days(path, engine: StreamEngine, keys: Iterable[str]) -> list[int]:
+    """The days of ``days`` keys, once ``current_day`` is null or a day and
+    ``evicted_through`` -1 or a day (-1 in a cumulative window). A trailing
+    window keeps the days in ``(evicted_through, current_day]``, a
+    cumulative one only ``current_day``."""
     low, high = engine._evicted_through, engine._current_day
-    day = int(key)
-    if str(day) != key or high is None or not low < day <= high:
+    cumulative = engine.window.mode == CUMULATIVE
+    if not (high is None or _is_count(high, 0, _INT64_MAX)) \
+            or not _is_count(low, -1, -1 if cumulative else _INT64_MAX):
         raise CheckpointError(
-            f"checkpoint {path}: day_buffers key {key!r} is not a day in "
-            f"({low}, {high}]"
+            f"checkpoint {path}: current_day {high!r} must be null or a day in "
+            f"[0, 2**63 - 1], and evicted_through {low!r} -1 or a day; a "
+            "cumulative window evicts nothing"
         )
-    return day
+    low = high - 1 if cumulative and high is not None else low
+    for key in keys:
+        if str(int(key)) != key or high is None or not low < int(key) <= high:
+            raise CheckpointError(
+                f"checkpoint {path}: day {key!r} is not a day in ({low}, {high}]")
+    return [int(key) for key in keys]
 
 
 def _is_count(value: object, low: int, high: int) -> bool:
     return type(value) is int and low <= value <= high
-
-
-def _entry(node: NodeId, day: int | None) -> str:
-    """How a checkpoint error names a node-table (``day`` None) or buffer entry."""
-    return f"node {node!r}" if day is None else f"day {day} buffer of node {node!r}"
-
-
-def _check_counts(path, signal_ids: set, node: NodeId, day: int | None,
-                  trials: object, hits: dict) -> None:
-    """Every loaded tally must satisfy what scoring assumes:
-    1 <= t < 2**63 and 0 <= s <= t per registered signal."""
-    if not _is_count(trials, 1, _INT64_MAX):
-        raise CheckpointError(
-            f"checkpoint {path}: {_entry(node, day)} has trial count "
-            f"{trials!r}; need an integer in [1, 2**63 - 1]"
-        )
-    for signal, count in hits.items():
-        if signal not in signal_ids:
-            raise CheckpointError(
-                f"checkpoint {path}: {_entry(node, day)} counts hits for "
-                f"unregistered signal {signal!r}"
-            )
-        if type(count) is not int or not 0 <= count <= trials:
-            raise CheckpointError(
-                f"checkpoint {path}: {_entry(node, day)} has hit count "
-                f"{count!r} for {signal!r}; need an integer in [0, {trials}]"
-            )
-
-
-def _check_users(path, signal_ids: set, node: NodeId, day: int | None,
-                 hits: dict, table: dict) -> None:
-    """A per-user hit table may only name real hit senders: every count an
-    integer >= 1, and per signal the counts sum to the hit count."""
-    for signal, per_user in table.items():
-        if signal not in signal_ids:
-            raise CheckpointError(
-                f"checkpoint {path}: {_entry(node, day)} names users for "
-                f"unregistered signal {signal!r}"
-            )
-        for user, count in per_user.items():
-            if type(count) is not int or count < 1:
-                raise CheckpointError(
-                    f"checkpoint {path}: {_entry(node, day)} has hit count "
-                    f"{count!r} for user {user!r} on {signal!r}; need an "
-                    "integer >= 1"
-                )
-    for signal in [*table, *hits]:
-        named, count = sum(table.get(signal, {}).values()), hits.get(signal, 0)
-        if named != count:
-            raise CheckpointError(
-                f"checkpoint {path}: {_entry(node, day)} names users with "
-                f"{named} hits on {signal!r}, but its hit count is {count}"
-            )
 
 
 @dataclass(slots=True)

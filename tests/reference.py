@@ -69,3 +69,53 @@ def split_run(registry, head, tail, path):
     for edge in tail:
         resumed.ingest(edge)
     return resumed
+
+
+def v1_payload(payload):
+    """A format v2 checkpoint payload as format v1 held the same state.
+
+    v1 keyed every count by id: a node table of trials, nonzero hits and
+    per-user hit tables, the same per buffered day of a trailing window,
+    and window totals. The engine no longer writes v1 but still loads it,
+    so tests build v1 files from v2 ones here.
+    """
+    signals = [entry["signal"] for entry in payload["signals"]]
+    nodes, users = payload["nodes"], payload["users"]
+
+    def table(entries):
+        out = {}
+        for entry in entries:
+            counts, rows = entry["counts"], entry["users"]
+            m, r = len(counts) // (2 + len(signals)), len(rows) // 4
+            for code, trials, *hits in zip(*(counts[i * m:(i + 1) * m]
+                                             for i in range(2 + len(signals)))):
+                held = out.setdefault(nodes[code], {"s": {}, "t": 0, "users": {}})
+                held["t"] += trials
+                for signal, count in zip(signals, hits):
+                    if count:
+                        held["s"][signal] = held["s"].get(signal, 0) + count
+            for code, k, user, count in zip(*(rows[i * r:(i + 1) * r]
+                                              for i in range(4))):
+                named = out[nodes[code]]["users"].setdefault(signals[k], {})
+                named[users[user]] = named.get(users[user], 0) + count
+        return out
+
+    days = payload["days"]
+    node_table = table(days.values())
+    return {
+        "current_day": payload["current_day"],
+        "day_buffers": ({day: table([entry]) for day, entry in days.items()}
+                        if payload["window"]["mode"] == "trailing" else {}),
+        "evicted_through": payload["evicted_through"],
+        "format_version": 1,
+        "nodes": node_table,
+        "signals": payload["signals"],
+        "totals": {
+            "active_nodes": len(node_table),
+            "hits": {signal: sum(e["s"].get(signal, 0) for e in node_table.values())
+                     for signal in signals},
+            "transactions": sum(e["t"] for e in node_table.values()),
+        },
+        "track_users": True,
+        "window": payload["window"],
+    }

@@ -7,6 +7,8 @@ import pytest
 from signalamp.cli import main
 from signalamp.edgefile import read_edge_file, write_edge_file
 
+from reference import v1_payload
+
 SCENARIO_BLOCK = {
     "seed": 5,
     "days": 4,
@@ -430,6 +432,11 @@ class TestConfigHandling:
 
 
 def _good_checkpoint(dataset, tmp_path, capsys):
+    """A stream run's checkpoint as the format v1 payload of its state."""
+    return v1_payload(_good_checkpoint_v2(dataset, tmp_path, capsys))
+
+
+def _good_checkpoint_v2(dataset, tmp_path, capsys):
     path = tmp_path / "good.json"
     code, _, err = invoke(capsys, "stream", "--edges", str(dataset / "edges.csv"),
                           "--checkpoint", str(path))
@@ -563,6 +570,39 @@ def _checkpoint_signal_not_text(dataset, tmp_path, capsys):
     return _checkpoint_entry(dataset, tmp_path, capsys, signals=signals)
 
 
+def _tampered_v2(dataset, tmp_path, capsys, tamper):
+    """A v2 checkpoint whose one day entry (a cumulative window's) went
+    through ``tamper(entry, m)``, m being its number of nodes."""
+    payload = _good_checkpoint_v2(dataset, tmp_path, capsys)
+    (entry,) = payload["days"].values()
+    tamper(entry, len(entry["counts"]) // (2 + len(payload["signals"])))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    return bad, _resume_from(bad, dataset, tmp_path)
+
+
+def _checkpoint_v2_bool_count(dataset, tmp_path, capsys):
+    def tamper(entry, m):
+        entry["counts"][m] = True  # the first node's trial count
+    return _tampered_v2(dataset, tmp_path, capsys, tamper)
+
+
+def _checkpoint_v2_user_row_of_absent_node(dataset, tmp_path, capsys):
+    def tamper(entry, m):
+        # Drop the counts column of the node the first user row names.
+        column = entry["counts"][:m].index(entry["users"][0])
+        entry["counts"] = [v for i, v in enumerate(entry["counts"]) if i % m != column]
+    return _tampered_v2(dataset, tmp_path, capsys, tamper)
+
+
+def _checkpoint_v2_unsorted_node_ids(dataset, tmp_path, capsys):
+    payload = _good_checkpoint_v2(dataset, tmp_path, capsys)
+    payload["nodes"].reverse()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    return bad, _resume_from(bad, dataset, tmp_path)
+
+
 def _edges_args(dataset):
     return ["--edges", str(dataset / "edges.csv")]
 
@@ -667,6 +707,9 @@ class TestUnreadableInput:
         _checkpoint_track_users_text,
         _checkpoint_duplicate_signal,
         _checkpoint_signal_not_text,
+        _checkpoint_v2_bool_count,
+        _checkpoint_v2_user_row_of_absent_node,
+        _checkpoint_v2_unsorted_node_ids,
         _threshold_nan,
         _threshold_inf,
         _sweep_nan,

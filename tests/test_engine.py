@@ -22,7 +22,7 @@ from signalamp.errors import (
 )
 from signalamp.model import EdgeColumns, SignalRegistry, TransactionEdge
 
-from reference import reference_fold, reference_scores, reference_users
+from reference import reference_fold, reference_scores, reference_users, v1_payload
 
 
 def random_edges(n, seed, n_users=200, n_nodes=25, days=10, hit_rate=0.2,
@@ -456,7 +456,8 @@ class TestColumnsEqualPerEdge:
         last = edges[-1].day
         inside = [e for e in edges if window is None or e.day > last - 3]
         reference = reference_fold(inside)
-        assert {node: (e["t"], e["s"]) for node, e in want["nodes"].items()} \
+        nodes = v1_payload(want)["nodes"]
+        assert {node: (e["t"], e["s"]) for node, e in nodes.items()} \
             == {node: (acc.trials, acc.hits) for node, acc in reference.items()}
 
         columns = EdgeColumns.from_edges(edges, registry.ids())
@@ -518,10 +519,11 @@ class TestColumnsEqualPerEdge:
                 e.user for e in many[:hi] if e.node == many[0].node and e.hits.get("a")}
         want = whole.checkpoint_payload()
         assert mixed.checkpoint_payload() == want
-        assert {node: (e["t"], e["s"]) for node, e in want["nodes"].items()} == {
+        nodes = v1_payload(want)["nodes"]
+        assert {node: (e["t"], e["s"]) for node, e in nodes.items()} == {
             node: (acc.trials, acc.hits) for node, acc in reference_fold(many).items()}
-        assert {node: e["users"] for node, e in want["nodes"].items()} == {
-            node: reference_users(many).get(node, {}) for node in want["nodes"]}
+        assert {node: e["users"] for node, e in nodes.items()} == {
+            node: reference_users(many).get(node, {}) for node in nodes}
         for engine in (mixed, whole):
             engine.advance_to(8)
         assert mixed.scores("b") == whole.scores("b")
@@ -552,6 +554,7 @@ class TestColumnsEqualPerEdge:
             seen += step
             got = engine.checkpoint_payload()
             assert got == one_call(seen).checkpoint_payload()
+            got = v1_payload(got)
             nodes = got["nodes"]
             assert {node: (e["t"], e["s"]) for node, e in nodes.items()} == {
                 node: (acc.trials, acc.hits)
@@ -566,6 +569,8 @@ class TestColumnsEqualPerEdge:
             each.advance_to(3)
         got = engine.checkpoint_payload()
         assert got == evicted.checkpoint_payload()
+        assert (got["nodes"], got["users"], got["days"]) == ([], [], {})
+        got = v1_payload(got)
         assert (got["nodes"], got["day_buffers"], got["totals"]) == (
             {}, {}, {"active_nodes": 0, "hits": {"a": 0, "b": 0}, "transactions": 0})
 
@@ -610,6 +615,7 @@ GOLDEN_EDGES = [
     for i in range(30)
 ]
 
+# The golden engines' checkpoints as format v1 wrote them.
 GOLDEN_CHECKPOINTS = {
     "trailing3": (
         '{"current_day":3,"day_buffers":{"1":{"n0":{"s":{"b":2},"t":2,"user'
@@ -640,6 +646,29 @@ GOLDEN_CHECKPOINTS = {
         'on":"","signal":"b"}],"totals":{"active_nodes":4,"hits":{"a":4,"b"'
         ':15},"transactions":30},"track_users":true,"window":{"mode":"cumul'
         'ative","trailing_days":null}}\n'
+    ),
+}
+
+# The same states as format v2 writes them.
+GOLDEN_V2 = {
+    "cumulative": (
+        '{"current_day":3,"days":{"3":{"counts":[0,1,2,3,8,8,7,7,1,1,1,1,8,'
+        '0,7,0],"users":[0,0,0,0,1,2,2,2,2,3,0,1,1,1,0,0,1,1,1,0,0,0,1,2,2,'
+        '1,0,1,2,0,1,3,3,2,1,1,2,2,3,1]}},"evicted_through":-1,"format_vers'
+        'ion":2,"nodes":["n0","n1","n2","n3"],"signals":[{"description":"",'
+        '"signal":"a"},{"description":"","signal":"b"}],"users":["u0","u1",'
+        '"u2"],"window":{"mode":"cumulative","trailing_days":null}}\n'
+    ),
+    "trailing3": (
+        '{"current_day":3,"days":{"1":{"counts":[0,1,2,3,2,2,2,2,0,0,1,0,2,'
+        '0,2,0],"users":[0,0,2,2,2,1,1,0,1,1,0,2,1,1,2,1,1,1,1,1]},"2":{"co'
+        'unts":[0,1,2,3,2,2,2,2,0,1,0,0,2,0,2,0],"users":[0,0,1,2,2,1,1,0,1'
+        ',1,1,2,2,0,1,1,1,1,1,1]},"3":{"counts":[0,1,2,3,2,2,1,1,1,0,0,0,2,'
+        '0,1,0],"users":[0,0,0,2,0,1,1,1,0,0,1,2,1,1,1,1]}},"evicted_throug'
+        'h":0,"format_version":2,"nodes":["n0","n1","n2","n3"],"signals":[{'
+        '"description":"","signal":"a"},{"description":"","signal":"b"}],"u'
+        'sers":["u0","u1","u2"],"window":{"mode":"trailing","trailing_days"'
+        ':3}}\n'
     ),
 }
 
@@ -674,21 +703,125 @@ def golden_engines():
 
 
 class TestCheckpointFormat:
-    """Format v1 pinned to literal bytes: a change to what the engine holds
-    must not change what it writes, nor what it reads back."""
+    """Format v2 pinned to literal bytes: a change to what the engine holds
+    must not change what it writes, nor what it reads back. Format v1
+    still loads, and its next save writes v2."""
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN_CHECKPOINTS))
-    def test_save_writes_the_v1_bytes(self, tmp_path, name):
+    @pytest.mark.parametrize("name", sorted(GOLDEN_V2))
+    def test_save_writes_the_v2_bytes(self, tmp_path, name):
         path = tmp_path / "state.json"
         golden_engines()[name].save_checkpoint(path)
-        assert path.read_text(encoding="utf-8") == GOLDEN_CHECKPOINTS[name]
+        assert path.read_text(encoding="utf-8") == GOLDEN_V2[name]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_V2))
+    def test_load_then_save_keeps_the_v2_bytes(self, tmp_path, name):
+        first, second = tmp_path / "one.json", tmp_path / "two.json"
+        first.write_text(GOLDEN_V2[name], encoding="utf-8")
+        StreamEngine.load_checkpoint(first).save_checkpoint(second)
+        assert second.read_text(encoding="utf-8") == GOLDEN_V2[name]
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CHECKPOINTS))
-    def test_load_then_save_keeps_the_v1_bytes(self, tmp_path, name):
+    def test_v1_load_then_save_writes_the_v2_bytes(self, tmp_path, name):
         first, second = tmp_path / "one.json", tmp_path / "two.json"
         first.write_text(GOLDEN_CHECKPOINTS[name], encoding="utf-8")
         StreamEngine.load_checkpoint(first).save_checkpoint(second)
-        assert second.read_text(encoding="utf-8") == GOLDEN_CHECKPOINTS[name]
+        assert second.read_text(encoding="utf-8") == GOLDEN_V2[name]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CHECKPOINTS))
+    def test_reference_v1_writer_writes_the_v1_bytes(self, name):
+        """The v1 tamper tests build their files with ``v1_payload``."""
+        text = json.dumps(v1_payload(json.loads(GOLDEN_V2[name])),
+                          sort_keys=True, separators=(",", ":"))
+        assert text + "\n" == GOLDEN_CHECKPOINTS[name]
+
+
+def _records(flat, width):
+    """A flat row-major checkpoint list as its records, one per column."""
+    n = len(flat) // width
+    return [list(record) for record in zip(*(flat[i * n:(i + 1) * n]
+                                             for i in range(width)))]
+
+
+def _edit(field, change, day="3"):
+    """A tamper that applies ``change`` to the records of ``field`` in a day
+    entry of the golden trailing3 checkpoint. With two signals, counts and
+    user rows both have four fields."""
+
+    def tamper(payload):
+        entry = payload["days"][day]
+        records = _records(entry[field], 4)
+        change(records)
+        entry[field] = [value for row in zip(*records) for value in row]
+    return tamper
+
+
+def _set(field, record, index, value):
+    def change(records):
+        records[record][index] = value
+    return _edit(field, change)
+
+
+def _rename_day(old, new):
+    def tamper(payload):
+        payload["days"][new] = payload["days"].pop(old)
+    return tamper
+
+
+def _absent_node(payload):
+    """Drop n3, which has no user rows, from day 3; then point n2's user
+    row at it."""
+    _edit("counts", lambda records: records.pop(3))(payload)
+    _set("users", 3, 0, 3)(payload)
+
+
+def _huge_window(payload):
+    """Every count in range, but n0's trials over three days pass 2**63 - 1."""
+    for day in "123":
+        _edit("counts", lambda records: records[0].__setitem__(1, 2**62),
+              day)(payload)
+
+
+# Day 3 of trailing3 holds counts (node code, t, s_a, s_b) [0, 2, 1, 2],
+# [1, 2, 0, 0], [2, 1, 0, 1], [3, 1, 0, 0] and user rows (node code,
+# signal code, user code, count) [0, 0, 0, 1], [0, 1, 0, 1], [0, 1, 1, 1],
+# [2, 1, 2, 1]; nodes n0..n3, users u0..u2.
+T3 = "trailing3"
+V2_TAMPERS = {
+    "nodes-unsorted": (T3, lambda p: p["nodes"].reverse(), ["node ids must be"]),
+    "nodes-repeated": (T3, lambda p: p["nodes"].__setitem__(1, "n0"),
+                       ["node ids must be"]),
+    "users-empty": (T3, lambda p: p["users"].__setitem__(0, ""), ["user ids must be"]),
+    "nodes-not-strings": (T3, lambda p: p["nodes"].__setitem__(0, 0),
+                          ["node ids must be"]),
+    "counts-ragged": (T3, lambda p: p["days"]["3"]["counts"].pop(),
+                      ["day 3", "counts is not a flat list"]),
+    "users-ragged": (T3, lambda p: p["days"]["3"]["users"].append(1),
+                     ["day 3", "users is not a flat list"]),
+    "bool-count": (T3, _set("counts", 2, 1, True), ["day 3", "node 'n2'", "True"]),
+    "float-count": (T3, _set("counts", 2, 3, 1.0), ["day 3", "node 'n2'", "1.0"]),
+    "count-beyond-int64": (T3, _set("counts", 1, 1, 2**63),
+                           ["day 3", "node 'n1'", str(2**63)]),
+    "node-code-out-of-range": (T3, _set("counts", 3, 0, 4), ["day 3", "node code 4"]),
+    "node-code-repeated": (T3, _set("counts", 1, 0, 0), ["day 3", "node 'n0'"]),
+    "zero-trials": (T3, _set("counts", 1, 1, 0), ["day 3", "node 'n1'"]),
+    "hits-above-trials": (T3, _set("counts", 3, 3, 2), ["day 3", "node 'n3'"]),
+    "negative-hits": (T3, _set("counts", 1, 2, -1), ["day 3", "node 'n1'"]),
+    "user-row-of-absent-node": (T3, _absent_node, ["day 3", "node 'n3'"]),
+    "user-rows-out-of-order": (T3, _edit("users", lambda r: r.insert(1, r.pop(2))),
+                               ["day 3", "node 'n0'"]),
+    "user-row-repeated": (T3, _edit("users", lambda r: r.insert(1, list(r[1]))),
+                          ["day 3", "node 'n0'"]),
+    "user-count-zero": (T3, _set("users", 3, 3, 0), ["day 3", "node 'n2'"]),
+    "user-counts-off-hits": (T3, _set("users", 3, 3, 2),
+                             ["day 3", "node 'n2'", "do not add up"]),
+    "user-code-out-of-range": (T3, _set("users", 3, 2, 3), ["day 3", "node 'n2'"]),
+    "signal-code-out-of-range": (T3, _set("users", 3, 1, 2), ["day 3", "node 'n2'"]),
+    "day-evicted": (T3, _rename_day("1", "0"), ["day '0'"]),
+    "day-after-current": (T3, _rename_day("3", "4"), ["day '4'"]),
+    "day-not-canonical": (T3, _rename_day("3", "03"), ["day '03'"]),
+    "cumulative-day-not-current": ("cumulative", _rename_day("3", "2"), ["day '2'"]),
+    "window-beyond-int64": (T3, _huge_window, ["2**63 - 1"]),
+}
 
 
 class TestCheckpoint:
@@ -752,11 +885,11 @@ class TestCheckpoint:
         assert part_two.engine.scores("sig") == whole.engine.scores("sig")
 
     def test_tampered_counters_detected(self, tmp_path):
-        engine = self._engine()
+        payload = v1_payload(self._engine().checkpoint_payload())
+        assert payload["totals"]["transactions"] == 600
+        payload["totals"]["transactions"] = 601
         path = tmp_path / "state.json"
-        engine.save_checkpoint(path)
-        payload = path.read_text().replace('"transactions":600', '"transactions":601')
-        path.write_text(payload)
+        path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError):
             StreamEngine.load_checkpoint(path)
 
@@ -768,15 +901,15 @@ class TestCheckpoint:
             "s-above-t", "bool-s", "unregistered-signal"])
     def test_bad_node_counts_rejected(self, tmp_path, tamper):
         path = tmp_path / "state.json"
-        self._engine().save_checkpoint(path)
-        payload = json.loads(path.read_text())
+        payload = v1_payload(self._engine().checkpoint_payload())
         payload["nodes"]["n000"].update(tamper)
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="node 'n000'"):
             StreamEngine.load_checkpoint(path)
 
     def _small_payload(self, tmp_path, window=None):
-        """20 edges on days 0..3: exactly one hit on "a", seven on "b"."""
+        """20 edges on days 0..3: exactly one hit on "a", seven on "b".
+        Saved to the returned path as v2, returned as the v1 payload."""
         engine = StreamEngine(SignalRegistry(["a", "b"]), window=window)
         for i in range(20):
             hits = {"a": 1} if i == 7 else {"b": 1} if i % 3 == 0 else {}
@@ -786,7 +919,7 @@ class TestCheckpoint:
             engine.advance_to(3)
         path = tmp_path / "state.json"
         engine.save_checkpoint(path)
-        return path, json.loads(path.read_text())
+        return path, v1_payload(json.loads(path.read_text()))
 
     def _load_tampered(self, path, payload):
         path.write_text(json.dumps(payload))
@@ -916,21 +1049,34 @@ class TestCheckpoint:
         """A signal without hits may hold an empty user table; it loads,
         and is not written back."""
         path, payload = self._small_payload(tmp_path, WindowConfig.trailing(2))
+        saved = path.read_text()
         entries = (payload["nodes"] if where == "node"
                    else payload["day_buffers"]["3"]).values()
         entry = next(e for e in entries if not e["s"].get("a"))
         entry["users"]["a"] = {}
         self._load_tampered(path, payload).save_checkpoint(path)
-        del entry["users"]["a"]
-        assert json.loads(path.read_text()) == payload
+        assert path.read_text() == saved
+
+    @pytest.mark.parametrize("case", sorted(V2_TAMPERS))
+    def test_v2_tampering_rejected(self, tmp_path, case):
+        """Each v2 tamper fails with an error naming the file and, where
+        there is one, the day and the node."""
+        name, tamper, parts = V2_TAMPERS[case]
+        payload = json.loads(GOLDEN_V2[name])
+        tamper(payload)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError) as raised:
+            StreamEngine.load_checkpoint(path)
+        for part in (str(path), *parts):
+            assert part in str(raised.value)
 
     def test_unsupported_version_rejected(self, tmp_path):
         engine = self._engine()
         path = tmp_path / "state.json"
         engine.save_checkpoint(path)
-        payload = path.read_text().replace(
-            '"format_version":1', '"format_version":99'
-        )
+        version = f'"format_version":{engine_module.CHECKPOINT_VERSION}'
+        payload = path.read_text().replace(version, '"format_version":99')
         path.write_text(payload)
         with pytest.raises(CheckpointError):
             StreamEngine.load_checkpoint(path)

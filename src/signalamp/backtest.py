@@ -306,51 +306,45 @@ def format_float(value: float | None, places: int) -> str:
     return "n/a" if value is None else f"{value:.{places}f}"
 
 
-def write_sweep_csv(path: str | Path, rows: Sequence[MetricsRow]) -> None:
+def _write_csv(path: str | Path, header: list[str], rows: Iterable) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([
-            "threshold", "flagged_nodes", "flagged_users", "caught",
-            "precision", "scr", "coverage", "unconditional_recall",
-        ])
-        for row in rows:
-            writer.writerow([
-                format_float(row.threshold, 6), row.flagged_nodes,
-                row.flagged_users, row.caught, format_float(row.precision, 6),
-                format_float(row.scr, 6), format_float(row.coverage, 6),
-                format_float(row.unconditional_recall, 6),
-            ])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_sweep_csv(path: str | Path, rows: Sequence[MetricsRow]) -> None:
+    _write_csv(path, [
+        "threshold", "flagged_nodes", "flagged_users", "caught",
+        "precision", "scr", "coverage", "unconditional_recall",
+    ], ([
+        format_float(row.threshold, 6), row.flagged_nodes,
+        row.flagged_users, row.caught, format_float(row.precision, 6),
+        format_float(row.scr, 6), format_float(row.coverage, 6),
+        format_float(row.unconditional_recall, 6),
+    ] for row in rows))
 
 
 def write_series_csv(path: str | Path, rows: Sequence[SeriesRow]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([
-            "day", "signal", "flagged_users",
-            "cumulative_flagged", "cumulative_confirmed",
-        ])
-        for row in rows:
-            writer.writerow([
-                row.day, row.signal, row.flagged_users,
-                row.cumulative_flagged, row.cumulative_confirmed,
-            ])
+    _write_csv(path, [
+        "day", "signal", "flagged_users", "cumulative_flagged", "cumulative_confirmed",
+    ], ([
+        row.day, row.signal, row.flagged_users,
+        row.cumulative_flagged, row.cumulative_confirmed,
+    ] for row in rows))
 
 
 def write_summary_csv(path: str | Path, summaries: Sequence[SignalSummary]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([
-            "signal", "max_z", "active", "raw_carriers", "raw_fraud_carriers",
-            "raw_precision", "amplified_precision", "amplification",
-        ])
-        for s in summaries:
-            writer.writerow([
-                s.signal, format_float(s.max_z, 6), int(s.active),
-                s.raw_carriers, s.raw_fraud_carriers,
-                format_float(s.raw_precision, 6),
-                format_float(s.amplified_precision, 6),
-                format_float(s.amplification, 6),
-            ])
+    _write_csv(path, [
+        "signal", "max_z", "active", "raw_carriers", "raw_fraud_carriers",
+        "raw_precision", "amplified_precision", "amplification",
+    ], ([
+        s.signal, format_float(s.max_z, 6), int(s.active),
+        s.raw_carriers, s.raw_fraud_carriers,
+        format_float(s.raw_precision, 6),
+        format_float(s.amplified_precision, 6),
+        format_float(s.amplification, 6),
+    ] for s in summaries))
 
 
 def write_report_files(report: BacktestReport, out_dir: str | Path) -> list[Path]:

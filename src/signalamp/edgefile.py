@@ -28,21 +28,23 @@ _INT64_MAX = 2**63 - 1
 
 def write_edge_file(
     path: str | Path,
-    edges: Iterable[TransactionEdge],
+    edges: EdgeColumns | Iterable[TransactionEdge],
     signals: Sequence[SignalId],
 ) -> int:
-    """Write edges under the given signal column order; returns row count."""
-    count = 0
+    """Write edges under the given signal column order; returns row count.
+    Raises ``UnknownSignalError`` for a hit on a signal outside ``signals``
+    and ``ValueError`` for repeated or empty signal names."""
+    if len(set(signals)) != len(signals) or "" in signals:
+        raise ValueError(f"signal columns must be distinct and non-empty: {signals!r}")
+    columns = EdgeColumns.from_edges(edges, signals)
+    bits = columns.hits_under(signals).view(np.uint8).tolist()
+    users = list(map(columns.users.__getitem__, columns.user_code.tolist()))
+    nodes = list(map(columns.nodes.__getitem__, columns.node_code.tolist()))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(_FIXED_COLUMNS) + list(signals))
-        for edge in edges:
-            row = [edge.user, edge.node, edge.day]
-            hits = edge.hits
-            row.extend(1 if hits.get(s) else 0 for s in signals)
-            writer.writerow(row)
-            count += 1
-    return count
+        writer.writerow([*_FIXED_COLUMNS, *signals])
+        writer.writerows(zip(users, nodes, columns.day.tolist(), *bits))
+    return len(columns)
 
 
 def read_edge_file(path: str | Path) -> tuple[list[SignalId], EdgeColumns]:
@@ -63,10 +65,9 @@ def read_edge_file(path: str | Path) -> tuple[list[SignalId], EdgeColumns]:
                 if parsed is not None:
                     return parsed
                 fh.seek(0)
-            signals, edges = _parse_edges(path, csv.reader(fh))
+            return _parse_edges(path, csv.reader(fh))
         except (UnicodeDecodeError, csv.Error) as exc:
             raise EdgeFileError(f"{path}: unreadable edge file: {exc}") from exc
-    return signals, EdgeColumns.from_edges(edges, signals)
 
 
 def _split_columns(fh: TextIO) -> tuple[list[SignalId], EdgeColumns] | None:
@@ -101,7 +102,7 @@ def _split_columns(fh: TextIO) -> tuple[list[SignalId], EdgeColumns] | None:
                 header = header_line.split(",")
                 signals = header[3:]
                 if len(header_line) > limit or tuple(header[:3]) != _FIXED_COLUMNS \
-                        or len(set(signals)) != len(signals):
+                        or len(set(signals)) != len(signals) or "" in signals:
                     return None
                 width = len(header)
                 empty = np.empty(0, np.int64)
@@ -164,7 +165,7 @@ def _split_lines(
 
 def _parse_edges(
     path: Path, reader: Iterator[list[str]]
-) -> tuple[list[SignalId], list[TransactionEdge]]:
+) -> tuple[list[SignalId], EdgeColumns]:
     try:
         header = next(reader)
     except StopIteration:
@@ -176,8 +177,13 @@ def _parse_edges(
     signals = header[3:]
     if len(set(signals)) != len(signals):
         raise EdgeFileError(f"{path}: duplicate signal columns in header")
+    if "" in signals:
+        raise EdgeFileError(f"{path}: empty signal column name in header")
     width = len(header)
-    edges: list[TransactionEdge] = []
+    users: list[str] = []
+    nodes: list[str] = []
+    days: list[int] = []
+    hit_at: list[tuple[int, int]] = []  # (signal index, row) per hit bit
     bad: list[str] = []
     for line_no, row in enumerate(reader, start=2):
         if not row:
@@ -185,39 +191,38 @@ def _parse_edges(
         problem = None
         if len(row) != width:
             problem = f"expected {width} fields, got {len(row)}"
+        elif not row[0] or not row[1]:
+            problem = "empty user or node id"
         else:
-            user, node, day_text = row[0], row[1], row[2]
-            if not user or not node:
-                problem = "empty user or node id"
+            try:
+                day = int(row[2])
+            except ValueError:
+                problem = f"day {row[2]!r} is not an integer"
             else:
-                try:
-                    day = int(day_text)
-                except ValueError:
-                    problem = f"day {day_text!r} is not an integer"
-                else:
-                    if day < 0:
-                        problem = f"day {day} is negative"
-                    elif day > _INT64_MAX:
-                        problem = f"day {day} exceeds 2**63 - 1"
+                if day < 0:
+                    problem = f"day {day} is negative"
+                elif day > _INT64_MAX:
+                    problem = f"day {day} exceeds 2**63 - 1"
+        bits = row[3:]
         if problem is None:
-            hits: dict[SignalId, int] = {}
-            for signal, bit_text in zip(signals, row[3:]):
-                if bit_text == "1":
-                    hits[signal] = 1
-                elif bit_text != "0":
-                    problem = f"bit for {signal!r} must be 0 or 1, got {bit_text!r}"
+            for signal, bit in zip(signals, bits):
+                if bit != "0" and bit != "1":
+                    problem = f"bit for {signal!r} must be 0 or 1, got {bit!r}"
                     break
         if problem is not None:
             bad.append(f"line {line_no}: {problem}")
             if len(bad) > _MAX_REPORTED_LINES:
                 break
             continue
-        edges.append(TransactionEdge(user=user, node=node, day=day, hits=hits))
+        hit_at += [(k, len(days)) for k, bit in enumerate(bits) if bit == "1"]
+        users.append(row[0])
+        nodes.append(row[1])
+        days.append(day)
     if bad:
         shown = bad[:_MAX_REPORTED_LINES]
         suffix = "" if len(bad) <= _MAX_REPORTED_LINES else "; more follow"
         raise EdgeFileError(f"{path}: malformed rows: " + "; ".join(shown) + suffix)
-    return signals, edges
+    return signals, EdgeColumns.from_rows(signals, users, nodes, days, hit_at)
 
 
 def write_ground_truth(path: str | Path, truth: GroundTruth) -> None:

@@ -25,7 +25,6 @@ from .errors import (
     DegenerateBaselineError,
     DuplicateSignalError,
     NoBaselineError,
-    UnknownSignalError,
     UnsortedEdgesError,
 )
 from .model import (
@@ -38,6 +37,7 @@ from .model import (
     SignalRegistry,
     TransactionEdge,
     UserId,
+    append_edge,
 )
 
 CHECKPOINT_VERSION = 2
@@ -176,17 +176,8 @@ class StreamEngine:
         """
         if edge.day <= self._evicted_through:
             raise self._precedes_window(edge.day)
-        if not edge.hits.keys() <= self._column.keys():
-            unknown = next(signal for signal in edge.hits if signal not in self._column)
-            raise UnknownSignalError(f"edge references unregistered signal {unknown!r}")
-        users, nodes, days, hit_at = self._queue
-        for signal, bit in edge.hits.items():
-            if bit:
-                hit_at.append((self._column[signal], len(days)))
-        users.append(edge.user)
-        nodes.append(edge.node)
-        days.append(edge.day)
-        if len(days) >= _QUEUE_EDGES:
+        append_edge(self._queue, edge, self._column)
+        if len(self._queue[2]) >= _QUEUE_EDGES:
             self._flush()
 
     def _flush(self) -> None:
@@ -205,14 +196,7 @@ class StreamEngine:
         first = int(batch.day.min())
         if first <= self._evicted_through:
             raise self._precedes_window(first)
-        hits = np.zeros((len(self._signals), len(batch)), bool)
-        for signal, bits in zip(batch.signals, batch.hits):
-            if signal in self._column:
-                hits[self._column[signal]] = bits
-            elif bits.any():
-                raise UnknownSignalError(
-                    f"edge references unregistered signal {signal!r}"
-                )
+        hits = batch.hits_under(self._signals)
         # Every count is at most the total, so no int64 counter can wrap.
         if int(self._trials.sum()) + len(batch) > _INT64_MAX:
             raise OverflowError("a window holds at most 2**63 - 1 transactions")

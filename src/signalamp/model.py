@@ -95,6 +95,26 @@ class TransactionEdge:
             raise ValueError(f"edge day must be >= 0, got {self.day}")
 
 
+def append_edge(queue: tuple[list, list, list, list], edge: TransactionEdge,
+                column: dict[SignalId, int]) -> None:
+    """Append ``edge`` to ``queue``: the users, nodes, days and (signal
+    index, row) hit pairs that ``EdgeColumns.from_rows`` takes, ``column``
+    giving each signal's index. A hit key outside ``column`` raises
+    ``UnknownSignalError``, whatever its bit, before anything is added."""
+    users, nodes, days, hit_at = queue
+    hits = edge.hits
+    if hits:
+        if not hits.keys() <= column.keys():
+            unknown = next(signal for signal in hits if signal not in column)
+            raise UnknownSignalError(f"edge references unregistered signal {unknown!r}")
+        for signal, bit in hits.items():
+            if bit:
+                hit_at.append((column[signal], len(days)))
+    users.append(edge.user)
+    nodes.append(edge.node)
+    days.append(edge.day)
+
+
 class IdCodes:
     """Distinct ids in first-seen order, each coded by its position."""
 
@@ -117,10 +137,12 @@ class EdgeColumns(Sequence):
     """A batch of edges held as columns.
 
     ``users`` and ``nodes`` list each distinct id once; ``user_code`` and
-    ``node_code`` index them per edge. ``day`` is an int64 column and
-    ``hits`` a bool ``[len(signals), n]`` matrix. Indexing and iteration
-    build ``TransactionEdge`` objects on demand, carrying a 1 for each hit
-    signal; slices are ``EdgeColumns`` views that share the id lists.
+    ``node_code`` index them per edge. An id table may also list ids that
+    no edge uses, such as ``generate``'s full name tables. ``day`` is an
+    int64 column and ``hits`` a bool ``[len(signals), n]`` matrix.
+    Indexing and iteration build ``TransactionEdge`` objects on demand,
+    carrying a 1 for each hit signal; slices are ``EdgeColumns`` views that
+    share the id lists.
     """
 
     __slots__ = ("signals", "users", "user_code", "nodes", "node_code", "day", "hits")
@@ -153,23 +175,10 @@ class EdgeColumns(Sequence):
         if isinstance(edges, EdgeColumns):
             return edges
         column = {signal: k for k, signal in enumerate(signals)}
-        users: list[UserId] = []
-        nodes: list[NodeId] = []
-        days: list[int] = []
-        hit_at: list[tuple[int, int]] = []
-        for row, edge in enumerate(edges):
-            users.append(edge.user)
-            nodes.append(edge.node)
-            days.append(edge.day)
-            for signal, bit in edge.hits.items():
-                k = column.get(signal)
-                if k is None:
-                    raise UnknownSignalError(
-                        f"edge references unregistered signal {signal!r}"
-                    )
-                if bit:
-                    hit_at.append((k, row))
-        return cls.from_rows(signals, users, nodes, days, hit_at)
+        queue: tuple[list, list, list, list] = ([], [], [], [])
+        for edge in edges:
+            append_edge(queue, edge, column)
+        return cls.from_rows(signals, *queue)
 
     @classmethod
     def from_rows(cls, signals: Sequence[SignalId], users: list[UserId],
@@ -211,6 +220,21 @@ class EdgeColumns(Sequence):
             self.users[user], self.nodes[node], day,
             {signal: 1 for signal, bit in zip(self.signals, bits) if bit},
         )
+
+    def hits_under(self, signals: Sequence[SignalId]) -> np.ndarray:
+        """The hit matrix with one row per signal of ``signals``, in that
+        order; a signal the batch lacks has no hits. A hit on a batch
+        signal outside ``signals`` raises ``UnknownSignalError``."""
+        hits = np.zeros((len(signals), len(self)), bool)
+        row = {signal: k for k, signal in enumerate(signals)}
+        for signal, bits in zip(self.signals, self.hits):
+            if signal in row:
+                hits[row[signal]] = bits
+            elif bits.any():
+                raise UnknownSignalError(
+                    f"edge references unregistered signal {signal!r}"
+                )
+        return hits
 
     def users_with_hits(self, signal: SignalId) -> set[UserId]:
         """Distinct users of the edges that hit ``signal``."""

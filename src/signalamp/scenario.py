@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InfeasibleScenarioError
-from .model import SignalId, SignalRegistry, TransactionEdge, UserId, NodeId
+from .model import EdgeColumns, NodeId, SignalId, SignalRegistry, UserId
 
 _MASK64 = (1 << 64) - 1
 _SETUP_STREAM = _MASK64  # never collides with a day index
@@ -66,6 +66,11 @@ class ScenarioConfig:
     popularity_skew: float = 1.0
 
     def __post_init__(self) -> None:
+        atk = self.attack
+        _check_types(self, ("seed", "days", "n_users", "n_nodes"), "background_rates")
+        if atk is not None:
+            _check_types(atk, ("n_sybil", "k_cashout", "start_day", "end_day"),
+                         "sybil_rates")
         if self.days < 1:
             raise InfeasibleScenarioError("days must be >= 1")
         if self.n_users < 1 or self.n_nodes < 1:
@@ -77,11 +82,14 @@ class ScenarioConfig:
         if not self.background_rates:
             raise InfeasibleScenarioError("at least one signal is required")
         for signal, rate in self.background_rates.items():
+            if not isinstance(signal, str) or not signal:
+                raise InfeasibleScenarioError(
+                    f"signal ids must be non-empty strings, got {signal!r}"
+                )
             if not 0.0 <= rate <= 1.0:
                 raise InfeasibleScenarioError(
                     f"background rate for {signal!r} outside [0, 1]: {rate}"
                 )
-        atk = self.attack
         if atk is None or atk.n_sybil == 0:
             return
         if atk.n_sybil < 0:
@@ -114,6 +122,15 @@ class ScenarioConfig:
     @property
     def signals(self) -> tuple[SignalId, ...]:
         return tuple(self.background_rates)
+
+
+def _check_types(config: object, ints: tuple[str, ...], rates: str) -> None:
+    for name in ints:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InfeasibleScenarioError(f"{name} must be an integer, got {value!r}")
+    if not isinstance(getattr(config, rates), dict):
+        raise InfeasibleScenarioError(f"{rates} must map signal ids to rates")
 
 
 @dataclass(frozen=True)
@@ -158,40 +175,22 @@ class _NodeSampler:
         return rng.choice(self.n_nodes, size=size, p=self.weights)
 
 
-def _emit_block(
-    edges: list[TransactionEdge],
-    day: int,
-    user_names: list[str],
-    user_idx: np.ndarray,
-    node_ids: list[str],
-    signals: tuple[SignalId, ...],
-    bit_cols: list[np.ndarray],
-    carriers: dict[SignalId, set[UserId]] | None,
-) -> None:
-    users = user_idx.tolist()
-    cols = [col.tolist() for col in bit_cols]
-    for i in range(len(users)):
-        hits: dict[SignalId, int] = {}
-        for j, signal in enumerate(signals):
-            if cols[j][i]:
-                hits[signal] = 1
-        user = user_names[users[i]]
-        if carriers is not None and hits:
-            for signal in hits:
-                carriers[signal].add(user)
-        edges.append(TransactionEdge(user=user, node=node_ids[i], day=day, hits=hits))
+def _draw_hits(rng: np.random.Generator, size: int, rates: list[float]) -> np.ndarray:
+    """A bool ``[len(rates), size]`` hit matrix, one draw per signal."""
+    return np.array([rng.random(size) < rate for rate in rates])
 
 
-def generate(config: ScenarioConfig) -> tuple[list[TransactionEdge], GroundTruth]:
+def generate(config: ScenarioConfig) -> tuple[EdgeColumns, GroundTruth]:
     """Produce the full edge stream (day ordered) and its ground truth.
 
     Within a day the block order is fixed: background, then camouflage,
-    then attack traffic. Two calls with the same config yield identical
-    edge lists.
+    then attack traffic. The edges code users and nodes into the full
+    zero-padded name tables, sybils and planted cash-out nodes after the
+    background ones. Two calls with the same config yield identical edges.
     """
     signals = config.signals
-    user_names = _zero_pad_names("u", config.n_users)
-    node_names = _zero_pad_names("m", config.n_nodes)
+    users = _zero_pad_names("u", config.n_users)
+    nodes = _zero_pad_names("m", config.n_nodes)
     sampler = _NodeSampler(config.n_nodes, config.popularity_skew)
 
     atk = config.attack if (config.attack and config.attack.n_sybil > 0) else None
@@ -199,17 +198,22 @@ def generate(config: ScenarioConfig) -> tuple[list[TransactionEdge], GroundTruth
     cashout_names: list[str] = []
     if atk is not None:
         sybil_names = _zero_pad_names("s", atk.n_sybil)
+        users += sybil_names
         if atk.cashout_from_background:
             setup_rng = _day_rng(config.seed, _SETUP_STREAM)
             picked = setup_rng.choice(config.n_nodes, size=atk.k_cashout, replace=False)
-            cashout_names = [node_names[i] for i in sorted(picked.tolist())]
+            cash_code = np.sort(picked)
+            cashout_names = [nodes[i] for i in cash_code.tolist()]
         else:
+            cash_code = config.n_nodes + np.arange(atk.k_cashout)
             cashout_names = _zero_pad_names("c", atk.k_cashout)
+            nodes += cashout_names
 
     bg_lambda = config.n_users * config.background_txn_per_user_per_day
     bg_rates = [config.background_rates[s] for s in signals]
-    edges: list[TransactionEdge] = []
-    carriers: dict[SignalId, set[UserId]] = {s: set() for s in signals}
+    # (day, user codes, node codes, [K, n] hits) per block, after an empty one.
+    no_edges = np.empty(0, np.int64)
+    blocks = [(0, no_edges, no_edges, np.empty((len(signals), 0), bool))]
 
     for day in range(config.days):
         rng = _day_rng(config.seed, day)
@@ -218,10 +222,7 @@ def generate(config: ScenarioConfig) -> tuple[list[TransactionEdge], GroundTruth
         if n_bg:
             user_idx = rng.integers(0, config.n_users, size=n_bg)
             node_idx = sampler.draw(rng, n_bg)
-            node_ids = [node_names[i] for i in node_idx.tolist()]
-            bit_cols = [rng.random(n_bg) < rate for rate in bg_rates]
-            _emit_block(edges, day, user_names, user_idx, node_ids,
-                        signals, bit_cols, None)
+            blocks.append((day, user_idx, node_idx, _draw_hits(rng, n_bg, bg_rates)))
 
         if atk is None or not atk.start_day <= day <= atk.end_day:
             continue
@@ -229,38 +230,30 @@ def generate(config: ScenarioConfig) -> tuple[list[TransactionEdge], GroundTruth
         cam_lambda = atk.n_sybil * atk.camouflage_txn_per_sybil_per_day
         n_cam = int(rng.poisson(cam_lambda)) if cam_lambda > 0 else 0
         if n_cam:
-            user_idx = rng.integers(0, atk.n_sybil, size=n_cam)
+            user_idx = config.n_users + rng.integers(0, atk.n_sybil, size=n_cam)
             node_idx = sampler.draw(rng, n_cam)
-            node_ids = [node_names[i] for i in node_idx.tolist()]
-            bit_cols = [rng.random(n_cam) < rate for rate in bg_rates]
-            _emit_block(edges, day, sybil_names, user_idx, node_ids,
-                        signals, bit_cols, carriers)
+            blocks.append((day, user_idx, node_idx, _draw_hits(rng, n_cam, bg_rates)))
 
         atk_lambda = atk.n_sybil * atk.txn_per_sybil_per_day
         n_atk = int(rng.poisson(atk_lambda)) if atk_lambda > 0 else 0
         if n_atk:
-            user_idx = rng.integers(0, atk.n_sybil, size=n_atk)
+            user_idx = config.n_users + rng.integers(0, atk.n_sybil, size=n_atk)
             to_cashout = rng.random(n_atk) < atk.cashout_mix
             cash_idx = rng.integers(0, atk.k_cashout, size=n_atk)
             blend_idx = sampler.draw(rng, n_atk)
-            mask = to_cashout.tolist()
-            cash_l = cash_idx.tolist()
-            blend_l = blend_idx.tolist()
-            node_ids = [
-                cashout_names[cash_l[i]] if mask[i] else node_names[blend_l[i]]
-                for i in range(n_atk)
-            ]
+            node_idx = np.where(to_cashout, cash_code[cash_idx], blend_idx)
             q_rates = [atk.sybil_rates[s] for s in signals]
-            bit_cols = [rng.random(n_atk) < rate for rate in q_rates]
-            _emit_block(edges, day, sybil_names, user_idx, node_ids,
-                        signals, bit_cols, carriers)
+            blocks.append((day, user_idx, node_idx, _draw_hits(rng, n_atk, q_rates)))
 
-    truth = GroundTruth(
-        sybil_users=frozenset(sybil_names),
-        cashout_nodes=frozenset(cashout_names),
-        carriers={s: frozenset(users) for s, users in carriers.items()},
+    days, user_code, node_code, hits = zip(*blocks)
+    edges = EdgeColumns(
+        signals, users, np.concatenate(user_code), nodes, np.concatenate(node_code),
+        np.repeat(np.array(days, np.int64), [len(codes) for codes in user_code]),
+        np.concatenate(hits, axis=1),
     )
-    return edges, truth
+    sybils = frozenset(sybil_names)
+    carriers = {s: sybils & edges.users_with_hits(s) for s in signals}
+    return edges, GroundTruth(sybils, frozenset(cashout_names), carriers)
 
 
 # -- shipped presets -------------------------------------------------------
@@ -377,19 +370,16 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
+    if not isinstance(data, dict):
+        raise InfeasibleScenarioError(f"scenario config must be an object: {data!r}")
     try:
         attack = None
         if data.get("attack") is not None:
             attack = AttackConfig(**data["attack"])
-        known = {
-            "seed", "days", "n_users", "n_nodes",
-            "background_txn_per_user_per_day", "background_rates",
-            "popularity_skew",
-        }
-        kwargs = {k: v for k, v in data.items() if k in known}
-        missing = {"seed", "days", "n_users", "n_nodes",
-                   "background_txn_per_user_per_day",
-                   "background_rates"} - set(kwargs)
+        required = {"seed", "days", "n_users", "n_nodes",
+                    "background_txn_per_user_per_day", "background_rates"}
+        kwargs = {k: v for k, v in data.items() if k in required | {"popularity_skew"}}
+        missing = required - set(kwargs)
         if missing:
             raise InfeasibleScenarioError(
                 f"scenario config missing fields: {sorted(missing)}"

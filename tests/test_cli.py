@@ -683,6 +683,36 @@ def _config_seed_text(dataset, tmp_path, capsys):
     return "'abc'", ["generate", "--config", config]
 
 
+def _edges_empty_signal_name(dataset, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("user,node,day,\nu1,n1,0,1\n")
+    return bad, ["stream", "--edges", str(bad),
+                 "--checkpoint", str(tmp_path / "state.json")]
+
+
+def _generate_with(tmp_path, **block_fields):
+    config = write_config(tmp_path, scenario={**SCENARIO_BLOCK, **block_fields},
+                          output_dir=str(tmp_path))
+    return ["generate", "--config", config]
+
+
+def _scenario_not_object(dataset, tmp_path, capsys):
+    config = write_config(tmp_path, scenario=[1], output_dir=str(tmp_path))
+    return "[1]", ["generate", "--config", config]
+
+
+def _scenario_rates_not_object(dataset, tmp_path, capsys):
+    return "background_rates", _generate_with(tmp_path, background_rates=[1])
+
+
+def _scenario_seed_fraction(dataset, tmp_path, capsys):
+    return "seed must be an integer, got 1.5", _generate_with(tmp_path, seed=1.5)
+
+
+def _scenario_days_fraction(dataset, tmp_path, capsys):
+    return "days must be an integer, got 2.5", _generate_with(tmp_path, days=2.5)
+
+
 class TestUnreadableInput:
     """Every bad input file or argument fails with one named error line,
     never a traceback."""
@@ -724,6 +754,11 @@ class TestUnreadableInput:
         _config_min_precision_text,
         _config_max_flagged_users_fraction,
         _config_seed_text,
+        _edges_empty_signal_name,
+        _scenario_not_object,
+        _scenario_rates_not_object,
+        _scenario_seed_fraction,
+        _scenario_days_fraction,
     ], ids=lambda fn: fn.__name__.lstrip("_"))
     def test_named_error_without_traceback(self, make_case, dataset, tmp_path, capsys):
         bad, argv = make_case(dataset, tmp_path, capsys)

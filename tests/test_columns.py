@@ -49,6 +49,7 @@ MALFORMED = {
     "bad-header": "uid,node,day,a\nu1,n1,0,1\n",
     "blank-first-line": "\n" + HEADER + "u1,n1,0,1,0\n",
     "duplicate-signal": "user,node,day,a,a\nu1,n1,0,1,1\n",
+    "empty-signal-name": "user,node,day,a,\nu1,n1,0,1,0\n",
     "field-count": HEADER + "u1,n1,0,1\nu2,n1,0,1,0,1\nu3,n1,0,1,0\n",
     "compensating-field-counts": HEADER + "u1,n1,0,1,0,u2\nn2,3,1,0\n",
     "empty-ids": HEADER + ",n1,0,1,0\nu1,,0,1,0\n",
@@ -66,12 +67,14 @@ MALFORMED = {
 
 
 def row_parse(path):
-    """The row parser alone, with ``read_edge_file``'s error wrapping."""
+    """The row parser alone, with ``read_edge_file``'s error wrapping;
+    returns (signals, the edges as a list)."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         try:
-            return edgefile._parse_edges(path, csv.reader(fh))
+            signals, columns = edgefile._parse_edges(path, csv.reader(fh))
         except (UnicodeDecodeError, csv.Error) as exc:
             raise EdgeFileError(f"{path}: unreadable edge file: {exc}") from exc
+    return signals, list(columns)
 
 
 def split_parse(path):
@@ -254,6 +257,14 @@ class TestEdgeColumns:
         assert columns.users == ["u", "u\x00", "u\x00\x00"]
         assert columns.users_with_hits("a") == {"u", "u\x00", "u\x00\x00"}
         assert list(columns) == edges
+
+    def test_hits_under_maps_signals_by_name(self):
+        columns = EdgeColumns.from_edges(self.edges(), ["a", "b"])
+        assert columns.hits_under(["b", "c", "a"]).tolist() == [
+            columns.hits[1].tolist(), [False] * 4, columns.hits[0].tolist()]
+        assert columns[:2].hits_under(["a"]).tolist() == [[True, False]]
+        with pytest.raises(UnknownSignalError, match="'b'"):
+            columns.hits_under(["a"])
 
     def test_users_with_hits(self):
         columns = EdgeColumns.from_edges(self.edges(), ["a", "b"])

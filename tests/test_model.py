@@ -8,7 +8,7 @@ import pytest
 from signalamp.edgefile import read_edge_file, write_edge_file
 from signalamp.engine import StreamEngine
 from signalamp.errors import DuplicateSignalError, EdgeFileError, UnknownSignalError
-from signalamp.model import GlobalBaseline, SignalRegistry, TransactionEdge
+from signalamp.model import EdgeColumns, GlobalBaseline, SignalRegistry, TransactionEdge
 
 from reference import split_run
 
@@ -230,3 +230,33 @@ class TestEdgeFile:
         with pytest.raises(EdgeFileError) as err:
             read_edge_file(path)
         assert "line 2" in str(err.value)
+
+    def test_hit_on_a_signal_outside_the_columns_rejected(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        edges = self._edges()
+        with pytest.raises(UnknownSignalError, match="'b'"):
+            write_edge_file(path, edges, ["a"])
+        columns = EdgeColumns.from_edges(edges, ["a", "b"])
+        with pytest.raises(UnknownSignalError, match="'b'"):
+            write_edge_file(path, columns, ["a"])
+        assert not path.exists()
+        write_edge_file(path, columns[:2], ["a"])  # no edge of the slice hits b
+        assert list(read_edge_file(path)[1]) == edges[:2]
+
+    @pytest.mark.parametrize("signals", [["a", "a"], ["a", ""]])
+    def test_unreadable_signal_columns_rejected(self, tmp_path, signals):
+        path = tmp_path / "edges.csv"
+        with pytest.raises(ValueError, match="distinct and non-empty"):
+            write_edge_file(path, self._edges()[:2], signals)
+        assert not path.exists()
+
+    def test_columns_written_in_any_signal_order(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        columns = EdgeColumns.from_edges(self._edges(), ["a", "b"])
+        assert write_edge_file(path, iter(self._edges()), ["b", "a", "c"]) == 3
+        from_objects = path.read_bytes()
+        assert write_edge_file(path, columns, ["b", "a", "c"]) == 3
+        assert path.read_bytes() == from_objects
+        assert from_objects.decode().splitlines() == [
+            "user,node,day,b,a,c", "u1,n1,0,0,1,0", "u2,n1,0,0,0,0", "u1,n2,3,1,1,0",
+        ]

@@ -3,9 +3,12 @@ config validation, and preset plumbing.
 """
 
 import math
+from itertools import groupby
+from operator import attrgetter
 
 import pytest
 
+from signalamp.edgefile import read_edge_file, write_edge_file
 from signalamp.errors import InfeasibleScenarioError
 from signalamp.scenario import (
     PRESETS,
@@ -52,7 +55,7 @@ class TestDeterminism:
         config = small_config(attack=small_attack())
         edges_a, truth_a = generate(config)
         edges_b, truth_b = generate(config)
-        assert edges_a == edges_b
+        assert list(edges_a) == list(edges_b)
         assert truth_a.sybil_users == truth_b.sybil_users
         assert truth_a.cashout_nodes == truth_b.cashout_nodes
         assert truth_a.carriers == truth_b.carriers
@@ -60,7 +63,7 @@ class TestDeterminism:
     def test_different_seed_different_traffic(self):
         edges_a, _ = generate(small_config(seed=5))
         edges_b, _ = generate(small_config(seed=6))
-        assert edges_a != edges_b
+        assert list(edges_a) != list(edges_b)
 
     def test_day_blocks_do_not_depend_on_horizon(self):
         """Per-day keyed randomness: a longer run extends a shorter one."""
@@ -70,7 +73,7 @@ class TestDeterminism:
         edges_short, truth_short = generate(short)
         edges_long, truth_long = generate(long)
         prefix = [e for e in edges_long if e.day < 4]
-        assert edges_short == prefix
+        assert list(edges_short) == prefix
         assert truth_short.carriers == truth_long.carriers
 
     def test_edges_come_out_day_ordered(self):
@@ -98,7 +101,7 @@ class TestBackgroundStatistics:
         edges, truth = generate(
             small_config(background_txn_per_user_per_day=0.0)
         )
-        assert edges == []
+        assert list(edges) == []
         assert truth.sybil_users == frozenset()
 
     def test_popularity_skew_concentrates_traffic(self):
@@ -209,6 +212,34 @@ class TestAttackStructure:
         assert all(e.user.startswith("u") for e in edges)
 
 
+class TestColumnsOutput:
+    @pytest.mark.parametrize("from_background", [False, True])
+    def test_codes_index_the_full_name_tables(self, from_background):
+        attack = small_attack(cashout_from_background=from_background)
+        edges, truth = generate(small_config(attack=attack))
+        assert edges.users == [f"u{i:04d}" for i in range(2000)] + [
+            f"s{i:02d}" for i in range(50)]
+        planted = [] if from_background else ["c0", "c1", "c2", "c3"]
+        assert edges.nodes == [f"m{i:02d}" for i in range(40)] + planted
+        assert truth.cashout_nodes <= set(edges.nodes)
+        assert edges.signals == ("sig",) and edges.hits.shape == (1, len(edges))
+
+    def test_file_holds_the_same_edges(self, tmp_path):
+        """Written whole or a day at a time from ``groupby`` iterators, as
+        the benchmark's load generator does, the file reads back as the
+        edges."""
+        edges, _ = generate(small_config(attack=small_attack()))
+        path = tmp_path / "edges.csv"
+        assert write_edge_file(path, edges, ["sig"]) == len(edges)
+        signals, columns = read_edge_file(path)
+        assert signals == ["sig"] and list(columns) == list(edges)
+        days = []
+        for day, day_edges in groupby(edges, key=attrgetter("day")):
+            write_edge_file(path, day_edges, ["sig"])
+            days.append(list(read_edge_file(path)[1]))
+        assert [edge for day in days for edge in day] == list(edges)
+
+
 class TestValidation:
     @pytest.mark.parametrize("overrides", [
         {"days": 0},
@@ -219,6 +250,12 @@ class TestValidation:
         {"background_rates": {}},
         {"background_rates": {"sig": 1.5}},
         {"background_rates": {"sig": -0.1}},
+        {"background_rates": {"": 0.1}},
+        {"background_rates": [0.1]},
+        {"seed": 1.5},
+        {"days": 2.5},
+        {"n_users": True},
+        {"n_nodes": 40.0},
     ])
     def test_bad_scenario_rejected(self, overrides):
         with pytest.raises(InfeasibleScenarioError):
@@ -237,6 +274,11 @@ class TestValidation:
         {"sybil_rates": {"sig": 2.0}},
         {"sybil_rates": {"other": 0.5}},
         {"sybil_rates": {"sig": 0.5, "extra": 0.5}},
+        {"sybil_rates": [0.5]},
+        {"n_sybil": 50.0},
+        {"k_cashout": True},
+        {"start_day": 1.0},
+        {"end_day": "3"},
     ])
     def test_bad_attack_rejected(self, overrides):
         with pytest.raises(InfeasibleScenarioError):
@@ -263,6 +305,11 @@ class TestConfigPlumbing:
         data = scenario_to_dict(small_config())
         del data["n_users"]
         with pytest.raises(InfeasibleScenarioError):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("data", [[1], "scenario", None])
+    def test_non_object_rejected(self, data):
+        with pytest.raises(InfeasibleScenarioError, match="must be an object"):
             scenario_from_dict(data)
 
     def test_unknown_attack_key_rejected(self):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -71,12 +70,12 @@ def read_edge_file(path: str | Path) -> tuple[list[SignalId], EdgeColumns]:
 
 
 def _split_columns(fh: TextIO) -> tuple[list[SignalId], EdgeColumns] | None:
-    """Read the file in chunks with ``str.split`` and check it column by
-    column.
+    """Read the file in chunks, check each chunk's whole lines at once on
+    their UTF-8 bytes, and split them with ``str.split``.
 
     Returns None at the first chunk that holds anything the row parser
-    could read differently (a quote, a carriage return, a NUL, a line
-    longer than the csv field limit, undecodable bytes) or an invalid
+    could read differently (a quote, a carriage return, a NUL, a line of
+    more bytes than the csv field limit, undecodable bytes) or an invalid
     row. The row parser then reads the file again and reports what it
     finds.
     """
@@ -91,14 +90,17 @@ def _split_columns(fh: TextIO) -> tuple[list[SignalId], EdgeColumns] | None:
             chunk = fh.read(_CHUNK_CHARS)
             if '"' in chunk or "\r" in chunk or "\x00" in chunk:
                 return None
-            lines = (carry + chunk).split("\n")
-            carry = lines.pop() if chunk else ""
-            if len(carry) > limit:
-                return None
-            if signals is None:
-                if not lines:
-                    continue
-                header_line = lines.pop(0)
+            # The block holds whole lines, each ending in a newline.
+            block = carry + chunk
+            if chunk:
+                cut = block.rfind("\n") + 1
+                block, carry = block[:cut], block[cut:]
+                if len(carry) > limit:
+                    return None
+            elif block:
+                block += "\n"
+            if signals is None and block:
+                header_line, _, block = block.partition("\n")
                 header = header_line.split(",")
                 signals = header[3:]
                 if len(header_line) > limit or tuple(header[:3]) != _FIXED_COLUMNS \
@@ -107,10 +109,11 @@ def _split_columns(fh: TextIO) -> tuple[list[SignalId], EdgeColumns] | None:
                 width = len(header)
                 empty = np.empty(0, np.int64)
                 parts = [[empty], [empty], [empty], [np.empty((width - 3, 0), bool)]]
-            if "" in lines:
-                lines = [line for line in lines if line]
-            if lines:
-                part = _split_lines(lines, width, limit, day_of)
+            block = block.lstrip("\n")  # blank lines
+            while "\n\n" in block:
+                block = block.replace("\n\n", "\n")
+            if block:
+                part = _split_block(block, width, limit, day_of)
                 if part is None:
                     return None
                 user_col, node_col, days, hits = part
@@ -129,21 +132,28 @@ def _split_columns(fh: TextIO) -> tuple[list[SignalId], EdgeColumns] | None:
                                 node_code, day, np.concatenate(parts[3], axis=1))
 
 
-def _split_lines(
-    lines: list[str], width: int, limit: int, day_of: dict[str, int]
-) -> tuple | None:
-    """(users, nodes, int64 days, bool hits) of non-blank data lines, or
-    None unless every line is a valid row that the row parser reads the
-    same way. ``day_of`` caches the value of each day text seen so far."""
-    if max(map(len, lines)) > limit:
+def _split_block(block: str, width: int, limit: int, day_of: dict[str, int]
+                 ) -> tuple | None:
+    """(users, nodes, int64 days, bool hits) of ``block``'s lines, each
+    non-blank and ending in a newline, or None unless every line is a
+    valid row that the row parser reads the same way. ``day_of`` caches
+    the value of each day text seen so far."""
+    data = np.frombuffer(block.encode("utf-8"), np.uint8)
+    newline = data == ord("\n")
+    n = np.count_nonzero(newline)
+    # The field ends, commas and newlines: when every width-th one is a
+    # newline, each line holds width - 1 commas.
+    ends = np.flatnonzero(newline | (data == ord(",")))
+    if len(ends) != n * width or not newline[ends[width - 1::width]].all():
         return None
-    commas = list(map(str.count, lines, repeat(",")))
-    if commas.count(width - 1) != len(commas):
+    size = (np.diff(ends, prepend=-1) - 1).reshape(n, width)  # bytes per field
+    bits = data[ends.reshape(n, width)[:, 2:-1] + 1]  # the byte of each bit field
+    if (size.sum(axis=1) + width - 1).max() > limit or size[:, :2].min() < 1 \
+            or not (size[:, 3:] == 1).all() \
+            or not ((bits == ord("0")) | (bits == ord("1"))).all():
         return None
-    fields = ",".join(lines).split(",")
-    user_col, node_col, day_col = fields[0::width], fields[1::width], fields[2::width]
-    if "" in user_col or "" in node_col:
-        return None
+    fields = block[:-1].replace("\n", ",").split(",")
+    day_col = fields[2::width]
     for text in dict.fromkeys(day_col):
         if text not in day_of:
             try:
@@ -153,14 +163,8 @@ def _split_lines(
             if not 0 <= day <= _INT64_MAX:
                 return None
             day_of[text] = day
-    bit_cols = [fields[k::width] for k in range(3, width)]
-    for bits in bit_cols:
-        if bits.count("1") + bits.count("0") != len(bits):
-            return None
-    text = "".join(chain.from_iterable(bit_cols)).encode("ascii")
-    hits = np.frombuffer(text, np.uint8).reshape(width - 3, len(lines)) == ord("1")
-    days = np.fromiter(map(day_of.__getitem__, day_col), np.int64, len(day_col))
-    return user_col, node_col, days, hits
+    days = np.fromiter(map(day_of.__getitem__, day_col), np.int64, n)
+    return fields[0::width], fields[1::width], days, (bits == ord("1")).T
 
 
 def _parse_edges(

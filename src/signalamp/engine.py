@@ -10,6 +10,7 @@ scores regardless of arrival order: every counter is an integer sum.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from itertools import repeat
@@ -19,7 +20,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .amplify import NodeScore, rank_columns, score_columns
-from .detect import Alert, build_alerts, flag_nodes
+from .detect import Alert, build_alerts
 from .errors import (
     CheckpointError,
     DegenerateBaselineError,
@@ -228,8 +229,10 @@ class StreamEngine:
         if self.window.mode == TRAILING:
             _accumulate(self._deltas, day, delta, 1)
         signal, edge = np.nonzero(hits)
+        # Each distinct hit user of the day is looked up once.
+        distinct, user = np.unique(batch.user_code[rows[edge]], return_inverse=True)
         user = self._user_ids.encode(
-            [batch.users[code] for code in batch.user_code[rows[edge]].tolist()])
+            list(map(batch.users.__getitem__, distinct.tolist())))[user]
         n_users = len(self._user_ids)
         keys, counts = np.unique((signal * m + group[edge]) * n_users + user,
                                  return_counts=True)
@@ -281,16 +284,20 @@ class StreamEngine:
 
     def scores(self, signal: SignalId) -> list[NodeScore]:
         """Score every node in the window, same ordering as the batch path."""
-        return rank_columns(*self._window_columns(signal))
+        active, trials, hits, baseline = self._window_columns(signal)
+        return rank_columns(self._node_names(active), trials, hits, baseline)
 
     def _window_columns(self, signal: SignalId) -> tuple:
-        """Id, trials and hits on ``signal`` of every active node, and the
-        baseline: the arguments of ``rank_columns``."""
+        """Code, trials and hits on ``signal`` of every active node, and the
+        baseline."""
         baseline = self.baseline(signal)
         active = np.flatnonzero(self._trials > 0)
-        ids = self._node_ids.ids()
-        return ([ids[code] for code in active.tolist()], self._trials[active],
-                self._hits[self._column[signal], active], baseline)
+        return (active, self._trials[active], self._hits[self._column[signal], active],
+                baseline)
+
+    def _node_names(self, codes: np.ndarray) -> list[NodeId]:
+        """The node ids of ``codes``."""
+        return list(map(self._node_ids.ids().__getitem__, codes.tolist()))
 
     def flagged(
         self, signal: SignalId, threshold: float
@@ -298,37 +305,43 @@ class StreamEngine:
         """Peak z over the window and the nodes with ``z >= threshold``.
 
         Equals ``scores()`` followed by ``flag_nodes``, and raises what
-        ``scores()`` raises, but ranks only the flagged nodes.
+        both raise, but names and ranks only the flagged nodes.
         """
-        nodes, trials, hits, baseline = self._window_columns(signal)
+        active, trials, hits, baseline = self._window_columns(signal)
         z = score_columns(trials, hits, baseline)[-1]
+        if not math.isfinite(threshold):
+            raise ValueError(f"threshold must be finite, got {threshold}")
         rows = np.flatnonzero(z >= threshold)
-        kept = rank_columns([nodes[row] for row in rows.tolist()], trials[rows],
-                            hits[rows], baseline)
-        return float(z.max()), flag_nodes(kept, threshold)
+        # rank_columns orders by (-z, node), as flag_nodes does.
+        return float(z.max()), rank_columns(self._node_names(active[rows]), trials[rows],
+                                            hits[rows], baseline)
 
     def hit_users(self, node: NodeId, signal: SignalId) -> frozenset[UserId]:
         """Users that sent ``node`` a hit-carrying edge inside the window."""
-        return self._hit_users(signal, [node]).get(node, frozenset())
+        self._flush()
+        code = self._node_ids.code(node)
+        if code is None:
+            return frozenset()
+        return self._hit_users(signal, [code]).get(node, frozenset())
 
     def node_hit_users(self, signal: SignalId) -> dict[NodeId, frozenset[UserId]]:
         """``hit_users`` of every node with a hit on ``signal`` in the window."""
         return self._hit_users(signal, None)
 
     def _hit_users(self, signal: SignalId,
-                   nodes: list[NodeId] | None) -> dict[NodeId, frozenset[UserId]]:
-        """Hit users on ``signal`` of each of ``nodes`` (every node if None)
-        that has any, gathered from the hit-user rows in one grouped pass."""
+                   codes: list[int] | None) -> dict[NodeId, frozenset[UserId]]:
+        """Hit users on ``signal`` of each node of ``codes`` (every node if
+        None) that has any, gathered from the hit-user rows in one grouped
+        pass."""
         self._flush()
-        if signal not in self._column:
+        if signal not in self._column or (codes is not None and not codes):
             return {}
-        node_ids = self._node_ids.ids()
         days = [_NO_ROWS, *self._user_rows.values()]
         keep = [rows[1] == self._column[signal] for rows in days]
-        if nodes is not None:
-            wanted = set(nodes)
-            codes = [code for code, node in enumerate(node_ids) if node in wanted]
-            keep = [mask & np.isin(rows[0], codes) for rows, mask in zip(days, keep)]
+        if codes is not None:
+            wanted = np.zeros(len(self._trials), bool)
+            wanted[codes] = True
+            keep = [mask & wanted[rows[0]] for rows, mask in zip(days, keep)]
         # The code columns are built one at a time and freed before the
         # sets, which keeps the peak memory of a turn low; a frozenset
         # copied from a set is sized to fit.
@@ -337,10 +350,11 @@ class StreamEngine:
         node = node[order]
         user = np.concatenate([rows[2, mask] for rows, mask in zip(days, keep)])[order]
         del keep, order
-        user = np.array(self._user_ids.ids(), object)[user]
+        user = list(map(self._user_ids.ids().__getitem__, user.tolist()))
+        node_ids = self._node_ids.ids()
         runs = [(node_ids[node[lo]], lo, hi) for lo, hi in _runs(node)]
         del node
-        return {node: frozenset(set(user[lo:hi].tolist())) for node, lo, hi in runs}
+        return {node: frozenset(set(user[lo:hi])) for node, lo, hi in runs}
 
     # -- checkpointing -----------------------------------------------------
 
@@ -712,9 +726,8 @@ def _score_turn(engine: StreamEngine, day: int, threshold: float) -> DayOutcome:
             max_z[signal] = None
             inactive.append(signal)
             continue
-        day_alerts = build_alerts(
-            flagged, engine._hit_users(signal, [sc.node for sc in flagged]), day
-        )
+        codes = [engine._node_ids.code(sc.node) for sc in flagged]
+        day_alerts = build_alerts(flagged, engine._hit_users(signal, codes), day)
         alerts[signal] = day_alerts
         users: set[UserId] = set()
         for alert in day_alerts:

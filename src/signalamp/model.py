@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import count, islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -121,16 +121,28 @@ class IdCodes:
     def __init__(self) -> None:
         # A missing id takes the next code on lookup.
         self._index: defaultdict[str, int] = defaultdict(count().__next__)
+        self._ids: list[str] = []
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self._ids)
 
     def encode(self, ids: list[str]) -> np.ndarray:
         """Int64 codes of ``ids``, adding the ids not seen before."""
-        return np.fromiter(map(self._index.__getitem__, ids), np.int64, len(ids))
+        codes = np.fromiter(map(self._index.__getitem__, ids), np.int64, len(ids))
+        new = len(self._index) - len(self._ids)
+        if new:
+            # The index keeps insertion order, so the new ids are its last keys.
+            self._ids += reversed(list(islice(reversed(self._index), new)))
+        return codes
+
+    def code(self, id_: str) -> int | None:
+        """The code of ``id_``, or None if it was never added."""
+        return self._index.get(id_)
 
     def ids(self) -> list[str]:
-        return list(self._index)
+        """The ids by code. The list is the table's own and grows with it;
+        callers must not change it."""
+        return self._ids
 
 
 class EdgeColumns(Sequence):

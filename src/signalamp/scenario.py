@@ -24,6 +24,12 @@ from .model import EdgeColumns, NodeId, SignalId, SignalRegistry, UserId
 _MASK64 = (1 << 64) - 1
 _SETUP_STREAM = _MASK64  # never collides with a day index
 
+# The highest mean number of transactions a user or a sybil may make per
+# day. A day's edge count is a Poisson draw with the rate times the head
+# count as its mean; a NaN rate would draw no edges, and an infinite or huge
+# one fails inside numpy or asks for unbounded memory.
+MAX_TXN_PER_DAY = 1_000.0
+
 
 @dataclass(frozen=True)
 class AttackConfig:
@@ -53,7 +59,10 @@ class ScenarioConfig:
 
     ``background_rates`` fixes the signal set and its registry order.
     ``popularity_skew`` shapes background node choice, weight (rank+1)^-skew;
-    0 means uniform.
+    0 means uniform. The transaction rates, ``background_txn_per_user_per_day``
+    and the attack's ``txn_per_sybil_per_day`` and
+    ``camouflage_txn_per_sybil_per_day``, are mean counts per user or sybil
+    per day in ``[0, MAX_TXN_PER_DAY]``.
     """
 
     seed: int
@@ -75,10 +84,11 @@ class ScenarioConfig:
             raise InfeasibleScenarioError("days must be >= 1")
         if self.n_users < 1 or self.n_nodes < 1:
             raise InfeasibleScenarioError("need at least one user and one node")
-        if self.background_txn_per_user_per_day < 0:
-            raise InfeasibleScenarioError("background transaction rate must be >= 0")
-        if self.popularity_skew < 0:
-            raise InfeasibleScenarioError("popularity_skew must be >= 0")
+        _check_txn_rate(self, "background_txn_per_user_per_day")
+        if not self.popularity_skew >= 0:
+            raise InfeasibleScenarioError(
+                f"popularity_skew must be >= 0, got {self.popularity_skew!r}"
+            )
         if not self.background_rates:
             raise InfeasibleScenarioError("at least one signal is required")
         for signal, rate in self.background_rates.items():
@@ -105,8 +115,8 @@ class ScenarioConfig:
                 f"attack window [{atk.start_day}, {atk.end_day}] must fit in "
                 f"[0, {self.days - 1}]"
             )
-        if atk.txn_per_sybil_per_day < 0 or atk.camouflage_txn_per_sybil_per_day < 0:
-            raise InfeasibleScenarioError("sybil transaction rates must be >= 0")
+        _check_txn_rate(atk, "txn_per_sybil_per_day")
+        _check_txn_rate(atk, "camouflage_txn_per_sybil_per_day")
         if not 0.0 <= atk.cashout_mix <= 1.0:
             raise InfeasibleScenarioError("cashout_mix must lie in [0, 1]")
         if set(atk.sybil_rates) != set(self.background_rates):
@@ -131,6 +141,14 @@ def _check_types(config: object, ints: tuple[str, ...], rates: str) -> None:
             raise InfeasibleScenarioError(f"{name} must be an integer, got {value!r}")
     if not isinstance(getattr(config, rates), dict):
         raise InfeasibleScenarioError(f"{rates} must map signal ids to rates")
+
+
+def _check_txn_rate(config: object, name: str) -> None:
+    value = getattr(config, name)
+    if not 0.0 <= value <= MAX_TXN_PER_DAY:
+        raise InfeasibleScenarioError(
+            f"{name} must lie in [0, {MAX_TXN_PER_DAY:g}], got {value!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -332,12 +350,11 @@ PRESETS: dict[str, Callable[..., ScenarioConfig]] = {
 
 
 def preset(name: str, seed: int | None = None) -> ScenarioConfig:
-    try:
-        builder = PRESETS[name]
-    except KeyError:
+    if not isinstance(name, str) or name not in PRESETS:
         raise InfeasibleScenarioError(
             f"unknown preset {name!r}; choose from {sorted(PRESETS)}"
-        ) from None
+        )
+    builder = PRESETS[name]
     return builder() if seed is None else builder(seed=seed)
 
 

@@ -713,6 +713,26 @@ def _scenario_days_fraction(dataset, tmp_path, capsys):
     return "days must be an integer, got 2.5", _generate_with(tmp_path, days=2.5)
 
 
+def _preset_not_text(dataset, tmp_path, capsys):
+    config = write_config(tmp_path, preset=[1], output_dir=str(tmp_path))
+    return "unknown preset [1]", ["generate", "--config", config]
+
+
+def _scenario_rate_nan(dataset, tmp_path, capsys):
+    return ("background_txn_per_user_per_day must lie in [0, 1000], got nan",
+            _generate_with(tmp_path, background_txn_per_user_per_day=float("nan")))
+
+
+def _scenario_rate_huge(dataset, tmp_path, capsys):
+    return ("background_txn_per_user_per_day must lie in [0, 1000], got 1e+30",
+            _generate_with(tmp_path, background_txn_per_user_per_day=1e30))
+
+
+def _scenario_rate_infinite(dataset, tmp_path, capsys):
+    return ("background_txn_per_user_per_day must lie in [0, 1000], got inf",
+            _generate_with(tmp_path, background_txn_per_user_per_day=float("inf")))
+
+
 class TestUnreadableInput:
     """Every bad input file or argument fails with one named error line,
     never a traceback."""
@@ -759,6 +779,10 @@ class TestUnreadableInput:
         _scenario_rates_not_object,
         _scenario_seed_fraction,
         _scenario_days_fraction,
+        _preset_not_text,
+        _scenario_rate_nan,
+        _scenario_rate_huge,
+        _scenario_rate_infinite,
     ], ids=lambda fn: fn.__name__.lstrip("_"))
     def test_named_error_without_traceback(self, make_case, dataset, tmp_path, capsys):
         bad, argv = make_case(dataset, tmp_path, capsys)

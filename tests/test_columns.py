@@ -8,6 +8,7 @@ paths and requires the same edges, or the same error text.
 
 import csv
 import os
+import random
 from bisect import bisect_right
 from operator import attrgetter
 
@@ -197,6 +198,110 @@ def test_reader_accepts_a_pipe(tmp_path, name):
     finally:
         os.close(read_fd)
     assert (signals, list(columns)) == row_parse(path)
+
+
+# Ids and day texts that every path reads the same way.
+CORPUS_IDS = ["u1", "n2", "üser", "用户", "节点", "u x", "n\x85y", "t\tab", " ", "l\u2028s"]
+CORPUS_DAYS = ["0", "7", "12", "+3", " 3", "٣", "3_0", "-0", "03", "4 "]
+# Kinds of line the split path must hand to the row parser, which reads the
+# over-limit and bytes-over-limit ones and rejects the others.
+CORPUS_BAD = ["fields", "compensating-fields", "empty-id", "bit", "day", "over-limit",
+              "bytes-over-limit", "field-over-limit"]
+
+
+def corpus_file(rng, limit):
+    """(text, True when every line is one the split path must read) of one
+    seeded edge file: a header of 0 to 3 signals, up to 91 characters so
+    that it spans chunks, then valid rows, blank lines and lines of exactly
+    ``limit`` bytes, and in half the files one to three lines of the
+    ``CORPUS_BAD`` kinds."""
+    signals = [f"{'s' * rng.randint(1, 24)}{k}" for k in range(rng.randint(0, 3))]
+    width = 3 + len(signals)
+
+    def row(user=None):
+        user = rng.choice(CORPUS_IDS) + str(rng.randint(0, 9)) if user is None else user
+        return [user, rng.choice(CORPUS_IDS), rng.choice(CORPUS_DAYS),
+                *(rng.choice("01") for _ in signals)]
+
+    def sized(chars, prefix=""):
+        """A row whose line is ``chars`` characters, all ASCII but
+        ``prefix``, its user id padded."""
+        fields = ["", "n", "0", *(rng.choice("01") for _ in signals)]
+        rest = len(",".join(fields)) + len(prefix)
+        return [prefix + "u" * (chars - rest), *fields[1:]]
+
+    lines = [",".join(["user", "node", "day", *signals])]
+    for _ in range(rng.randint(0, 40)):
+        kind = rng.random()
+        if kind < 0.1:
+            lines.append("")
+        elif kind < 0.15:
+            lines.append(",".join(sized(limit)))
+        else:
+            lines.append(",".join(row()))
+    valid = rng.random() < 0.5
+    for _ in range(0 if valid else rng.choice([1, 1, 2, 3])):
+        fields, bad = row(), rng.choice(CORPUS_BAD)
+        if bad == "fields":
+            fields = fields[:-1] if rng.random() < 0.5 else [*fields, "0"]
+        elif bad == "compensating-fields":
+            # Bit-like fields throughout, so only the comma count per line is wrong.
+            at = rng.randint(1, len(lines))
+            lines[at:at] = [",".join(rng.choice("01") for _ in range(count))
+                            for count in (width - 1, width + 1)]
+            continue
+        elif bad == "empty-id":
+            fields[rng.randint(0, 1)] = ""
+        elif bad == "bit" and width > 3:
+            fields[rng.randrange(3, width)] = rng.choice(
+                ["2", "true", " 1", "", "01", "10", "١"])
+        elif bad == "day":
+            fields[2] = rng.choice(["x", "-4", "1.5", "", str(2**63)])
+        elif bad == "over-limit":
+            fields = sized(limit + 1)
+        elif bad == "bytes-over-limit":
+            fields = sized(limit, prefix="é")
+        elif bad == "field-over-limit":
+            fields[0] = "u" * (limit + 1)
+        lines.insert(rng.randint(1, len(lines)), ",".join(fields))
+    text = "\n".join(lines) + ("\n" if rng.random() < 0.8 else "")
+    return text, valid
+
+
+@pytest.fixture
+def small_field_limit():
+    """A csv field limit of 100, so over-long lines stay small."""
+    old = csv.field_size_limit(100)
+    yield 100
+    csv.field_size_limit(old)
+
+
+def test_random_corpus_split_path_equals_row_parser(tmp_path, chunk, small_field_limit):
+    """The split path gives the row parser's edges or None, and
+    ``read_edge_file`` the row parser's result or its exact error text."""
+    rng = random.Random(20)
+    path = tmp_path / "edges.csv"
+    outcomes = {"split": 0, "row parser": 0, "error": 0}
+    for _ in range(400):
+        text, valid = corpus_file(rng, small_field_limit)
+        path.write_bytes(text.encode("utf-8"))
+        split = split_parse(path)
+        assert split is not None or not valid, text
+        try:
+            want = row_parse(path)
+        except EdgeFileError as exc:
+            assert split is None, text
+            with pytest.raises(EdgeFileError) as got:
+                read_edge_file(path)
+            assert str(got.value) == str(exc)
+            outcomes["error"] += 1
+            continue
+        if split is not None:
+            assert (split[0], list(split[1])) == want, text
+        outcomes["split" if split is not None else "row parser"] += 1
+        signals, columns = read_edge_file(path)
+        assert (signals, list(columns)) == want
+    assert min(outcomes.values()) >= 5, outcomes
 
 
 class TestEdgeColumns:

@@ -427,6 +427,85 @@ class TestReplayDaily:
         assert outcome.alerts["sig"] == []
 
 
+def window_hit_users(edges, day, window_days):
+    """Per signal and node, the users of the hit edges in the window that
+    ends at ``day``, built from every edge: the oracle of the gathers."""
+    users = {}
+    for edge in edges:
+        if edge.day <= day and (window_days is None or edge.day > day - window_days):
+            for signal, bit in edge.hits.items():
+                if bit:
+                    users.setdefault(signal, {}).setdefault(edge.node, set()).add(edge.user)
+    return users
+
+
+class TestHitUserGather:
+    """``hit_users``, ``node_hit_users`` and each turn's alert users equal
+    the sets built from every edge in the window, across trailing
+    evictions and checkpoint resumes."""
+
+    SIGNALS = ("a", "b")
+
+    def edges(self):
+        # Few users, so the same user hits a node on many days.
+        return random_edges(2400, seed=91, n_users=40, n_nodes=12, days=10,
+                            hit_rate=0.3, signals=self.SIGNALS)
+
+    @pytest.mark.parametrize("window_days", [None, 3], ids=["cumulative", "trailing3"])
+    def test_reads_after_every_turn(self, tmp_path, window_days):
+        edges = self.edges()
+        window = WindowConfig("trailing", window_days) if window_days else None
+        engine = StreamEngine(SignalRegistry(self.SIGNALS), window)
+        nodes = sorted({edge.node for edge in edges}) + ["ghost"]
+        for day in range(10):
+            if day in (4, 7):
+                engine.save_checkpoint(tmp_path / "state.json")
+                engine = StreamEngine.load_checkpoint(tmp_path / "state.json")
+            engine.ingest_columns(EdgeColumns.from_edges(
+                [edge for edge in edges if edge.day == day], self.SIGNALS))
+            engine.advance_to(day)
+            want = window_hit_users(edges, day, window_days)
+            for signal in (*self.SIGNALS, "unregistered"):
+                assert engine.node_hit_users(signal) == want.get(signal, {})
+                for node in nodes:
+                    assert engine.hit_users(node, signal) \
+                        == want.get(signal, {}).get(node, set())
+
+    @pytest.mark.parametrize("window_days", [None, 3], ids=["cumulative", "trailing3"])
+    def test_turn_alert_users(self, tmp_path, window_days):
+        edges = self.edges()
+        window = WindowConfig("trailing", window_days) if window_days else None
+        head = replay_daily([edge for edge in edges if edge.day < 5],
+                            SignalRegistry(self.SIGNALS), threshold=0.5, window=window)
+        head.engine.save_checkpoint(tmp_path / "state.json")
+        tail = replay_daily([edge for edge in edges if edge.day >= 5], threshold=0.5,
+                            engine=StreamEngine.load_checkpoint(tmp_path / "state.json"))
+        alerts = 0
+        for outcome in head.days + tail.days:
+            want = window_hit_users(edges, outcome.day, window_days)
+            for signal in self.SIGNALS:
+                for alert in outcome.alerts[signal]:
+                    assert alert.suspicious_users == want[signal][alert.node]
+                alerts += len(outcome.alerts[signal])
+                assert outcome.flagged_users[signal] == {
+                    user for alert in outcome.alerts[signal]
+                    for user in alert.suspicious_users}
+        assert alerts >= 20
+
+    def test_unseen_node_adds_nothing(self, tmp_path):
+        """A lookup of a node the engine never saw finds no users and adds
+        no id, so the next checkpoint is byte-equal to one saved before."""
+        engine = StreamEngine(SignalRegistry(["sig"]))
+        engine.ingest(TransactionEdge(user="u", node="n", day=0, hits={"sig": 1}))
+        engine.save_checkpoint(tmp_path / "before.json")
+        for _ in range(2):
+            assert engine.hit_users("ghost", "sig") == frozenset()
+        assert engine._node_ids.ids() == ["n"]
+        engine.save_checkpoint(tmp_path / "after.json")
+        assert (tmp_path / "after.json").read_bytes() \
+            == (tmp_path / "before.json").read_bytes()
+
+
 def alert_bytes(alert_lists):
     return "\n".join(serialize_alert(a) for alerts in alert_lists for a in alerts)
 

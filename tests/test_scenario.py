@@ -246,7 +246,11 @@ class TestValidation:
         {"n_users": 0},
         {"n_nodes": 0},
         {"background_txn_per_user_per_day": -0.1},
+        {"background_txn_per_user_per_day": float("nan")},
+        {"background_txn_per_user_per_day": float("inf")},
+        {"background_txn_per_user_per_day": 1000.5},
         {"popularity_skew": -1.0},
+        {"popularity_skew": float("nan")},
         {"background_rates": {}},
         {"background_rates": {"sig": 1.5}},
         {"background_rates": {"sig": -0.1}},
@@ -270,6 +274,8 @@ class TestValidation:
         {"end_day": 4},
         {"txn_per_sybil_per_day": -1.0},
         {"camouflage_txn_per_sybil_per_day": -0.5},
+        {"txn_per_sybil_per_day": float("nan")},
+        {"camouflage_txn_per_sybil_per_day": 1e30},
         {"cashout_mix": 1.01},
         {"sybil_rates": {"sig": 2.0}},
         {"sybil_rates": {"other": 0.5}},

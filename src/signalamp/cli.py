@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -24,12 +25,13 @@ from .backtest import (
 )
 from .detect import serialize_alert
 from .edgefile import (
+    read_edge_days,
     read_edge_file,
     read_ground_truth,
     write_edge_file,
     write_ground_truth,
 )
-from .engine import StreamEngine, WindowConfig, replay_daily
+from .engine import StreamEngine, WindowConfig, replay_turns
 from .errors import SignalAmpError
 from .model import SignalRegistry
 from .scenario import (
@@ -316,41 +318,75 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                         "threshold")
     window = _parse_window(_setting(args.window, config, "window"))
 
-    signals, edges = read_edge_file(edges_path)
-    if args.resume:
-        engine = StreamEngine.load_checkpoint(args.resume)
-        missing = [s for s in signals if s not in engine.registry]
-        if missing:
-            raise _CliError(
-                f"checkpoint lacks signals {missing} present in {edges_path}"
-            )
-        if window is not None:
-            raise _CliError("window is fixed by the checkpoint when resuming")
-        result = replay_daily(edges, engine=engine, threshold=threshold)
-    else:
-        registry = SignalRegistry(signals)
-        result = replay_daily(edges, registry, threshold=threshold, window=window)
+    signals, days = read_edge_days(edges_path)
+    try:
+        if args.resume:
+            engine = StreamEngine.load_checkpoint(args.resume)
+            missing = [s for s in signals if s not in engine.registry]
+            if missing:
+                raise _CliError(
+                    f"checkpoint lacks signals {missing} present in {edges_path}"
+                )
+            if window is not None:
+                raise _CliError("window is fixed by the checkpoint when resuming")
+        else:
+            engine = StreamEngine(SignalRegistry(signals), window=window)
+        day_lines, written = _stream_turns(engine, days, threshold, checkpoint_out,
+                                           Path(args.alerts) if args.alerts else None)
+    except Exception:
+        for _ in days:  # a reader error wins over the one raised here
+            pass
+        raise
 
-    alert_lines: list[str] = []
-    for outcome in result.days:
-        parts = []
-        for signal in result.engine.registry.ids():
-            flagged = outcome.flagged_users.get(signal, frozenset())
-            note = "inactive" if signal in outcome.inactive_signals else len(flagged)
-            parts.append(f"{signal}={note}")
-        print(f"day {outcome.day}: " + " ".join(parts))
-        for signal_alerts in outcome.alerts.values():
-            alert_lines.extend(serialize_alert(a) for a in signal_alerts)
-
-    result.engine.save_checkpoint(checkpoint_out)
+    for line in day_lines:
+        print(line)
     print(f"checkpoint saved to {checkpoint_out}")
     if args.alerts:
-        Path(args.alerts).write_text(
-            "\n".join(alert_lines) + ("\n" if alert_lines else ""),
-            encoding="utf-8",
-        )
-        print(f"wrote {len(alert_lines)} alerts to {args.alerts}")
+        print(f"wrote {written} alerts to {args.alerts}")
     return 0
+
+
+def _stream_turns(engine: StreamEngine, days, threshold: float, checkpoint_out: str,
+                  alerts_out: Path | None) -> tuple[list[str], int]:
+    """Run the turns of ``days``, then save the checkpoint; returns each
+    turn's line and the number of alerts written.
+
+    Alert lines go to a temporary file beside ``alerts_out`` as turns end,
+    renamed into place once the checkpoint is saved, so a failed run
+    leaves both targets as they were.
+    """
+    sink = None
+    if alerts_out is not None:
+        if alerts_out.is_dir():
+            raise _CliError(f"cannot write alerts to {alerts_out}: it is a directory")
+        tmp = alerts_out.with_name(f".{alerts_out.name}.{os.getpid()}.tmp")
+        try:
+            sink = open(tmp, "w", encoding="utf-8")
+        except OSError as exc:
+            raise _CliError(f"cannot write alerts to {alerts_out}: {exc.strerror}") from exc
+    day_lines: list[str] = []
+    written = 0
+    try:
+        for outcome in replay_turns(days, engine, threshold):
+            parts = []
+            for signal in engine.registry.ids():
+                flagged = outcome.flagged_users.get(signal, frozenset())
+                note = "inactive" if signal in outcome.inactive_signals else len(flagged)
+                parts.append(f"{signal}={note}")
+            day_lines.append(f"day {outcome.day}: " + " ".join(parts))
+            if sink is not None:
+                for signal_alerts in outcome.alerts.values():
+                    sink.writelines(serialize_alert(a) + "\n" for a in signal_alerts)
+                    written += len(signal_alerts)
+        engine.save_checkpoint(checkpoint_out)
+        if sink is not None:
+            sink.close()
+            os.replace(tmp, alerts_out)
+    finally:
+        if sink is not None:
+            sink.close()
+            tmp.unlink(missing_ok=True)
+    return day_lines, written
 
 
 # -- parser -----------------------------------------------------------------

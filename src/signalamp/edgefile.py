@@ -9,9 +9,10 @@ JSON document. Both formats round-trip exactly.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import BinaryIO, Generator, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -21,7 +22,8 @@ from .scenario import GroundTruth
 
 _FIXED_COLUMNS = ("user", "node", "day")
 _MAX_REPORTED_LINES = 10
-_CHUNK_CHARS = 1 << 18
+_CHUNK_BYTES = 1 << 18
+_PART_ROWS = 1 << 16
 _INT64_MAX = 2**63 - 1
 
 
@@ -52,93 +54,169 @@ def read_edge_file(path: str | Path) -> tuple[list[SignalId], EdgeColumns]:
     Malformed rows do not abort the scan one at a time: the reader keeps
     going and reports every offending line number (capped) in one error.
     """
-    path = Path(path)
+    parts = _parts(Path(path))
+    signals = next(parts)
+    users, nodes = IdCodes(), IdCodes()
+    return signals, _concat(signals, [_code(signals, users, nodes, part)
+                                      for part in parts])
+
+
+def read_edge_days(path: str | Path) -> tuple[list[SignalId], Iterator[EdgeColumns]]:
+    """The signal column order, and an iterator over the file's days: one
+    ``EdgeColumns`` per run of rows on the same day, in file order.
+
+    The header is read at once, the rows as the iterator advances, so no
+    more than a day and a chunk of the file is held at a time; each batch
+    has id tables of its own. The batches, concatenated, hold the edges
+    that ``read_edge_file`` returns, and the iterator raises what it
+    raises, once it reaches the row at fault. A file in day order gives
+    one batch per day.
+    """
+    parts = _parts(Path(path))
+    signals = next(parts)
+    return signals, _days(signals, parts)
+
+
+def _days(signals: list[SignalId], parts: Iterator[tuple]) -> Iterator[EdgeColumns]:
+    """``parts`` cut at each change of day, and coded and joined within a
+    day."""
+    held: list[EdgeColumns] = []  # the current day's pieces
+    for users, nodes, day, hits in parts:
+        cuts = (np.flatnonzero(day[1:] != day[:-1]) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, len(day)]):
+            if held and held[0].day[0] != day[lo]:
+                yield _concat(signals, held)
+                held = []
+            if not held:
+                tables = IdCodes(), IdCodes()
+            held.append(_code(signals, *tables, (users[lo:hi], nodes[lo:hi], day[lo:hi],
+                                                 hits[:, lo:hi])))
+        # The chunk's id strings go before the next chunk is read.
+        del users, nodes
+    if held:
+        yield _concat(signals, held)
+
+
+def _code(signals: list[SignalId], users: IdCodes, nodes: IdCodes,
+          part: tuple) -> EdgeColumns:
+    """The (users, nodes, days, hits) ``part`` as columns coded in the id
+    tables ``users`` and ``nodes``, which the columns share."""
+    user, node, day, hits = part
+    return EdgeColumns(signals, users.ids(), users.encode(user), nodes.ids(),
+                       nodes.encode(node), day, hits)
+
+
+def _concat(signals: list[SignalId], parts: list[EdgeColumns]) -> EdgeColumns:
+    """One batch of the rows of ``parts``, which share their id tables."""
+    if len(parts) == 1:
+        return parts[0]
+    if not parts:
+        return EdgeColumns.from_rows(signals, [], [], [], [])
+    return EdgeColumns(
+        signals, parts[0].users, np.concatenate([p.user_code for p in parts]),
+        parts[0].nodes, np.concatenate([p.node_code for p in parts]),
+        np.concatenate([p.day for p in parts]),
+        np.concatenate([p.hits for p in parts], axis=1))
+
+
+def _parts(path: Path) -> Iterator:
+    """Yields the signal columns, then the file's rows as (users, nodes,
+    int64 days, bool hits) parts: the split path's while it can read the
+    file, the row parser's from the first line it cannot. A file that
+    cannot seek is read by the row parser alone.
+
+    Reading and decoding errors raise ``EdgeFileError``. The text of an
+    undecodable byte is that of the row parser reading from the top.
+    """
     try:
-        fh = open(path, "r", newline="", encoding="utf-8")
+        fh = open(path, "rb")
     except OSError as exc:
         raise EdgeFileError(f"cannot open edge file {path}: {exc}") from exc
     with fh:
+        seekable = fh.seekable()
         try:
-            if fh.seekable():
-                parsed = _split_columns(fh)
-                if parsed is not None:
-                    return parsed
-                fh.seek(0)
-            return _parse_edges(path, csv.reader(fh))
+            try:
+                offset, line, signals = 0, 1, None
+                if seekable:
+                    stop = yield from _split_parts(fh)
+                    if stop is None:
+                        return
+                    offset, line, signals = stop
+                    fh.seek(offset)
+                text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
+                yield from _row_parts(path, csv.reader(text), signals, line)
+            except UnicodeDecodeError:
+                if not seekable:
+                    raise
+                with open(path, "r", newline="", encoding="utf-8") as text:
+                    for _ in _row_parts(path, csv.reader(text)):
+                        pass
+                raise
         except (UnicodeDecodeError, csv.Error) as exc:
             raise EdgeFileError(f"{path}: unreadable edge file: {exc}") from exc
 
 
-def _split_columns(fh: TextIO) -> tuple[list[SignalId], EdgeColumns] | None:
+def _split_parts(fh: BinaryIO) -> Generator[object, None, tuple | None]:
     """Read the file in chunks, check each chunk's whole lines at once on
-    their UTF-8 bytes, and split them with ``str.split``.
+    their UTF-8 bytes, and split them with ``str.split``; yields the signal
+    columns, then one (users, nodes, int64 days, bool hits) part per chunk.
 
-    Returns None at the first chunk that holds anything the row parser
-    could read differently (a quote, a carriage return, a NUL, a line of
-    more bytes than the csv field limit, undecodable bytes) or an invalid
-    row. The row parser then reads the file again and reports what it
-    finds.
+    Stops at the first chunk that holds anything the row parser could read
+    differently (a quote, a carriage return, a NUL, a line of more bytes
+    than the csv field limit) or an invalid row, and returns the byte
+    offset and line number of that chunk's first line, with the signals if
+    it read the header; returns None once it has read the whole file.
+    Undecodable bytes raise ``UnicodeDecodeError``.
     """
     limit = csv.field_size_limit()
-    users, nodes = IdCodes(), IdCodes()
     day_of: dict[str, int] = {}
-    parts: list[list[np.ndarray]] = []  # user, node, day and hit chunks
     signals: list[SignalId] | None = None
-    carry = ""
-    try:
-        while True:
-            chunk = fh.read(_CHUNK_CHARS)
-            if '"' in chunk or "\r" in chunk or "\x00" in chunk:
-                return None
-            # The block holds whole lines, each ending in a newline.
-            block = carry + chunk
-            if chunk:
-                cut = block.rfind("\n") + 1
-                block, carry = block[:cut], block[cut:]
-                if len(carry) > limit:
-                    return None
-            elif block:
-                block += "\n"
-            if signals is None and block:
-                header_line, _, block = block.partition("\n")
-                header = header_line.split(",")
-                signals = header[3:]
-                if len(header_line) > limit or tuple(header[:3]) != _FIXED_COLUMNS \
-                        or len(set(signals)) != len(signals) or "" in signals:
-                    return None
-                width = len(header)
-                empty = np.empty(0, np.int64)
-                parts = [[empty], [empty], [empty], [np.empty((width - 3, 0), bool)]]
-            block = block.lstrip("\n")  # blank lines
-            while "\n\n" in block:
-                block = block.replace("\n\n", "\n")
-            if block:
-                part = _split_block(block, width, limit, day_of)
-                if part is None:
-                    return None
-                user_col, node_col, days, hits = part
-                parts[0].append(users.encode(user_col))
-                parts[1].append(nodes.encode(node_col))
-                parts[2].append(days)
-                parts[3].append(hits)
-            if not chunk:
-                break
-    except UnicodeDecodeError:
-        return None
-    if signals is None:
-        return None
-    user_code, node_code, day = (np.concatenate(column) for column in parts[:3])
-    return signals, EdgeColumns(signals, users.ids(), user_code, nodes.ids(),
-                                node_code, day, np.concatenate(parts[3], axis=1))
+    offset, line, carry = 0, 1, b""
+    while True:
+        chunk = fh.read(_CHUNK_BYTES)
+        if b'"' in chunk or b"\r" in chunk or b"\x00" in chunk:
+            return offset, line, signals
+        # The block holds whole lines, each ending in a newline.
+        block = carry + chunk
+        if chunk:
+            cut = block.rfind(b"\n") + 1
+            block, carry = block[:cut], block[cut:]
+            if len(carry) > limit:
+                return offset, line, signals
+        elif block:
+            block += b"\n"
+        if signals is None and block:
+            header_line, _, block = block.partition(b"\n")
+            header = header_line.decode("utf-8").split(",")
+            names = header[3:]
+            if len(header_line) > limit or tuple(header[:3]) != _FIXED_COLUMNS \
+                    or len(set(names)) != len(names) or "" in names:
+                return offset, line, signals
+            signals, width = names, len(header)
+            offset, line = len(header_line) + 1, 2
+            yield signals
+        rows = block.lstrip(b"\n")  # blank lines
+        while b"\n\n" in rows:
+            rows = rows.replace(b"\n\n", b"\n")
+        if rows:
+            part = _split_block(rows, width, limit, day_of)
+            if part is None:
+                return offset, line, signals
+            yield part
+            del part  # its id strings go before the next chunk is read
+        if not chunk:
+            return None if signals is not None else (0, 1, None)
+        offset += len(block)
+        line += block.count(b"\n")
 
 
-def _split_block(block: str, width: int, limit: int, day_of: dict[str, int]
+def _split_block(block: bytes, width: int, limit: int, day_of: dict[str, int]
                  ) -> tuple | None:
     """(users, nodes, int64 days, bool hits) of ``block``'s lines, each
     non-blank and ending in a newline, or None unless every line is a
     valid row that the row parser reads the same way. ``day_of`` caches
     the value of each day text seen so far."""
-    data = np.frombuffer(block.encode("utf-8"), np.uint8)
+    data = np.frombuffer(block, np.uint8)
     newline = data == ord("\n")
     n = np.count_nonzero(newline)
     # The field ends, commas and newlines: when every width-th one is a
@@ -152,7 +230,7 @@ def _split_block(block: str, width: int, limit: int, day_of: dict[str, int]
             or not (size[:, 3:] == 1).all() \
             or not ((bits == ord("0")) | (bits == ord("1"))).all():
         return None
-    fields = block[:-1].replace("\n", ",").split(",")
+    fields = block[:-1].decode("utf-8").replace("\n", ",").split(",")
     day_col = fields[2::width]
     for text in dict.fromkeys(day_col):
         if text not in day_of:
@@ -167,29 +245,39 @@ def _split_block(block: str, width: int, limit: int, day_of: dict[str, int]
     return fields[0::width], fields[1::width], days, (bits == ord("1")).T
 
 
-def _parse_edges(
-    path: Path, reader: Iterator[list[str]]
-) -> tuple[list[SignalId], EdgeColumns]:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise EdgeFileError(f"{path}: empty file, expected a header row") from None
-    if tuple(header[:3]) != _FIXED_COLUMNS:
-        raise EdgeFileError(
-            f"{path}: header must start with user,node,day; got {header[:3]}"
-        )
-    signals = header[3:]
-    if len(set(signals)) != len(signals):
-        raise EdgeFileError(f"{path}: duplicate signal columns in header")
-    if "" in signals:
-        raise EdgeFileError(f"{path}: empty signal column name in header")
-    width = len(header)
+def _row_parts(path: Path, reader: Iterator[list[str]],
+               signals: list[SignalId] | None = None, line: int = 1) -> Iterator:
+    """The csv row parser: yields the signal columns when it reads the
+    header (``signals`` None), then (users, nodes, int64 days, bool hits)
+    parts of up to ``_PART_ROWS`` rows, numbering rows from ``line``.
+
+    Malformed rows do not abort the scan one at a time: after the first,
+    the parser yields nothing more, keeps going and raises one error
+    naming every offending line (capped).
+    """
+    if signals is None:
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EdgeFileError(f"{path}: empty file, expected a header row") from None
+        if tuple(header[:3]) != _FIXED_COLUMNS:
+            raise EdgeFileError(
+                f"{path}: header must start with user,node,day; got {header[:3]}"
+            )
+        signals = header[3:]
+        if len(set(signals)) != len(signals):
+            raise EdgeFileError(f"{path}: duplicate signal columns in header")
+        if "" in signals:
+            raise EdgeFileError(f"{path}: empty signal column name in header")
+        yield signals
+        line = 2
+    width = 3 + len(signals)
     users: list[str] = []
     nodes: list[str] = []
     days: list[int] = []
     hit_at: list[tuple[int, int]] = []  # (signal index, row) per hit bit
     bad: list[str] = []
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in enumerate(reader, start=line):
         if not row:
             continue
         problem = None
@@ -218,15 +306,29 @@ def _parse_edges(
             if len(bad) > _MAX_REPORTED_LINES:
                 break
             continue
+        if bad:
+            continue
         hit_at += [(k, len(days)) for k, bit in enumerate(bits) if bit == "1"]
         users.append(row[0])
         nodes.append(row[1])
         days.append(day)
+        if len(days) == _PART_ROWS:
+            yield _row_part(len(signals), users, nodes, days, hit_at)
+            users, nodes, days, hit_at = [], [], [], []
     if bad:
         shown = bad[:_MAX_REPORTED_LINES]
         suffix = "" if len(bad) <= _MAX_REPORTED_LINES else "; more follow"
         raise EdgeFileError(f"{path}: malformed rows: " + "; ".join(shown) + suffix)
-    return signals, EdgeColumns.from_rows(signals, users, nodes, days, hit_at)
+    if days:
+        yield _row_part(len(signals), users, nodes, days, hit_at)
+
+
+def _row_part(n_signals: int, users: list[str], nodes: list[str], days: list[int],
+              hit_at: list[tuple[int, int]]) -> tuple:
+    hits = np.zeros((n_signals, len(days)), bool)
+    if hit_at:
+        hits[tuple(np.array(hit_at).T)] = True
+    return users, nodes, np.array(days, np.int64), hits
 
 
 def write_ground_truth(path: str | Path, truth: GroundTruth) -> None:

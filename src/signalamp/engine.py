@@ -746,15 +746,13 @@ def replay_daily(
 ) -> ReplayResult:
     """Feed a day-ordered edge stream through daily scoring turns.
 
-    The edges are converted to ``EdgeColumns`` once, before the first
-    turn, so the whole input is held in memory; replay a long stream one
-    slice of days at a time, passing each result's engine to the next
-    call. Each day's edges are folded in one grouped pass
-    (``ingest_columns``), then every signal is rescored over the
-    configured window ending at that day. Gap days with
-    no traffic still get a scoring turn. Out-of-order days raise
-    ``UnsortedEdgesError`` before anything is ingested; callers holding an
-    unordered stream sort it by day first.
+    The whole input is taken at once: the edges are converted to
+    ``EdgeColumns``, checked for day order, cut into days and run through
+    ``replay_turns``, and every turn's ``DayOutcome`` is kept. Out-of-order
+    days raise ``UnsortedEdgesError`` before anything is ingested; callers
+    holding an unordered stream sort it by day first. To hold only a day
+    at a time, feed ``replay_turns`` one day's batch at a time instead, as
+    the ``stream`` command does with ``edgefile.read_edge_days``.
 
     Pass ``engine`` to continue from checkpointed state; scoring then
     resumes on the day after the checkpoint's last.
@@ -766,33 +764,55 @@ def replay_daily(
     elif registry is not None or window is not None:
         raise ValueError("registry and window come from the engine when resuming")
 
-    outcomes: list[DayOutcome] = []
     batch = EdgeColumns.from_edges(edges, engine.registry.ids())
-    if not len(batch):
-        return ReplayResult(outcomes, engine)
     day = batch.day
-    pending = int(day[0]) if engine.current_day is None else engine.current_day + 1
-    _check_sorted(day, pending)
-    for lo, hi in _runs(day):
-        today = int(day[lo])
+    if len(batch):
+        _check_sorted(day, int(day[0]) if engine.current_day is None
+                      else engine.current_day + 1)
+    days = (batch[lo:hi] for lo, hi in _runs(day))
+    return ReplayResult(list(replay_turns(days, engine, threshold)), engine)
+
+
+def replay_turns(batches: Iterable[EdgeColumns], engine: StreamEngine,
+                 threshold: float) -> Iterator[DayOutcome]:
+    """Fold each batch into ``engine`` and yield the scoring turn of its day.
+
+    Each batch holds the edges of one day, later than the day of the batch
+    before; an empty batch is skipped. Gap days with no traffic still get
+    a scoring turn. Scoring starts on the first batch's day, or on the day
+    after the engine's ``current_day`` when it has one. A batch on a day
+    already begun raises ``UnsortedEdgesError`` before it is folded.
+    """
+    pending = None if engine.current_day is None else engine.current_day + 1
+    begun = pending
+    for batch in batches:
+        if not len(batch):
+            continue
+        today = int(batch.day[0])
+        if np.count_nonzero(batch.day != today):
+            raise ValueError("a batch must hold the edges of one day")
+        if pending is None:
+            pending = today
+        if today < pending:
+            raise _unsorted(today, begun)
         for gap_day in range(pending, today):
-            outcomes.append(_score_turn(engine, gap_day, threshold))
-        engine.ingest_columns(batch[lo:hi])
-        outcomes.append(_score_turn(engine, today, threshold))
-        pending = today + 1
-    return ReplayResult(outcomes, engine)
+            yield _score_turn(engine, gap_day, threshold)
+        engine.ingest_columns(batch)
+        yield _score_turn(engine, today, threshold)
+        pending, begun = today + 1, today
 
 
 def _check_sorted(day: np.ndarray, pending: int) -> None:
     """Raise on the first edge whose day is before a day already begun."""
     drops = np.flatnonzero(np.diff(day) < 0)
     if day[0] < pending:
-        late, begun = day[0], pending
-    elif drops.size:
-        late, begun = day[drops[0] + 1], day[drops[0]]
-    else:
-        return
-    raise UnsortedEdgesError(
+        raise _unsorted(day[0], pending)
+    if drops.size:
+        raise _unsorted(day[drops[0] + 1], day[drops[0]])
+
+
+def _unsorted(late: int, begun: int) -> UnsortedEdgesError:
+    return UnsortedEdgesError(
         f"edge day {late} arrived after day {begun} began "
         "(sort the stream by day first)"
     )

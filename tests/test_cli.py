@@ -1,11 +1,14 @@
 """End-to-end command line tests, driving main() in process."""
 
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from signalamp.cli import main
 from signalamp.edgefile import read_edge_file, write_edge_file
+from signalamp.scenario import generate, scenario_from_dict
 
 from reference import v1_payload
 
@@ -325,6 +328,7 @@ class TestStream:
         parsed = json.loads(lines[0])
         assert set(parsed) == {"day", "signal", "node", "z", "s", "t",
                                "user_count", "users"}
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_split_run_matches_one_shot(self, dataset, tmp_path, capsys):
         signals, edges = read_edge_file(dataset / "edges.csv")
@@ -400,6 +404,89 @@ class TestStream:
         )
         assert code == 1
         assert "extra" in err
+
+    @pytest.mark.parametrize("case, message", [
+        ("bad-row-on-last-day", "line {bad}: bit for 'sig' must be 0 or 1, got '2'"),
+        ("day-out-of-order", "edge day 0 arrived after day 3 began"),
+        ("resume-before-checkpoint", "edge day 0 arrived after day 4 began"),
+        ("alerts-unwritable", "cannot write alerts to"),
+        ("alerts-a-directory", "cannot write alerts to"),
+        ("bad-row-after-day-out-of-order", "line {bad}: bit for 'sig' must be 0 or 1"),
+    ])
+    def test_failed_run_leaves_every_file_as_it_was(self, dataset, tmp_path, capsys,
+                                                    case, message):
+        """All or nothing: a run that fails prints one error line and no day
+        line, leaves the checkpoint and alert targets byte-unchanged and
+        leaves no temporary file. A reader error wins over any other."""
+        lines = (dataset / "edges.csv").read_text().splitlines(keepends=True)
+        edges = tmp_path / "edges.csv"
+        ckpt = tmp_path / "state.json"
+        alerts = tmp_path / "alerts.jsonl"
+        argv = ["stream", "--edges", str(edges), "--threshold", "8",
+                "--checkpoint", str(ckpt), "--alerts", str(alerts)]
+        cut = len(lines) - 5  # inside the last day
+        assert lines[cut].split(",")[2] == lines[-1].split(",")[2] == "3"
+        # More than a chunk of the last day, so that the earlier days are
+        # read and scored before the reader reaches the rows after it.
+        pad = ["uy,ny,3,0\n"] * 30_000
+        inserted = {
+            "bad-row-on-last-day": pad + ["ux,nx,3,2\n"],
+            "day-out-of-order": pad + ["ux,nx,0,1\n"],
+            "bad-row-after-day-out-of-order": ["ux,nx,0,1\n"] + pad + ["ux,nx,3,2\n"],
+        }.get(case, [])
+        edges.write_text("".join(lines[:cut] + inserted + lines[cut:]))
+        bad = cut + len(inserted)  # the line number of the last row inserted
+        if case == "resume-before-checkpoint":
+            base = tmp_path / "base.json"
+            assert invoke(capsys, "stream", "--edges", str(dataset / "edges.csv"),
+                          "--checkpoint", str(base))[0] == 0
+            argv += ["--resume", str(base)]
+        elif case == "alerts-unwritable":
+            argv[-1] = str(tmp_path / "missing" / "alerts.jsonl")
+        elif case == "alerts-a-directory":
+            alerts.mkdir()
+        if not alerts.exists():
+            alerts.write_text("earlier alerts\n")
+        ckpt.write_text("earlier checkpoint\n")
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message.format(bad=bad) in err
+        assert out == ""
+        after = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        assert after == before
+
+    def test_memory_follows_the_window_not_the_file(self, tmp_path, capsys):
+        """``stream`` holds a day of the file at a time: over 60 days of a
+        fixed population its peak traced memory is at most 1.25 times its
+        peak over the first 15."""
+        scenario = scenario_from_dict({
+            "seed": 11, "days": 60, "n_users": 500, "n_nodes": 40,
+            "background_txn_per_user_per_day": 5.0,
+            "background_rates": {"a": 0.05, "b": 0.02},
+            "attack": {"n_sybil": 40, "k_cashout": 2, "start_day": 0, "end_day": 59,
+                       "txn_per_sybil_per_day": 1.0, "sybil_rates": {"a": 0.6, "b": 0.02}},
+        })
+        edges, _ = generate(scenario)
+        write_edge_file(tmp_path / "all.csv", edges, scenario.signals)
+        write_edge_file(tmp_path / "head.csv", edges[:np.searchsorted(edges.day, 15)],
+                        scenario.signals)
+        peaks = {}
+        for name in ("head", "all"):
+            tracemalloc.start()
+            try:
+                code, _, err = invoke(
+                    capsys, "stream", "--edges", str(tmp_path / f"{name}.csv"),
+                    "--window", "trailing:3", "--threshold", "5",
+                    "--checkpoint", str(tmp_path / f"{name}.json"),
+                    "--alerts", str(tmp_path / f"{name}.jsonl"))
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0, err
+        assert peaks["all"] <= 1.25 * peaks["head"], peaks
 
     def test_stream_requires_checkpoint_path(self, dataset, capsys):
         code, _, err = invoke(

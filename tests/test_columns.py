@@ -1,9 +1,11 @@
 """Edge columns and the edge-file reader.
 
-``read_edge_file`` reads a file with ``str.split`` column by column when
-it can, and otherwise with the csv row parser, which is also the only
+``read_edge_file`` reads a file with ``str.split`` column by column while
+it can, and the rest with the csv row parser, which is also the only
 source of error messages. The corpus below runs every case through both
-paths and requires the same edges, or the same error text.
+paths and requires the same edges, or the same error text. The day reader
+``read_edge_days`` shares that reading and must give the same edges, cut
+into days, or the same error text.
 """
 
 import csv
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 import signalamp.edgefile as edgefile
-from signalamp.edgefile import read_edge_file, write_edge_file
+from signalamp.edgefile import read_edge_days, read_edge_file, write_edge_file
 from signalamp.errors import EdgeFileError, UnknownSignalError
 from signalamp.model import EdgeColumns, TransactionEdge
 
@@ -67,27 +69,49 @@ MALFORMED = {
 }
 
 
+def collect(parts):
+    """(signals, edges as a list) of a reader generator that yields the
+    signal columns, then (users, nodes, days, hits) parts."""
+    signals = next(parts)
+    edges = []
+    for users, nodes, days, hits in parts:
+        edges += [TransactionEdge(user, node, day,
+                                  {s: 1 for s, bit in zip(signals, bits) if bit})
+                  for user, node, day, bits in zip(users, nodes, days.tolist(),
+                                                   hits.T.tolist())]
+    return signals, edges
+
+
 def row_parse(path):
     """The row parser alone, with ``read_edge_file``'s error wrapping;
     returns (signals, the edges as a list)."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         try:
-            signals, columns = edgefile._parse_edges(path, csv.reader(fh))
+            return collect(edgefile._row_parts(path, csv.reader(fh)))
         except (UnicodeDecodeError, csv.Error) as exc:
             raise EdgeFileError(f"{path}: unreadable edge file: {exc}") from exc
-    return signals, list(columns)
 
 
 def split_parse(path):
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        return edgefile._split_columns(fh)
+    """The split path alone: (signals, the edges as a list) when it reads
+    the whole file, else None."""
+    with open(path, "rb") as fh:
+        parts = edgefile._split_parts(fh)
+        items = []
+        try:
+            while True:
+                items.append(next(parts))
+        except StopIteration as end:
+            if end.value is not None:
+                return None
+    return collect(iter(items))
 
 
 @pytest.fixture(params=[7, 64, None], ids=["chunk7", "chunk64", "chunk-default"])
 def chunk(request, monkeypatch):
     """Run each reader case with chunk boundaries inside lines too."""
     if request.param is not None:
-        monkeypatch.setattr(edgefile, "_CHUNK_CHARS", request.param)
+        monkeypatch.setattr(edgefile, "_CHUNK_BYTES", request.param)
 
 
 @pytest.mark.parametrize("name", list(VALID))
@@ -177,7 +201,7 @@ def test_large_file_crosses_chunks(tmp_path):
         f"user{u},node{v},{d},{int(a)},{int(b)}\n"
         for u, v, d, a, b in zip(users, nodes, days, *bits)), encoding="utf-8")
     signals, columns = read_edge_file(path)
-    assert path.stat().st_size > 3 * edgefile._CHUNK_CHARS
+    assert path.stat().st_size > 3 * edgefile._CHUNK_BYTES
     assert list(columns) == row_parse(path)[1]
     assert np.array_equal(columns.day, days)
     assert np.array_equal(columns.hits, bits)
@@ -302,6 +326,109 @@ def test_random_corpus_split_path_equals_row_parser(tmp_path, chunk, small_field
         signals, columns = read_edge_file(path)
         assert (signals, list(columns)) == want
     assert min(outcomes.values()) >= 5, outcomes
+
+
+def day_read(path):
+    """``read_edge_days``' batches as (signals, the edges as a list), once
+    each batch is checked to hold one day, other than the batch before's."""
+    signals, days = read_edge_days(path)
+    edges, last = [], None
+    for batch in days:
+        assert batch.signals == tuple(signals)
+        assert len(batch) and (batch.day == batch.day[0]).all()
+        assert batch.day[0] != last
+        last = batch.day[0]
+        edges += list(batch)
+    return signals, edges
+
+
+def read_either(read, path):
+    """(signals, edges as a list) from ``read``, or the text of the
+    ``EdgeFileError`` it raises."""
+    try:
+        signals, edges = read(path)
+    except EdgeFileError as exc:
+        return str(exc)
+    return signals, list(edges)
+
+
+@pytest.mark.parametrize("name", [*VALID, *MALFORMED])
+def test_day_reader_equals_read_edge_file(tmp_path, chunk, name):
+    text = VALID[name][0] if name in VALID else MALFORMED[name]
+    path = tmp_path / "edges.csv"
+    path.write_bytes(text.encode("utf-8"))
+    want = read_either(read_edge_file, path)
+    assert isinstance(want, str) == (name in MALFORMED)
+    assert read_either(day_read, path) == want
+
+
+def test_random_corpus_day_reader_equals_read_edge_file(tmp_path, chunk,
+                                                        small_field_limit):
+    rng = random.Random(21)
+    path = tmp_path / "edges.csv"
+    errors = 0
+    for _ in range(400):
+        text, _ = corpus_file(rng, small_field_limit)
+        path.write_bytes(text.encode("utf-8"))
+        want = read_either(read_edge_file, path)
+        assert read_either(day_read, path) == want, text
+        errors += isinstance(want, str)
+    assert 5 <= errors <= 395
+
+
+# Lines that only the row parser reads, or that stop every reader.
+HANDOVER_LINES = {
+    "quoted": '"u,q",n""q,{day},1,0\n'.encode(),
+    "cr": "uc,nc,{day},0,1\r\n".encode(),
+    "undecodable": b"u\xff,n1,{day},1,0\n",
+}
+
+
+@pytest.mark.parametrize("bad_row", [False, True], ids=["valid", "bad-row"])
+@pytest.mark.parametrize("where", ["start", "middle", "last"])
+@pytest.mark.parametrize("kind", list(HANDOVER_LINES))
+def test_row_parser_takes_over_from_the_chunk_it_cannot_split(
+        tmp_path, chunk, monkeypatch, kind, where, bad_row):
+    """The split path hands the row parser only the rest of the file, from
+    the first line of the chunk it gave up on. Both readers then give the
+    row parser's columns, or its exact error text, with lines numbered
+    from the top of the file."""
+    size = edgefile._CHUNK_BYTES
+    n = max(40, size // 26)  # lines of 66 bytes or so: two and a half chunks
+    rows = [f"user{i % 97:030},node{i % 13:020},{i * 10 // n},{i % 2},{i % 3 // 2}\n"
+            .encode() for i in range(n)]
+    at = {"start": 0, "middle": n // 2, "last": n}[where]
+    day = str(min(at, n - 1) * 10 // n).encode()
+    rows.insert(at, HANDOVER_LINES[kind].replace(b"{day}", day))
+    if bad_row:
+        rows.insert(at + 1, b"ux,nx," + day + b",1,2\n")
+    header = HEADER.encode()
+    path = tmp_path / "edges.csv"
+    path.write_bytes(header + b"".join(rows))
+    try:
+        want = row_parse(path)
+    except EdgeFileError as exc:
+        want = str(exc)
+    assert isinstance(want, str) == (bad_row or kind == "undecodable")
+
+    starts = []
+    row_parts = edgefile._row_parts
+
+    def spy(path, reader, signals=None, line=1):
+        starts.append(line)
+        return row_parts(path, reader, signals, line)
+
+    monkeypatch.setattr(edgefile, "_row_parts", spy)
+    assert read_either(read_edge_file, path) == want
+    assert read_either(day_read, path) == want
+    if kind == "undecodable":
+        # Each read ends reading again from the top, for the error text of
+        # a whole-file read.
+        assert starts[-1] == 1 and starts.count(1) == 2
+        return
+    assert starts and starts[0] <= at + 2  # the header is line 1
+    if sum(map(len, rows[:at])) >= size:  # not in the header's chunk
+        assert starts[0] > 2
 
 
 class TestEdgeColumns:

@@ -12,7 +12,8 @@ import pytest
 from signalamp.amplify import compute_baseline
 from signalamp.detect import build_alerts, flag_nodes, serialize_alert
 from signalamp import engine as engine_module
-from signalamp.engine import StreamEngine, WindowConfig, replay_daily
+from signalamp.edgefile import read_edge_days, write_edge_file
+from signalamp.engine import StreamEngine, WindowConfig, replay_daily, replay_turns
 from signalamp.errors import (
     CheckpointError,
     DegenerateBaselineError,
@@ -248,6 +249,49 @@ class TestTrailingWindow:
 
 
 class TestReplayDaily:
+    @pytest.mark.parametrize("window", [None, WindowConfig.trailing(3)],
+                             ids=["cumulative", "trailing3"])
+    def test_turns_over_the_day_reader_equal_per_edge_turns(self, tmp_path, window):
+        """``replay_turns`` fed one day at a time by ``read_edge_days``, gap
+        days included, gives every turn of per-edge ingest and scoring."""
+        registry = SignalRegistry(["a", "b"])
+        edges = [e for e in random_edges(3000, seed=61, days=12, signals=("a", "b"))
+                 if e.day not in (4, 5)]
+        path = tmp_path / "edges.csv"
+        write_edge_file(path, edges, registry.ids())
+        signals, days = read_edge_days(path)
+        engine = StreamEngine(SignalRegistry(signals), window)
+        outcomes = list(replay_turns(days, engine, threshold=2.0))
+        turns, reference = composed_turns(edges, registry, window, 2.0)
+        assert_outcomes_equal(outcomes, turns)
+        assert engine.checkpoint_payload() == reference.checkpoint_payload()
+
+    def test_turns_check_each_batch_as_they_reach_it(self, tmp_path):
+        """The turn generator scores the days before a batch that is out of
+        order, then raises ``replay_daily``'s error text; a batch of more
+        than one day is refused."""
+        first = replay_daily(random_edges(100, 75, days=3), SignalRegistry(["sig"]),
+                             threshold=5.0)
+        path = tmp_path / "state.json"
+        first.engine.save_checkpoint(path)
+
+        def batch(*days):
+            return EdgeColumns.from_edges(
+                [TransactionEdge(user="u", node="n", day=d, hits={}) for d in days], ["sig"])
+
+        for days, scored, message in [
+            ([3, 5, 4], [3, 4, 5], "edge day 4 arrived after day 5 began"),
+            ([2, 3], [], "edge day 2 arrived after day 3 began"),
+        ]:
+            seen = []
+            with pytest.raises(UnsortedEdgesError, match=message):
+                for outcome in replay_turns(map(batch, days),
+                                            StreamEngine.load_checkpoint(path), 5.0):
+                    seen.append(outcome.day)
+            assert seen == scored
+        with pytest.raises(ValueError, match="one day"):
+            list(replay_turns([batch(3, 4)], StreamEngine.load_checkpoint(path), 5.0))
+
     @pytest.mark.parametrize("window", [None, WindowConfig.trailing(3)],
                              ids=["cumulative", "trailing3"])
     def test_replay_in_day_slices_equals_one_replay(self, window):

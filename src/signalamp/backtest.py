@@ -18,7 +18,6 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .amplify import NodeScore
 from .detect import (
-    ActivationReport,
     IncidentSummary,
     compose_signals,
     flag_nodes,
@@ -229,10 +228,6 @@ class BacktestReport:
     incident: IncidentSummary
     series: list[SeriesRow]
 
-    @property
-    def activation(self) -> ActivationReport:
-        return self.incident.report
-
 
 def run_backtest(
     edges: EdgeColumns | Iterable[TransactionEdge],
@@ -350,18 +345,13 @@ def write_summary_csv(path: str | Path, summaries: Sequence[SignalSummary]) -> N
 def write_report_files(report: BacktestReport, out_dir: str | Path) -> list[Path]:
     """One sweep file per signal, one daily series, one summary."""
     out = Path(out_dir)
-    written = []
-    for signal, rows in report.sweeps.items():
-        path = out / f"sweep_{signal}.csv"
-        write_sweep_csv(path, rows)
-        written.append(path)
-    series_path = out / "daily_series.csv"
-    write_series_csv(series_path, report.series)
-    written.append(series_path)
-    summary_path = out / "summary.csv"
-    write_summary_csv(summary_path, report.summaries)
-    written.append(summary_path)
-    return written
+    files = [(out / f"sweep_{signal}.csv", write_sweep_csv, rows)
+             for signal, rows in report.sweeps.items()]
+    files += [(out / "daily_series.csv", write_series_csv, report.series),
+              (out / "summary.csv", write_summary_csv, report.summaries)]
+    for path, write, rows in files:
+        write(path, rows)
+    return [path for path, _, _ in files]
 
 
 @dataclass(frozen=True, slots=True)

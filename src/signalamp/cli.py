@@ -235,9 +235,11 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
         print(f"  raw: {summary.raw_fraud_carriers}/{summary.raw_carriers} "
               f"hit-carriers are sybils "
               f"(precision {format_float(summary.raw_precision, 4)})")
+        amplification = summary.amplification
         print(f"  adjudicated at {threshold:g}: "
               f"precision {format_float(summary.amplified_precision, 4)}, "
-              f"amplification {format_float(summary.amplification, 2)}x")
+              f"amplification {format_float(amplification, 2)}"
+              + ("" if amplification is None else "x"))
         header = (f"  {'threshold':>9} {'nodes':>6} {'users':>7} "
                   f"{'caught':>7} {'precision':>9} {'scr':>7} "
                   f"{'coverage':>8} {'uncond':>7}")
@@ -278,7 +280,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     signals, edges = read_edge_file(edges_path)
     registry = SignalRegistry(signals)
     if only is not None:
-        registry.require(only)
+        registry.describe(only)  # raises UnknownSignalError if unregistered
     engine = StreamEngine(registry, window=window)
     engine.ingest_columns(edges)
     if engine.current_day is not None:

@@ -17,14 +17,14 @@ from typing import BinaryIO, Generator, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import EdgeFileError
-from .model import EdgeColumns, IdCodes, SignalId, TransactionEdge
+from .model import (INT64_MAX, EdgeColumns, IdCodes, SignalId, TransactionEdge,
+                    row_part, runs)
 from .scenario import GroundTruth
 
 _FIXED_COLUMNS = ("user", "node", "day")
 _MAX_REPORTED_LINES = 10
 _CHUNK_BYTES = 1 << 18
 _PART_ROWS = 1 << 16
-_INT64_MAX = 2**63 - 1
 
 
 def write_edge_file(
@@ -82,8 +82,7 @@ def _days(signals: list[SignalId], parts: Iterator[tuple]) -> Iterator[EdgeColum
     day."""
     held: list[EdgeColumns] = []  # the current day's pieces
     for users, nodes, day, hits in parts:
-        cuts = (np.flatnonzero(day[1:] != day[:-1]) + 1).tolist()
-        for lo, hi in zip([0, *cuts], [*cuts, len(day)]):
+        for lo, hi in runs(day):
             if held and held[0].day[0] != day[lo]:
                 yield _concat(signals, held)
                 held = []
@@ -238,7 +237,7 @@ def _split_block(block: bytes, width: int, limit: int, day_of: dict[str, int]
                 day = int(text)
             except ValueError:
                 return None
-            if not 0 <= day <= _INT64_MAX:
+            if not 0 <= day <= INT64_MAX:
                 return None
             day_of[text] = day
     days = np.fromiter(map(day_of.__getitem__, day_col), np.int64, n)
@@ -293,7 +292,7 @@ def _row_parts(path: Path, reader: Iterator[list[str]],
             else:
                 if day < 0:
                     problem = f"day {day} is negative"
-                elif day > _INT64_MAX:
+                elif day > INT64_MAX:
                     problem = f"day {day} exceeds 2**63 - 1"
         bits = row[3:]
         if problem is None:
@@ -313,22 +312,14 @@ def _row_parts(path: Path, reader: Iterator[list[str]],
         nodes.append(row[1])
         days.append(day)
         if len(days) == _PART_ROWS:
-            yield _row_part(len(signals), users, nodes, days, hit_at)
+            yield row_part(len(signals), users, nodes, days, hit_at)
             users, nodes, days, hit_at = [], [], [], []
     if bad:
         shown = bad[:_MAX_REPORTED_LINES]
         suffix = "" if len(bad) <= _MAX_REPORTED_LINES else "; more follow"
         raise EdgeFileError(f"{path}: malformed rows: " + "; ".join(shown) + suffix)
     if days:
-        yield _row_part(len(signals), users, nodes, days, hit_at)
-
-
-def _row_part(n_signals: int, users: list[str], nodes: list[str], days: list[int],
-              hit_at: list[tuple[int, int]]) -> tuple:
-    hits = np.zeros((n_signals, len(days)), bool)
-    if hit_at:
-        hits[tuple(np.array(hit_at).T)] = True
-    return users, nodes, np.array(days, np.int64), hits
+        yield row_part(len(signals), users, nodes, days, hit_at)
 
 
 def write_ground_truth(path: str | Path, truth: GroundTruth) -> None:
@@ -343,6 +334,10 @@ def write_ground_truth(path: str | Path, truth: GroundTruth) -> None:
 
 
 def read_ground_truth(path: str | Path) -> GroundTruth:
+    """Labels from a ground-truth file: an object whose ``sybil_users`` and
+    ``cashout_nodes`` are lists of strings and whose ``carriers`` maps
+    signal names to lists of strings. Anything else raises
+    ``EdgeFileError`` naming the file and the field."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
@@ -350,13 +345,21 @@ def read_ground_truth(path: str | Path) -> GroundTruth:
         raise EdgeFileError(f"cannot open ground truth {path}: {exc}") from exc
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise EdgeFileError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        return GroundTruth(
-            sybil_users=frozenset(payload["sybil_users"]),
-            cashout_nodes=frozenset(payload["cashout_nodes"]),
-            carriers={
-                s: frozenset(users) for s, users in payload["carriers"].items()
-            },
-        )
-    except (KeyError, TypeError) as exc:
-        raise EdgeFileError(f"{path}: malformed ground truth: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise EdgeFileError(f"{path}: malformed ground truth: need a JSON object")
+    carriers = payload.get("carriers")
+    if not isinstance(carriers, dict):
+        raise EdgeFileError(f"{path}: malformed ground truth: carriers must map "
+                            f"signal names to lists of strings, not {carriers!r:.80}")
+    fields = {"sybil_users": payload.get("sybil_users"),
+              "cashout_nodes": payload.get("cashout_nodes"),
+              **{f"carriers[{signal!r}]": users for signal, users in carriers.items()}}
+    for name, ids in fields.items():
+        if type(ids) is not list or not {str}.issuperset(map(type, ids)):
+            raise EdgeFileError(f"{path}: malformed ground truth: {name} must be a "
+                                f"list of strings, not {ids!r:.80}")
+    return GroundTruth(
+        sybil_users=frozenset(payload["sybil_users"]),
+        cashout_nodes=frozenset(payload["cashout_nodes"]),
+        carriers={signal: frozenset(users) for signal, users in carriers.items()},
+    )

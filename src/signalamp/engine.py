@@ -29,6 +29,7 @@ from .errors import (
     UnsortedEdgesError,
 )
 from .model import (
+    INT64_MAX,
     EdgeColumns,
     GlobalBaseline,
     IdCodes,
@@ -39,11 +40,10 @@ from .model import (
     TransactionEdge,
     UserId,
     append_edge,
+    runs,
 )
 
 CHECKPOINT_VERSION = 2
-
-_INT64_MAX = 2**63 - 1
 
 # Hit-user rows (node code, signal, user code, count) of an empty table.
 _NO_ROWS = np.zeros((4, 0), np.int64)
@@ -147,7 +147,7 @@ class StreamEngine:
         return int(np.count_nonzero(self._trials))
 
     def total_hits(self, signal: SignalId) -> int:
-        self.registry.require(signal)
+        self.registry.describe(signal)  # raises UnknownSignalError if unregistered
         self._flush()
         return int(self._hits[self._column[signal]].sum())
 
@@ -199,11 +199,11 @@ class StreamEngine:
             raise self._precedes_window(first)
         hits = batch.hits_under(self._signals)
         # Every count is at most the total, so no int64 counter can wrap.
-        if int(self._trials.sum()) + len(batch) > _INT64_MAX:
+        if int(self._trials.sum()) + len(batch) > INT64_MAX:
             raise OverflowError("a window holds at most 2**63 - 1 transactions")
         order = np.argsort(batch.day, kind="stable")
         day = batch.day[order]
-        for lo, hi in _runs(day):
+        for lo, hi in runs(day):
             self._fold(int(day[lo]), batch, order[lo:hi], hits[:, order[lo:hi]])
         if self._current_day is None or day[-1] > self._current_day:
             self._current_day = int(day[-1])
@@ -352,9 +352,9 @@ class StreamEngine:
         del keep, order
         user = list(map(self._user_ids.ids().__getitem__, user.tolist()))
         node_ids = self._node_ids.ids()
-        runs = [(node_ids[node[lo]], lo, hi) for lo, hi in _runs(node)]
+        spans = [(node_ids[node[lo]], lo, hi) for lo, hi in runs(node)]
         del node
-        return {node: frozenset(set(user[lo:hi])) for node, lo, hi in runs}
+        return {node: frozenset(set(user[lo:hi])) for node, lo, hi in spans}
 
     # -- checkpointing -----------------------------------------------------
 
@@ -434,8 +434,6 @@ class StreamEngine:
         try:
             registry = SignalRegistry()
             for entry in payload["signals"]:
-                if type(entry["signal"]) is not str:
-                    raise TypeError(f"signal id {entry['signal']!r} is not a string")
                 registry.register(entry["signal"], entry.get("description", ""))
             window = WindowConfig(payload["window"]["mode"],
                                   payload["window"]["trailing_days"])
@@ -454,7 +452,7 @@ class StreamEngine:
             raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
         # Exact, so that no int64 sum of the window's counts can wrap.
         trials = sum(sum(delta[1].tolist()) for delta, _ in days.values())
-        if trials > _INT64_MAX:
+        if trials > INT64_MAX:
             raise CheckpointError(f"checkpoint {path}: its days hold {trials} "
                                   "transactions; a window holds at most 2**63 - 1")
         engine._node_codes(nodes)
@@ -541,7 +539,7 @@ def _int_rows(path, where: str, name: str, flat: object, width: int,
     except OverflowError:
         pass
     at = next(i for i, value in enumerate(flat)
-              if not _is_count(value, -_INT64_MAX - 1, _INT64_MAX))
+              if not _is_count(value, -INT64_MAX - 1, INT64_MAX))
     node = _node(flat[at % (len(flat) // width)], nodes)
     raise CheckpointError(f"checkpoint {path}: {where}: {node} has {name} value "
                           f"{flat[at]!r}; need an integer in [-2**63, 2**63 - 1]")
@@ -603,7 +601,7 @@ def _from_v1(path, engine: StreamEngine, payload: dict) -> dict:
           for signal, row in zip(signals, held[0][2:].tolist())),
         ("active_nodes", totals["active_nodes"], held[0].shape[1]),
     ]:
-        if not _is_count(value, 0, _INT64_MAX) or value != computed:
+        if not _is_count(value, 0, INT64_MAX) or value != computed:
             raise CheckpointError(f"checkpoint {path}: total {name!r} is {value!r}; "
                                   f"need the node table's sum, {computed}")
     wrong = set()
@@ -629,13 +627,6 @@ def _accumulate(by_day: dict[int, np.ndarray], day: int, records: np.ndarray,
     by_day[day] = records
 
 
-def _runs(*keys: np.ndarray) -> list[tuple[int, int]]:
-    """(start, stop) of each run of equal values in ``keys`` taken together."""
-    changed = np.any([np.diff(key) != 0 for key in keys], axis=0)
-    cuts = (np.flatnonzero(changed) + 1).tolist()
-    return [(lo, hi) for lo, hi in zip([0, *cuts], [*cuts, len(keys[0])]) if lo < hi]
-
-
 def _collapse(records: np.ndarray, keys: int) -> np.ndarray:
     """``records``, one per column, with those that agree on their first
     ``keys`` fields summed into one, sorted by those fields."""
@@ -656,8 +647,8 @@ def _days(path, engine: StreamEngine, keys: Iterable[str]) -> list[int]:
     cumulative one only ``current_day``."""
     low, high = engine._evicted_through, engine._current_day
     cumulative = engine.window.mode == CUMULATIVE
-    if not (high is None or _is_count(high, 0, _INT64_MAX)) \
-            or not _is_count(low, -1, -1 if cumulative else _INT64_MAX):
+    if not (high is None or _is_count(high, 0, INT64_MAX)) \
+            or not _is_count(low, -1, -1 if cumulative else INT64_MAX):
         raise CheckpointError(
             f"checkpoint {path}: current_day {high!r} must be null or a day in "
             f"[0, 2**63 - 1], and evicted_through {low!r} -1 or a day; a "
@@ -769,7 +760,7 @@ def replay_daily(
     if len(batch):
         _check_sorted(day, int(day[0]) if engine.current_day is None
                       else engine.current_day + 1)
-    days = (batch[lo:hi] for lo, hi in _runs(day))
+    days = (batch[lo:hi] for lo, hi in runs(day))
     return ReplayResult(list(replay_turns(days, engine, threshold)), engine)
 
 

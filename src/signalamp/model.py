@@ -22,6 +22,10 @@ UserId = str
 NodeId = str
 SignalId = str
 
+# The highest edge day, and the most transactions a window may hold, so
+# that no int64 day or counter wraps.
+INT64_MAX = 2**63 - 1
+
 
 @dataclass(frozen=True, slots=True)
 class SignalDef:
@@ -44,8 +48,8 @@ class SignalRegistry:
             self.register(signal)
 
     def register(self, signal: SignalId, description: str = "") -> SignalDef:
-        if not signal:
-            raise ValueError("signal id must be a non-empty string")
+        if not isinstance(signal, str) or not signal:
+            raise ValueError(f"signal id must be a non-empty string, got {signal!r}")
         if signal in self._defs:
             raise DuplicateSignalError(f"signal {signal!r} is already registered")
         entry = SignalDef(signal, description)
@@ -61,10 +65,6 @@ class SignalRegistry:
         except KeyError:
             raise UnknownSignalError(f"signal {signal!r} is not registered") from None
 
-    def require(self, signal: SignalId) -> None:
-        if signal not in self._defs:
-            raise UnknownSignalError(f"signal {signal!r} is not registered")
-
     def __contains__(self, signal: object) -> bool:
         return signal in self._defs
 
@@ -79,8 +79,9 @@ class SignalRegistry:
 class TransactionEdge:
     """One transaction: user -> node on a given day, with per-signal hit bits.
 
-    A missing signal key means the bit is 0. Signal membership is checked
-    at ingestion surfaces, not at construction, to keep the hot path cheap.
+    A missing signal key means the bit is 0. The ids and the day, an
+    integer in ``[0, 2**63 - 1]``, are checked at construction; signal
+    membership is checked at ingestion surfaces, to keep the hot path cheap.
     """
 
     user: UserId
@@ -91,8 +92,11 @@ class TransactionEdge:
     def __post_init__(self) -> None:
         if not self.user or not self.node:
             raise ValueError("edge user and node ids must be non-empty")
-        if self.day < 0:
-            raise ValueError(f"edge day must be >= 0, got {self.day}")
+        day = self.day
+        if type(day) is not int and not isinstance(day, np.integer) \
+                or not 0 <= day <= INT64_MAX:
+            raise ValueError(
+                f"edge day must be an integer in [0, 2**63 - 1], got {day!r}")
 
 
 def append_edge(queue: tuple[list, list, list, list], edge: TransactionEdge,
@@ -113,6 +117,23 @@ def append_edge(queue: tuple[list, list, list, list], edge: TransactionEdge,
     users.append(edge.user)
     nodes.append(edge.node)
     days.append(edge.day)
+
+
+def row_part(n_signals: int, users: list[UserId], nodes: list[NodeId],
+             days: list[int], hit_at: list[tuple[int, int]]) -> tuple:
+    """Rows given as lists of their ``users``, ``nodes`` and ``days``, with
+    a (signal index, row) pair per hit bit, as (users, nodes, int64 days,
+    bool ``[n_signals, n]`` hits)."""
+    hits = np.zeros((n_signals, len(days)), bool)
+    if hit_at:
+        hits[tuple(np.array(hit_at).T)] = True
+    return users, nodes, np.array(days, np.int64), hits
+
+
+def runs(values: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of each run of equal ``values``."""
+    cuts = (np.flatnonzero(values[1:] != values[:-1]) + 1).tolist()
+    return [(lo, hi) for lo, hi in zip([0, *cuts], [*cuts, len(values)]) if lo < hi]
 
 
 class IdCodes:
@@ -198,14 +219,10 @@ class EdgeColumns(Sequence):
                   hit_at: list[tuple[int, int]]) -> "EdgeColumns":
         """Columns of edges given as lists of their ``users``, ``nodes``
         and ``days``, with a (signal index, row) pair per hit bit."""
-        hits = np.zeros((len(signals), len(days)), bool)
-        if hit_at:
-            hits[tuple(np.array(hit_at).T)] = True
+        users, nodes, day, hits = row_part(len(signals), users, nodes, days, hit_at)
         user_ids, node_ids = IdCodes(), IdCodes()
-        user_code = user_ids.encode(users)
-        node_code = node_ids.encode(nodes)
-        return cls(signals, user_ids.ids(), user_code, node_ids.ids(), node_code,
-                   np.array(days, np.int64), hits)
+        return cls(signals, user_ids.ids(), user_ids.encode(users), node_ids.ids(),
+                   node_ids.encode(nodes), day, hits)
 
     def __len__(self) -> int:
         return len(self.day)

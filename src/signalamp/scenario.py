@@ -13,7 +13,7 @@ stream stable for a fixed numpy version), keyed per day with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -176,26 +176,14 @@ def _zero_pad_names(prefix: str, count: int) -> list[str]:
     return [f"{prefix}{i:0{width}d}" for i in range(count)]
 
 
-class _NodeSampler:
-    """Draws background node indices, Zipf-like or uniform."""
-
-    def __init__(self, n_nodes: int, skew: float) -> None:
-        self.n_nodes = n_nodes
-        if skew == 0.0:
-            self.weights = None
-        else:
-            raw = (np.arange(1, n_nodes + 1, dtype=np.float64)) ** (-skew)
-            self.weights = raw / raw.sum()
-
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.weights is None:
-            return rng.integers(0, self.n_nodes, size=size)
-        return rng.choice(self.n_nodes, size=size, p=self.weights)
-
-
-def _draw_hits(rng: np.random.Generator, size: int, rates: list[float]) -> np.ndarray:
-    """A bool ``[len(rates), size]`` hit matrix, one draw per signal."""
-    return np.array([rng.random(size) < rate for rate in rates])
+def _node_sampler(n_nodes: int, skew: float
+                  ) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """A draw of background node indices, Zipf-like or uniform."""
+    if skew == 0.0:
+        return lambda rng, size: rng.integers(0, n_nodes, size=size)
+    weights = np.arange(1, n_nodes + 1, dtype=np.float64) ** -skew
+    weights /= weights.sum()
+    return lambda rng, size: rng.choice(n_nodes, size=size, p=weights)
 
 
 def generate(config: ScenarioConfig) -> tuple[EdgeColumns, GroundTruth]:
@@ -209,11 +197,11 @@ def generate(config: ScenarioConfig) -> tuple[EdgeColumns, GroundTruth]:
     signals = config.signals
     users = _zero_pad_names("u", config.n_users)
     nodes = _zero_pad_names("m", config.n_nodes)
-    sampler = _NodeSampler(config.n_nodes, config.popularity_skew)
+    draw_nodes = _node_sampler(config.n_nodes, config.popularity_skew)
 
     atk = config.attack if (config.attack and config.attack.n_sybil > 0) else None
     sybil_names: list[str] = []
-    cashout_names: list[str] = []
+    cash_code = np.empty(0, np.int64)
     if atk is not None:
         sybil_names = _zero_pad_names("s", atk.n_sybil)
         users += sybil_names
@@ -221,47 +209,44 @@ def generate(config: ScenarioConfig) -> tuple[EdgeColumns, GroundTruth]:
             setup_rng = _day_rng(config.seed, _SETUP_STREAM)
             picked = setup_rng.choice(config.n_nodes, size=atk.k_cashout, replace=False)
             cash_code = np.sort(picked)
-            cashout_names = [nodes[i] for i in cash_code.tolist()]
         else:
             cash_code = config.n_nodes + np.arange(atk.k_cashout)
-            cashout_names = _zero_pad_names("c", atk.k_cashout)
-            nodes += cashout_names
+            nodes += _zero_pad_names("c", atk.k_cashout)
 
-    bg_lambda = config.n_users * config.background_txn_per_user_per_day
     bg_rates = [config.background_rates[s] for s in signals]
     # (day, user codes, node codes, [K, n] hits) per block, after an empty one.
     no_edges = np.empty(0, np.int64)
     blocks = [(0, no_edges, no_edges, np.empty((len(signals), 0), bool))]
 
+    def draw(rng: np.random.Generator, day: int, heads: int, txn_per_head: float,
+             first_user: int, rates: list[float], cashout_mix: float | None = None
+             ) -> None:
+        """Append a block of about ``heads * txn_per_head`` edges from users
+        ``first_user`` on; with ``cashout_mix``, that share goes to the
+        cash-out nodes."""
+        mean = heads * txn_per_head
+        size = int(rng.poisson(mean)) if mean > 0 else 0
+        if not size:
+            return
+        user_idx = first_user + rng.integers(0, heads, size=size)
+        if cashout_mix is not None:
+            to_cashout = rng.random(size) < cashout_mix
+            cash_idx = rng.integers(0, atk.k_cashout, size=size)
+        node_idx = draw_nodes(rng, size)
+        if cashout_mix is not None:
+            node_idx = np.where(to_cashout, cash_code[cash_idx], node_idx)
+        blocks.append((day, user_idx, node_idx,
+                       np.array([rng.random(size) < rate for rate in rates])))
+
     for day in range(config.days):
         rng = _day_rng(config.seed, day)
-
-        n_bg = int(rng.poisson(bg_lambda)) if bg_lambda > 0 else 0
-        if n_bg:
-            user_idx = rng.integers(0, config.n_users, size=n_bg)
-            node_idx = sampler.draw(rng, n_bg)
-            blocks.append((day, user_idx, node_idx, _draw_hits(rng, n_bg, bg_rates)))
-
-        if atk is None or not atk.start_day <= day <= atk.end_day:
-            continue
-
-        cam_lambda = atk.n_sybil * atk.camouflage_txn_per_sybil_per_day
-        n_cam = int(rng.poisson(cam_lambda)) if cam_lambda > 0 else 0
-        if n_cam:
-            user_idx = config.n_users + rng.integers(0, atk.n_sybil, size=n_cam)
-            node_idx = sampler.draw(rng, n_cam)
-            blocks.append((day, user_idx, node_idx, _draw_hits(rng, n_cam, bg_rates)))
-
-        atk_lambda = atk.n_sybil * atk.txn_per_sybil_per_day
-        n_atk = int(rng.poisson(atk_lambda)) if atk_lambda > 0 else 0
-        if n_atk:
-            user_idx = config.n_users + rng.integers(0, atk.n_sybil, size=n_atk)
-            to_cashout = rng.random(n_atk) < atk.cashout_mix
-            cash_idx = rng.integers(0, atk.k_cashout, size=n_atk)
-            blend_idx = sampler.draw(rng, n_atk)
-            node_idx = np.where(to_cashout, cash_code[cash_idx], blend_idx)
-            q_rates = [atk.sybil_rates[s] for s in signals]
-            blocks.append((day, user_idx, node_idx, _draw_hits(rng, n_atk, q_rates)))
+        draw(rng, day, config.n_users, config.background_txn_per_user_per_day, 0,
+             bg_rates)
+        if atk is not None and atk.start_day <= day <= atk.end_day:
+            draw(rng, day, atk.n_sybil, atk.camouflage_txn_per_sybil_per_day,
+                 config.n_users, bg_rates)
+            draw(rng, day, atk.n_sybil, atk.txn_per_sybil_per_day, config.n_users,
+                 [atk.sybil_rates[s] for s in signals], atk.cashout_mix)
 
     days, user_code, node_code, hits = zip(*blocks)
     edges = EdgeColumns(
@@ -271,7 +256,8 @@ def generate(config: ScenarioConfig) -> tuple[EdgeColumns, GroundTruth]:
     )
     sybils = frozenset(sybil_names)
     carriers = {s: sybils & edges.users_with_hits(s) for s in signals}
-    return edges, GroundTruth(sybils, frozenset(cashout_names), carriers)
+    cashout = frozenset(nodes[code] for code in cash_code.tolist())
+    return edges, GroundTruth(sybils, cashout, carriers)
 
 
 # -- shipped presets -------------------------------------------------------
@@ -361,47 +347,19 @@ def preset(name: str, seed: int | None = None) -> ScenarioConfig:
 # -- config (de)serialization for declarative run files --------------------
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:
-    out: dict = {
-        "seed": config.seed,
-        "days": config.days,
-        "n_users": config.n_users,
-        "n_nodes": config.n_nodes,
-        "background_txn_per_user_per_day": config.background_txn_per_user_per_day,
-        "background_rates": dict(config.background_rates),
-        "popularity_skew": config.popularity_skew,
-    }
-    if config.attack is not None:
-        atk = config.attack
-        out["attack"] = {
-            "n_sybil": atk.n_sybil,
-            "k_cashout": atk.k_cashout,
-            "start_day": atk.start_day,
-            "end_day": atk.end_day,
-            "txn_per_sybil_per_day": atk.txn_per_sybil_per_day,
-            "sybil_rates": dict(atk.sybil_rates),
-            "cashout_mix": atk.cashout_mix,
-            "camouflage_txn_per_sybil_per_day": atk.camouflage_txn_per_sybil_per_day,
-            "cashout_from_background": atk.cashout_from_background,
-        }
-    return out
+    return asdict(config)
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
+    """The config of a scenario block; an unknown or missing key raises
+    ``InfeasibleScenarioError``, as do the constructors' checks."""
     if not isinstance(data, dict):
         raise InfeasibleScenarioError(f"scenario config must be an object: {data!r}")
     try:
-        attack = None
-        if data.get("attack") is not None:
-            attack = AttackConfig(**data["attack"])
-        required = {"seed", "days", "n_users", "n_nodes",
-                    "background_txn_per_user_per_day", "background_rates"}
-        kwargs = {k: v for k, v in data.items() if k in required | {"popularity_skew"}}
-        missing = required - set(kwargs)
-        if missing:
-            raise InfeasibleScenarioError(
-                f"scenario config missing fields: {sorted(missing)}"
-            )
-        return ScenarioConfig(attack=attack, **kwargs)
+        attack = data.get("attack")
+        if attack is not None:
+            attack = AttackConfig(**attack)
+        return ScenarioConfig(**{**data, "attack": attack})
     except TypeError as exc:
         raise InfeasibleScenarioError(f"bad scenario config: {exc}") from exc
 

@@ -7,8 +7,11 @@ import importlib
 from operator import attrgetter
 from pathlib import Path
 
+import pytest
+
 import signalamp
 from signalamp.backtest import raw_signal_baseline
+from signalamp.cli import main
 from signalamp.edgefile import read_edge_file, write_edge_file
 from signalamp.engine import StreamEngine, WindowConfig, replay_daily
 from signalamp.model import SignalRegistry
@@ -124,3 +127,25 @@ def test_edge_file_result_supports_what_the_replica_does(tmp_path):
         raw = raw_signal_baseline(columns, truth, signal)
         assert raw.carriers == len(carriers)
         assert raw.fraud_carriers == len(carriers & truth.sybil_users)
+
+
+@pytest.mark.parametrize("name", ["case1-backtest", "wide-trailing", "daily-resume"])
+def test_replica_writes_the_cli_bytes(name, tmp_path, monkeypatch, capsys):
+    """A traced benchmark run fails unless ``benchmarks/replica.py``, which
+    builds the package's result types by position and ingests edge by
+    edge, writes the bytes the CLI writes; check that on small inputs."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    harness = importlib.import_module("harness")
+    replica = importlib.import_module("replica")
+    workload = harness.WORKLOADS[name]
+    inputs, by_cli, by_replica = (tmp_path / part for part in
+                                  ("inputs", "cli", "replica"))
+    for directory in (inputs, by_cli, by_replica):
+        directory.mkdir()
+    harness.prepare_inputs(workload, workload.scenario(3, True), inputs)
+    for argv in workload.calls(inputs, by_cli):
+        assert main(argv) == 0, argv
+    replica.run_calls(replica.Tracer(name), workload.calls(inputs, by_replica))
+    capsys.readouterr()
+    assert harness.digest(by_cli)
+    assert harness.digest(by_replica) == harness.digest(by_cli)

@@ -128,6 +128,18 @@ class TestGenerate:
         assert code == 0
         assert "attack: none" in stdout
 
+    def test_misspelled_attack_block_fails_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        out.mkdir()
+        block = {k: v for k, v in SCENARIO_BLOCK.items() if k != "attack"}
+        block["atack"] = SCENARIO_BLOCK["attack"]
+        config = write_config(tmp_path, scenario=block, output_dir=str(out))
+        code, stdout, err = invoke(capsys, "generate", "--config", config)
+        assert code == 1 and stdout == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "'atack'" in err
+        assert not (out / "edges.csv").exists()
+
 
 class TestBacktest:
     def test_reports_and_exit_zero(self, dataset, tmp_path, capsys):
@@ -147,6 +159,20 @@ class TestBacktest:
         assert (reports / "sweep_sig.csv").exists()
         assert (reports / "daily_series.csv").exists()
         assert (reports / "summary.csv").exists()
+
+    def test_undefined_amplification_prints_n_a(self, tmp_path, capsys):
+        """Calm traffic has no fraud carrier, so no amplification."""
+        out = tmp_path / "data"
+        out.mkdir()
+        block = {k: v for k, v in SCENARIO_BLOCK.items() if k != "attack"}
+        config = write_config(tmp_path, scenario=block, output_dir=str(out))
+        assert invoke(capsys, "generate", "--config", config)[0] == 0
+        code, stdout, err = invoke(
+            capsys, "backtest", "--edges", str(out / "edges.csv"),
+            "--truth", str(out / "ground_truth.json"))
+        assert code == 0, err
+        adjudicated = [line for line in stdout.splitlines() if "adjudicated" in line]
+        assert adjudicated == ["  adjudicated at 40: precision 0.0000, amplification n/a"]
 
     def test_planted_ring_caught_cleanly(self, dataset, capsys):
         code, stdout, _ = invoke(
@@ -550,6 +576,26 @@ def _truth_bad_byte(dataset, tmp_path, capsys):
                  "--truth", str(bad)]
 
 
+def _truth_with(dataset, tmp_path, **fields):
+    bad = tmp_path / "bad.json"
+    truth = json.loads((dataset / "ground_truth.json").read_text(encoding="utf-8"))
+    bad.write_text(json.dumps({**truth, **fields}), encoding="utf-8")
+    return bad, ["backtest", "--edges", str(dataset / "edges.csv"),
+                 "--truth", str(bad)]
+
+
+def _truth_carriers_list(dataset, tmp_path, capsys):
+    return _truth_with(dataset, tmp_path, carriers=[])
+
+
+def _truth_sybil_users_text(dataset, tmp_path, capsys):
+    return _truth_with(dataset, tmp_path, sybil_users="abc")
+
+
+def _truth_cashout_node_number(dataset, tmp_path, capsys):
+    return _truth_with(dataset, tmp_path, cashout_nodes=["c0", 1])
+
+
 def _config_bad_byte(dataset, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b'{"edges": "\xff"}')
@@ -828,6 +874,9 @@ class TestUnreadableInput:
         _edges_bad_byte,
         _edges_oversized_field,
         _truth_bad_byte,
+        _truth_carriers_list,
+        _truth_sybil_users_text,
+        _truth_cashout_node_number,
         _config_bad_byte,
         _checkpoint_bad_byte,
         _checkpoint_not_object,

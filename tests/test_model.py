@@ -1,14 +1,21 @@
 """Domain type tests: signal registry, counter algebra, edge files."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 
-from signalamp.edgefile import read_edge_file, write_edge_file
+from signalamp.edgefile import (
+    read_edge_file,
+    read_ground_truth,
+    write_edge_file,
+    write_ground_truth,
+)
 from signalamp.engine import StreamEngine
 from signalamp.errors import DuplicateSignalError, EdgeFileError, UnknownSignalError
 from signalamp.model import EdgeColumns, GlobalBaseline, SignalRegistry, TransactionEdge
+from signalamp.scenario import GroundTruth
 
 from reference import split_run
 
@@ -31,7 +38,7 @@ class TestSignalRegistry:
         with pytest.raises(UnknownSignalError):
             registry.describe("foreign_ip")
         with pytest.raises(UnknownSignalError):
-            registry.require("foreign_ip")
+            StreamEngine(registry).total_hits("foreign_ip")
 
     def test_membership_and_len(self):
         registry = SignalRegistry(["a", "b"])
@@ -43,11 +50,40 @@ class TestSignalRegistry:
         with pytest.raises(ValueError):
             SignalRegistry([""])
 
+    @pytest.mark.parametrize("signal", [5, None, b"a", ("a",)])
+    def test_non_string_id_rejected(self, signal):
+        with pytest.raises(ValueError, match="must be a non-empty string"):
+            SignalRegistry([signal])
+        registry = SignalRegistry(["a"])
+        with pytest.raises(ValueError, match="must be a non-empty string"):
+            registry.register(signal)
+        assert registry.ids() == ("a",)
+
 
 class TestTransactionEdge:
     def test_negative_day_rejected(self):
         with pytest.raises(ValueError):
             TransactionEdge(user="u1", node="n1", day=-1, hits={})
+
+    @pytest.mark.parametrize("day", [1.5, 1.0, True, "1", None, 2**63, -(2**63)])
+    def test_day_outside_int64_or_not_an_integer_rejected(self, day):
+        with pytest.raises(ValueError, match=r"integer in \[0, 2\*\*63 - 1\]"):
+            TransactionEdge(user="u1", node="n1", day=day, hits={})
+
+    @pytest.mark.parametrize("day", [0, 2**63 - 1, np.int64(7), np.uint8(3)])
+    def test_integer_days_in_range_accepted(self, day):
+        assert TransactionEdge(user="u1", node="n1", day=day, hits={}).day == day
+
+    def test_checked_inputs_survive_a_checkpoint_round_trip(self, tmp_path):
+        """Every id and day a library caller can construct saves and loads."""
+        engine = StreamEngine(SignalRegistry(["a", "b"]))
+        engine.ingest(TransactionEdge(user="u1", node="n1", day=2**63 - 2, hits={"a": 1}))
+        engine.ingest(TransactionEdge(user="u2", node="n2", day=2**63 - 1, hits={"b": 1}))
+        engine.save_checkpoint(tmp_path / "state.json")
+        loaded = StreamEngine.load_checkpoint(tmp_path / "state.json")
+        assert loaded.checkpoint_payload() == engine.checkpoint_payload()
+        assert loaded.current_day == 2**63 - 1
+        assert loaded.registry.ids() == ("a", "b")
 
     def test_empty_ids_rejected(self):
         with pytest.raises(ValueError):
@@ -249,6 +285,30 @@ class TestEdgeFile:
         with pytest.raises(ValueError, match="distinct and non-empty"):
             write_edge_file(path, self._edges()[:2], signals)
         assert not path.exists()
+
+    def test_ground_truth_round_trip(self, tmp_path):
+        truth = GroundTruth(frozenset({"s1", "s0"}), frozenset({"c0"}),
+                            {"a": frozenset({"s1"}), "b": frozenset()})
+        write_ground_truth(tmp_path / "truth.json", truth)
+        assert read_ground_truth(tmp_path / "truth.json") == truth
+
+    @pytest.mark.parametrize("payload, field", [
+        ([], "JSON object"),
+        ({"cashout_nodes": [], "carriers": {}}, "sybil_users"),
+        ({"sybil_users": "abc", "cashout_nodes": [], "carriers": {}}, "sybil_users"),
+        ({"sybil_users": [], "cashout_nodes": [1], "carriers": {}}, "cashout_nodes"),
+        ({"sybil_users": [], "cashout_nodes": [], "carriers": []}, "carriers"),
+        ({"sybil_users": [], "cashout_nodes": [], "carriers": {"a": "s0"}},
+         "carriers['a']"),
+        ({"sybil_users": [], "cashout_nodes": [], "carriers": {"a": [None]}},
+         "carriers['a']"),
+    ])
+    def test_malformed_ground_truth_names_file_and_field(self, tmp_path, payload, field):
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(EdgeFileError) as err:
+            read_ground_truth(path)
+        assert str(path) in str(err.value) and field in str(err.value)
 
     def test_columns_written_in_any_signal_order(self, tmp_path):
         path = tmp_path / "edges.csv"

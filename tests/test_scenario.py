@@ -324,6 +324,16 @@ class TestConfigPlumbing:
         with pytest.raises(InfeasibleScenarioError):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize("key, typo", [("attack", "atack"),
+                                           ("popularity_skew", "popularity_skw")])
+    def test_misspelled_top_level_key_rejected(self, key, typo):
+        """A misspelled block or field fails rather than falling back to
+        calm traffic or to the default skew."""
+        data = scenario_to_dict(small_config(attack=small_attack(), popularity_skew=0.5))
+        data[typo] = data.pop(key)
+        with pytest.raises(InfeasibleScenarioError, match=repr(typo)):
+            scenario_from_dict(data)
+
     def test_with_seed_changes_only_seed(self):
         config = small_config(attack=small_attack())
         reseeded = with_seed(config, 99)

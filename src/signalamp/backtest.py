@@ -12,16 +12,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .amplify import NodeScore
-from .detect import (
-    IncidentSummary,
-    compose_signals,
-    flag_nodes,
-)
+from .detect import compose_signals, flag_nodes
 from .engine import DayOutcome, ReplayResult, WindowConfig, replay_daily
 from .errors import SignalAmpError
 from .model import (
@@ -217,7 +214,7 @@ class SignalSummary:
 
 @dataclass(slots=True)
 class BacktestReport:
-    """Everything one labeled run produces."""
+    """Everything one labeled run produces; ``incident`` is the implicated users."""
 
     threshold: float
     replay: ReplayResult
@@ -225,8 +222,11 @@ class BacktestReport:
     final_metrics: dict[SignalId, MetricsRow]
     raw: dict[SignalId, RawSignalBaseline]
     summaries: list[SignalSummary]
-    incident: IncidentSummary
+    incident: frozenset[UserId]
     series: list[SeriesRow]
+
+
+DEFAULT_SWEEP = (1.0, 5.0, 10.0, 40.0)
 
 
 def run_backtest(
@@ -235,7 +235,7 @@ def run_backtest(
     truth: GroundTruth,
     *,
     threshold: float,
-    sweep_thresholds: Sequence[float] = (1.0, 5.0, 10.0, 40.0),
+    sweep_thresholds: Sequence[float] = DEFAULT_SWEEP,
     window: WindowConfig | None = None,
 ) -> BacktestReport:
     """Replay a labeled edge stream and assemble the full report.
@@ -254,7 +254,7 @@ def run_backtest(
     max_z_by_signal: dict[SignalId, float | None] = {}
     alerts_by_signal = {}
     for signal in registry.ids():
-        max_z_by_signal[signal] = replay.max_z_over_run(signal)
+        peak = max_z_by_signal[signal] = replay.max_z_over_run(signal)
         alerts_by_signal[signal] = replay.alerts_for(signal)
         raw[signal] = raw_signal_baseline(edges, truth, signal)
         try:
@@ -270,9 +270,8 @@ def run_backtest(
         summaries.append(
             SignalSummary(
                 signal=signal,
-                max_z=max_z_by_signal[signal],
-                active=(max_z_by_signal[signal] is not None
-                        and max_z_by_signal[signal] >= threshold),
+                max_z=peak,
+                active=peak is not None and peak >= threshold,
                 raw_carriers=raw[signal].carriers,
                 raw_fraud_carriers=raw[signal].fraud_carriers,
                 raw_precision=raw[signal].precision,
@@ -301,56 +300,36 @@ def format_float(value: float | None, places: int) -> str:
     return "n/a" if value is None else f"{value:.{places}f}"
 
 
-def _write_csv(path: str | Path, header: list[str], rows: Iterable) -> None:
+def write_csv(path: str | Path, row_type: type, rows: Iterable) -> None:
+    """Write ``rows``, instances of the dataclass ``row_type``, under a
+    header of its field names. A field typed ``float`` is written to six
+    places, or ``n/a`` when it holds None, and a flag as 0 or 1."""
+    names = [field.name for field in fields(row_type)]
+    hints = typing.get_type_hints(row_type)
+    floats = {name for name in names
+              if float in (hints[name], *typing.get_args(hints[name]))}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(names)
+        writer.writerows([_cell(getattr(row, name), name in floats) for name in names]
+                         for row in rows)
 
 
-def write_sweep_csv(path: str | Path, rows: Sequence[MetricsRow]) -> None:
-    _write_csv(path, [
-        "threshold", "flagged_nodes", "flagged_users", "caught",
-        "precision", "scr", "coverage", "unconditional_recall",
-    ], ([
-        format_float(row.threshold, 6), row.flagged_nodes,
-        row.flagged_users, row.caught, format_float(row.precision, 6),
-        format_float(row.scr, 6), format_float(row.coverage, 6),
-        format_float(row.unconditional_recall, 6),
-    ] for row in rows))
-
-
-def write_series_csv(path: str | Path, rows: Sequence[SeriesRow]) -> None:
-    _write_csv(path, [
-        "day", "signal", "flagged_users", "cumulative_flagged", "cumulative_confirmed",
-    ], ([
-        row.day, row.signal, row.flagged_users,
-        row.cumulative_flagged, row.cumulative_confirmed,
-    ] for row in rows))
-
-
-def write_summary_csv(path: str | Path, summaries: Sequence[SignalSummary]) -> None:
-    _write_csv(path, [
-        "signal", "max_z", "active", "raw_carriers", "raw_fraud_carriers",
-        "raw_precision", "amplified_precision", "amplification",
-    ], ([
-        s.signal, format_float(s.max_z, 6), int(s.active),
-        s.raw_carriers, s.raw_fraud_carriers,
-        format_float(s.raw_precision, 6),
-        format_float(s.amplified_precision, 6),
-        format_float(s.amplification, 6),
-    ] for s in summaries))
+def _cell(value, is_float: bool):
+    if is_float:
+        return format_float(value, 6)
+    return int(value) if isinstance(value, bool) else value
 
 
 def write_report_files(report: BacktestReport, out_dir: str | Path) -> list[Path]:
     """One sweep file per signal, one daily series, one summary."""
     out = Path(out_dir)
-    files = [(out / f"sweep_{signal}.csv", write_sweep_csv, rows)
+    files = [(out / f"sweep_{signal}.csv", MetricsRow, rows)
              for signal, rows in report.sweeps.items()]
-    files += [(out / "daily_series.csv", write_series_csv, report.series),
-              (out / "summary.csv", write_summary_csv, report.summaries)]
-    for path, write, rows in files:
-        write(path, rows)
+    files += [(out / "daily_series.csv", SeriesRow, report.series),
+              (out / "summary.csv", SignalSummary, report.summaries)]
+    for path, row_type, rows in files:
+        write_csv(path, row_type, rows)
     return [path for path, _, _ in files]
 
 

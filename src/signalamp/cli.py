@@ -14,9 +14,11 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .backtest import (
+    DEFAULT_SWEEP,
     AcceptanceBounds,
     check_bounds,
     format_float,
@@ -39,17 +41,24 @@ from .scenario import (
     generate,
     preset,
     scenario_from_dict,
-    with_seed,
 )
-
-_SWEEP_DEFAULT = (1.0, 5.0, 10.0, 40.0)
 
 
 class _CliError(SignalAmpError):
     """Bad invocation or unsatisfied run bounds."""
 
 
-def _load_config(path: str | None) -> dict:
+# The keys each subcommand reads from its --config file; any other fails.
+CONFIG_KEYS = {
+    "generate": ("preset", "scenario", "seed", "output_dir"),
+    "backtest": ("edges", "ground_truth", "output_dir", "threshold", "sweep",
+                 "window", "bounds"),
+    "score": ("edges", "top", "window", "signal"),
+    "stream": ("edges", "checkpoint", "threshold", "window"),
+}
+
+
+def _load_config(path: str | None, command: str) -> dict:
     if path is None:
         return {}
     try:
@@ -60,6 +69,10 @@ def _load_config(path: str | None) -> dict:
         raise _CliError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise _CliError(f"config {path} must hold a JSON object")
+    unknown = [key for key in data if key not in CONFIG_KEYS[command]]
+    if unknown:
+        raise _CliError(f"config {path} has unknown key {unknown[0]!r}; "
+                        f"{command} reads {', '.join(CONFIG_KEYS[command])}")
     return data
 
 
@@ -99,7 +112,7 @@ def _finite(value, label: str) -> float:
 
 def _parse_sweep(text) -> tuple[float, ...]:
     if text is None:
-        return _SWEEP_DEFAULT
+        return DEFAULT_SWEEP
     if isinstance(text, str):
         text = text.split(",")
     elif not isinstance(text, (list, tuple)):
@@ -129,7 +142,7 @@ def _require_dir(path_text: str, label: str) -> Path:
 # -- generate ---------------------------------------------------------------
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, args.command)
     preset_name = _setting(args.preset, config, "preset")
     scenario_block = config.get("scenario")
     if preset_name and scenario_block:
@@ -145,7 +158,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         )
     seed = _setting(args.seed, config, "seed")
     if seed is not None:
-        scenario = with_seed(scenario, _count(seed, "seed"))
+        scenario = replace(scenario, seed=_count(seed, "seed"))
     out_dir = _setting(args.out, config, "output_dir")
     if out_dir is None:
         raise _CliError("an output directory is required (--out)")
@@ -179,16 +192,9 @@ def _bounds_from(args: argparse.Namespace, config: dict) -> AcceptanceBounds | N
     if not isinstance(block, dict):
         raise _CliError(f"bad bounds block {block!r}: need a JSON object")
     block = dict(block)
-    if args.bounds_signal is not None:
-        block["signal"] = args.bounds_signal
-    if args.min_precision is not None:
-        block["min_precision"] = args.min_precision
-    if args.min_scr is not None:
-        block["min_scr"] = args.min_scr
-    if args.min_amplification is not None:
-        block["min_amplification"] = args.min_amplification
-    if args.max_flagged_users is not None:
-        block["max_flagged_users"] = args.max_flagged_users
+    for field in fields(AcceptanceBounds):
+        if getattr(args, field.name) is not None:
+            block[field.name] = getattr(args, field.name)
     if not block:
         return None
     if "signal" not in block:
@@ -206,7 +212,7 @@ def _bounds_from(args: argparse.Namespace, config: dict) -> AcceptanceBounds | N
 
 
 def _cmd_backtest(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, args.command)
     edges_path = _setting(args.edges, config, "edges")
     truth_path = _setting(args.truth, config, "ground_truth")
     if not edges_path or not truth_path:
@@ -221,6 +227,11 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
     signals, edges = read_edge_file(edges_path)
     if not signals:
         raise _CliError(f"{edges_path} declares no signal columns")
+    if out_dir is not None:
+        for signal in signals:
+            if any(sep in signal for sep in (os.sep, os.altsep, "\0") if sep):
+                raise _CliError(f"signal {signal!r} in {edges_path} cannot name "
+                                f"a report file sweep_<signal>.csv in {out_dir}")
     truth = read_ground_truth(truth_path)
     registry = SignalRegistry(signals)
     report = run_backtest(
@@ -269,7 +280,7 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
 # -- score ------------------------------------------------------------------
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, args.command)
     edges_path = _setting(args.edges, config, "edges")
     if not edges_path:
         raise _CliError("score needs --edges")
@@ -309,7 +320,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
 # -- stream -----------------------------------------------------------------
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, args.command)
     edges_path = _setting(args.edges, config, "edges")
     if not edges_path:
         raise _CliError("stream needs --edges")
@@ -416,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     back.add_argument("--threshold", type=float, help="adjudication z threshold")
     back.add_argument("--sweep", help="comma list of sweep thresholds")
     back.add_argument("--window", help="cumulative or trailing:<days>")
-    back.add_argument("--bounds-signal", help="signal the bounds apply to")
+    back.add_argument("--bounds-signal", dest="signal",
+                      help="signal the bounds apply to")
     back.add_argument("--min-precision", type=float)
     back.add_argument("--min-scr", type=float)
     back.add_argument("--min-amplification", type=float)

@@ -29,35 +29,6 @@ class Alert:
     suspicious_users: frozenset[UserId]
 
 
-@dataclass(frozen=True, slots=True)
-class SignalActivation:
-    signal: SignalId
-    max_z: float | None
-    active: bool
-
-
-@dataclass(frozen=True, slots=True)
-class ActivationReport:
-    """Which signals crossed the threshold anywhere in the window."""
-
-    threshold: float
-    activations: tuple[SignalActivation, ...]
-
-    def activation_for(self, signal: SignalId) -> SignalActivation:
-        for entry in self.activations:
-            if entry.signal == signal:
-                return entry
-        raise KeyError(signal)
-
-
-@dataclass(frozen=True, slots=True)
-class IncidentSummary:
-    """Union of implicated users across signals plus the activation report."""
-
-    flagged_users: frozenset[UserId]
-    report: ActivationReport
-
-
 def flag_nodes(scores: Iterable[NodeScore], threshold: float) -> list[NodeScore]:
     """Keep scores with z >= threshold, ordered by z desc then node id."""
     if not math.isfinite(threshold):
@@ -113,20 +84,13 @@ def compose_signals(
     alerts_by_signal: Mapping[SignalId, Sequence[Alert]],
     max_z_by_signal: Mapping[SignalId, float | None],
     threshold: float,
-) -> IncidentSummary:
-    """Merge per-signal alert sets into one incident view.
-
-    A signal is active when its peak z over the window reached the
-    threshold; signals the attack never touched stay inactive and
-    contribute no users. ``max_z_by_signal`` fixes the report order and
-    must cover every signal of interest, including those with no alerts.
-    """
+) -> frozenset[UserId]:
+    """The users implicated by the alerts of each signal ``max_z_by_signal``
+    names. ``threshold`` is unused, activation being ``SignalSummary.active``;
+    ``benchmarks/replica.py`` passes all three until ROADMAP item 4 deletes
+    this function."""
     users: set[UserId] = set()
-    activations = []
-    for signal, max_z in max_z_by_signal.items():
+    for signal in max_z_by_signal:
         for alert in alerts_by_signal.get(signal, ()):
             users.update(alert.suspicious_users)
-        active = max_z is not None and max_z >= threshold
-        activations.append(SignalActivation(signal, max_z, active))
-    report = ActivationReport(threshold, tuple(activations))
-    return IncidentSummary(frozenset(users), report)
+    return frozenset(users)

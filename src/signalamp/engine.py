@@ -694,12 +694,6 @@ class ReplayResult:
             out.extend(day.alerts.get(signal, ()))
         return out
 
-    def flagged_users_over_run(self, signal: SignalId) -> frozenset[UserId]:
-        users: set[UserId] = set()
-        for day in self.days:
-            users.update(day.flagged_users.get(signal, ()))
-        return frozenset(users)
-
 
 def _score_turn(engine: StreamEngine, day: int, threshold: float) -> DayOutcome:
     engine.advance_to(day)

@@ -13,13 +13,13 @@ stream stable for a fixed numpy version), keyed per day with
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import InfeasibleScenarioError
-from .model import EdgeColumns, NodeId, SignalId, SignalRegistry, UserId
+from .model import EdgeColumns, NodeId, SignalId, UserId
 
 _MASK64 = (1 << 64) - 1
 _SETUP_STREAM = _MASK64  # never collides with a day index
@@ -159,11 +159,6 @@ class GroundTruth:
     sybil_users: frozenset[UserId]
     cashout_nodes: frozenset[NodeId]
     carriers: dict[SignalId, frozenset[UserId]]
-
-
-def registry_for(config: ScenarioConfig) -> SignalRegistry:
-    """Registry with the scenario's signals in declaration order."""
-    return SignalRegistry(config.signals)
 
 
 def _day_rng(seed: int, stream: int) -> np.random.Generator:
@@ -344,15 +339,12 @@ def preset(name: str, seed: int | None = None) -> ScenarioConfig:
     return builder() if seed is None else builder(seed=seed)
 
 
-# -- config (de)serialization for declarative run files --------------------
-
-def scenario_to_dict(config: ScenarioConfig) -> dict:
-    return asdict(config)
-
+# -- config blocks of declarative run files --------------------------------
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
-    """The config of a scenario block; an unknown or missing key raises
-    ``InfeasibleScenarioError``, as do the constructors' checks."""
+    """The config of a scenario block, the inverse of ``dataclasses.asdict``;
+    an unknown or missing key raises ``InfeasibleScenarioError``, as do the
+    constructors' checks."""
     if not isinstance(data, dict):
         raise InfeasibleScenarioError(f"scenario config must be an object: {data!r}")
     try:
@@ -362,7 +354,3 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         return ScenarioConfig(**{**data, "attack": attack})
     except TypeError as exc:
         raise InfeasibleScenarioError(f"bad scenario config: {exc}") from exc
-
-
-def with_seed(config: ScenarioConfig, seed: int) -> ScenarioConfig:
-    return replace(config, seed=seed)

@@ -24,7 +24,6 @@ from signalamp.scenario import (
     ScenarioConfig,
     generate,
     preset,
-    registry_for,
 )
 
 from reference import reference_fold, reference_scores, split_run
@@ -167,7 +166,7 @@ def test_criterion_4_planted_attack_quality():
     config = preset("case1-desk")
     edges, truth = generate(config)
     r = run_backtest(
-        edges, registry_for(config), truth,
+        edges, SignalRegistry(config.signals), truth,
         threshold=40.0, sweep_thresholds=(40.0,),
     )
     elapsed = time.perf_counter() - start
@@ -205,7 +204,7 @@ def test_criterion_5_calm_traffic_specificity():
         edges, _ = generate(config)
         count = len(edges)
         min_edges = count if min_edges is None else min(min_edges, count)
-        result = replay_daily(edges, registry_for(config), threshold=40.0)
+        result = replay_daily(edges, SignalRegistry(config.signals), threshold=40.0)
         if count >= 100_000 and len(result.days) == 30 and all(
             not outcome.flagged_users[s]
             for outcome in result.days for s in outcome.flagged_users
@@ -242,7 +241,7 @@ def test_criterion_6_selective_signal_activation():
         ),
     )
     edges, _ = generate(config)
-    result = replay_daily(edges, registry_for(config), threshold=40.0)
+    result = replay_daily(edges, SignalRegistry(config.signals), threshold=40.0)
     elapsed = time.perf_counter() - start
     peak_a = max(
         outcome.max_z["sig_a"] for outcome in result.days

@@ -20,9 +20,10 @@ from signalamp.backtest import (
     raw_signal_baseline,
     run_backtest,
     threshold_sweep,
+    write_csv,
     write_report_files,
-    write_sweep_csv,
 )
+from signalamp.edgefile import read_edge_file
 from signalamp.engine import replay_daily
 from signalamp.model import EdgeColumns, SignalRegistry, TransactionEdge
 from signalamp.scenario import (
@@ -30,7 +31,6 @@ from signalamp.scenario import (
     GroundTruth,
     ScenarioConfig,
     generate,
-    registry_for,
 )
 
 ABS = 1e-4  # rates are quoted to two decimal places in percent
@@ -324,12 +324,29 @@ def tiny_scenario(seed=19):
     )
 
 
+def pinned_edges():
+    """Two days. Each day background users b0 and b6 send ``hot`` hits to
+    m0 and sybils s0-s2 send them to c0; ``cold`` never fires. On day 1,
+    p = 10/30 and M = 30/5, so c0 (6 of 6) has p_tilde = 2/3 and
+    z = sqrt(3); on day 0 its z is sqrt(1.5)."""
+    edges = []
+    for day in range(2):
+        edges += [TransactionEdge(f"b{i}", f"m{i % 4}", day,
+                                  {"hot": int(i % 6 == 0), "cold": 0})
+                  for i in range(12)]
+        edges += [TransactionEdge(f"s{i}", "c0", day, {"hot": 1, "cold": 0})
+                  for i in range(3)]
+    sybils = frozenset({"s0", "s1", "s2"})
+    return edges, GroundTruth(sybils, frozenset({"c0"}),
+                              {"hot": sybils, "cold": frozenset()})
+
+
 @pytest.fixture(scope="module")
 def report():
     config = tiny_scenario()
     edges, truth = generate(config)
     return run_backtest(
-        edges, registry_for(config), truth,
+        edges, SignalRegistry(config.signals), truth,
         threshold=10.0, sweep_thresholds=(1.0, 5.0, 10.0, 40.0),
     )
 
@@ -366,10 +383,26 @@ class TestRunBacktest:
         assert sweep_row.precision == final.precision
 
     def test_incident_unions_users_across_signals(self, report):
-        flagged_sig = report.replay.flagged_users_over_run("sig")
-        assert report.incident.flagged_users == flagged_sig
-        assert report.incident.report.activation_for("sig").active
-        assert not report.incident.report.activation_for("quiet").active
+        flagged = set().union(*(users for day in report.replay.days
+                                for users in day.flagged_users.values()))
+        assert flagged
+        assert report.incident == flagged
+        active = {s.signal: s.active for s in report.summaries}
+        assert active == {"sig": True, "quiet": False}
+
+    def test_activation_tracks_peak_z_against_threshold(self):
+        """``hot`` peaks at sqrt(3), on day 1; ``cold`` never fires, so it
+        has no peak. Summaries follow registry order."""
+        edges, truth = pinned_edges()
+        registry = SignalRegistry(["hot", "cold"])
+        for threshold, hot_active in [(1.5, True), (math.sqrt(3), True), (2.0, False)]:
+            report = run_backtest(edges, registry, truth, threshold=threshold)
+            hot, cold = report.summaries
+            assert (hot.signal, cold.signal) == ("hot", "cold")
+            assert hot.max_z == pytest.approx(math.sqrt(3), rel=1e-12)
+            assert hot.active is hot_active
+            assert cold.max_z is None
+            assert cold.active is False
 
     def test_series_covers_all_days_and_signals(self, report):
         assert len(report.series) == 6 * 2
@@ -392,9 +425,58 @@ class TestRunBacktest:
     def test_none_fields_serialized_as_na(self, tmp_path):
         row = metrics_from_counts(40.0, 0, 0, 0, 0, 0)
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(path, [row])
+        write_csv(path, MetricsRow, [row])
         body = path.read_text().splitlines()[1]
         assert body == "40.000000,0,0,0,0.000000,n/a,n/a,n/a"
+
+    def test_report_bytes_pinned(self, tmp_path):
+        """All three CSVs as text, for ``pinned_edges``; an int sweep
+        threshold is written as a float."""
+        edges, truth = pinned_edges()
+        report = run_backtest(edges, SignalRegistry(["hot", "cold"]), truth,
+                              threshold=1.5, sweep_thresholds=(1, 3))
+        write_report_files(report, tmp_path)
+        assert (tmp_path / "sweep_hot.csv").read_text() == (
+            "threshold,flagged_nodes,flagged_users,caught,precision,scr,coverage,"
+            "unconditional_recall\n"
+            "1.000000,1,3,3,1.000000,1.000000,1.000000,1.000000\n"
+            "3.000000,0,0,0,0.000000,0.000000,1.000000,0.000000\n"
+        )
+        assert (tmp_path / "sweep_cold.csv").read_text() == (
+            "threshold,flagged_nodes,flagged_users,caught,precision,scr,coverage,"
+            "unconditional_recall\n"
+            "1.000000,0,0,0,0.000000,n/a,0.000000,n/a\n"
+            "3.000000,0,0,0,0.000000,n/a,0.000000,n/a\n"
+        )
+        assert (tmp_path / "daily_series.csv").read_text() == (
+            "day,signal,flagged_users,cumulative_flagged,cumulative_confirmed\n"
+            "0,hot,0,0,0\n"
+            "1,hot,3,3,3\n"
+            "0,cold,0,0,0\n"
+            "1,cold,0,0,0\n"
+        )
+        assert (tmp_path / "summary.csv").read_text() == (
+            "signal,max_z,active,raw_carriers,raw_fraud_carriers,raw_precision,"
+            "amplified_precision,amplification\n"
+            "hot,1.732051,1,5,3,0.600000,1.000000,1.666667\n"
+            "cold,n/a,0,0,0,n/a,0.000000,n/a\n"
+        )
+
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "edges.csv").write_text("user,node,day,hot\n")
+        signals, columns = read_edge_file(empty / "edges.csv")
+        report = run_backtest(columns, SignalRegistry(signals),
+                              GroundTruth(frozenset(), frozenset(), {}), threshold=40.0)
+        write_report_files(report, empty)
+        assert (empty / "daily_series.csv").read_text() == (
+            "day,signal,flagged_users,cumulative_flagged,cumulative_confirmed\n"
+        )
+        assert (empty / "summary.csv").read_text() == (
+            "signal,max_z,active,raw_carriers,raw_fraud_carriers,raw_precision,"
+            "amplified_precision,amplification\n"
+            "hot,n/a,0,0,0,n/a,0.000000,n/a\n"
+        )
 
     def test_generous_bounds_pass(self, report):
         bounds = AcceptanceBounds(

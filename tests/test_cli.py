@@ -2,11 +2,12 @@
 
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from signalamp.cli import main
+from signalamp.cli import CONFIG_KEYS, main
 from signalamp.edgefile import read_edge_file, write_edge_file
 from signalamp.scenario import generate, scenario_from_dict
 
@@ -264,6 +265,23 @@ class TestBacktest:
         )
         assert code == 1
         assert err.startswith("error:")
+
+    def test_signal_name_that_cannot_name_a_sweep_file(self, dataset, tmp_path, capsys):
+        """A signal named ``a/b`` would make ``sweep_a/b.csv``: the run
+        fails before it prints or writes anything, also the sweep file of
+        the valid signal ahead of it."""
+        edges = tmp_path / "edges.csv"
+        edges.write_text("user,node,day,good,a/b\nu1,m1,0,1,0\nu2,m1,0,0,1\n")
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        code, stdout, err = invoke(
+            capsys, "backtest", "--edges", str(edges),
+            "--truth", str(dataset / "ground_truth.json"), "--out", str(reports),
+        )
+        assert code == 1
+        assert err.startswith("error: signal 'a/b'") and err.count("\n") == 1
+        assert stdout == ""
+        assert list(reports.iterdir()) == []
 
 
 class TestScore:
@@ -523,6 +541,17 @@ class TestStream:
 
 
 class TestConfigHandling:
+    def test_readme_names_every_config_key(self):
+        """README's "Config files" section lists, per subcommand, the keys
+        of ``CONFIG_KEYS``, the table the unknown-key check reads."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        section = readme.split("### Config files", 1)[1].split("\n## ", 1)[0]
+        assert set(CONFIG_KEYS) == {"generate", "backtest", "score", "stream"}
+        for command, keys in CONFIG_KEYS.items():
+            line = f"- `{command}`: " + ", ".join(f"`{key}`" for key in keys) + "\n"
+            assert line in section
+
     def test_unreadable_config(self, tmp_path, capsys):
         code, _, err = invoke(capsys, "score", "--config",
                               str(tmp_path / "none.json"))
@@ -811,6 +840,40 @@ def _config_max_flagged_users_fraction(dataset, tmp_path, capsys):
     return "1.5", [*_backtest_args(dataset), "--config", config]
 
 
+def _unknown_key(command, key):
+    return f"unknown key {key!r}; {command} reads {', '.join(CONFIG_KEYS[command])}"
+
+
+def _config_generate_misspelled_key(dataset, tmp_path, capsys):
+    config = write_config(tmp_path, preset="calm", ouput_dir=str(tmp_path))
+    return _unknown_key("generate", "ouput_dir"), ["generate", "--config", config]
+
+
+def _config_backtest_misspelled_key(dataset, tmp_path, capsys):
+    config = write_config(tmp_path, treshold=5)
+    return _unknown_key("backtest", "treshold"), [*_backtest_args(dataset),
+                                                  "--config", config]
+
+
+def _config_score_misspelled_key(dataset, tmp_path, capsys):
+    config = write_config(tmp_path, tpo=5)
+    return _unknown_key("score", "tpo"), ["score", *_edges_args(dataset),
+                                          "--config", config]
+
+
+def _config_stream_misspelled_key(dataset, tmp_path, capsys):
+    config = write_config(tmp_path, windw="trailing:3")
+    return _unknown_key("stream", "windw"), [*_stream_args(dataset, tmp_path),
+                                             "--config", config]
+
+
+def _config_stream_alerts(dataset, tmp_path, capsys):
+    """``--alerts``, like ``--resume``, is a flag only."""
+    config = write_config(tmp_path, alerts=str(tmp_path / "alerts.jsonl"))
+    return _unknown_key("stream", "alerts"), [*_stream_args(dataset, tmp_path),
+                                              "--config", config]
+
+
 def _config_seed_text(dataset, tmp_path, capsys):
     config = write_config(tmp_path, preset="calm", seed="abc", output_dir=str(tmp_path))
     return "'abc'", ["generate", "--config", config]
@@ -910,6 +973,11 @@ class TestUnreadableInput:
         _config_min_precision_text,
         _config_max_flagged_users_fraction,
         _config_seed_text,
+        _config_generate_misspelled_key,
+        _config_backtest_misspelled_key,
+        _config_score_misspelled_key,
+        _config_stream_misspelled_key,
+        _config_stream_alerts,
         _edges_empty_signal_name,
         _scenario_not_object,
         _scenario_rates_not_object,

@@ -141,38 +141,20 @@ class TestComposeSignals:
         )
 
     def test_union_of_users_across_signals(self):
-        summary = compose_signals(
+        users = compose_signals(
             {"a": [self._alert("a", {"u1", "u2"})], "b": [self._alert("b", {"u2", "u3"})]},
             {"a": 50.0, "b": 50.0},
             threshold=40.0,
         )
-        assert summary.flagged_users == frozenset({"u1", "u2", "u3"})
-
-    def test_activation_tracks_peak_z_against_threshold(self):
-        summary = compose_signals(
-            {"a": [self._alert("a", {"u1"})]},
-            {"a": 50.0, "b": 12.0, "c": None},
-            threshold=40.0,
-        )
-        report = summary.report
-        assert report.threshold == 40.0
-        assert report.activation_for("a").active is True
-        assert report.activation_for("b").active is False
-        assert report.activation_for("b").max_z == 12.0
-        assert report.activation_for("c").active is False
-        assert report.activation_for("c").max_z is None
+        assert users == frozenset({"u1", "u2", "u3"})
 
     def test_signal_with_no_alerts_contributes_no_users(self):
-        summary = compose_signals(
+        users = compose_signals(
             {"a": [self._alert("a", {"u1"})], "b": []},
             {"a": 50.0, "b": 39.0},
             threshold=40.0,
         )
-        assert summary.flagged_users == frozenset({"u1"})
-
-    def test_report_preserves_signal_order(self):
-        summary = compose_signals({}, {"x": 1.0, "y": 2.0, "z": None}, threshold=40.0)
-        assert [a.signal for a in summary.report.activations] == ["x", "y", "z"]
+        assert users == frozenset({"u1"})
 
     def test_build_alerts_uses_provided_mapping(self):
         flagged = [make_score("n1", 44.0), make_score("n2", 42.0)]

@@ -385,7 +385,7 @@ class TestReplayDaily:
             self._attack_edges(), registry,
             threshold=10.0, window=WindowConfig.trailing(1),
         )
-        users = result.flagged_users_over_run("sig")
+        users = set().union(*(d.flagged_users.get("sig", ()) for d in result.days))
         assert users
         assert all(u.startswith("s") for u in users)
 

@@ -3,6 +3,7 @@ config validation, and preset plumbing.
 """
 
 import math
+from dataclasses import asdict, replace
 from itertools import groupby
 from operator import attrgetter
 
@@ -10,16 +11,14 @@ import pytest
 
 from signalamp.edgefile import read_edge_file, write_edge_file
 from signalamp.errors import InfeasibleScenarioError
+from signalamp.model import SignalRegistry
 from signalamp.scenario import (
     PRESETS,
     AttackConfig,
     ScenarioConfig,
     generate,
     preset,
-    registry_for,
     scenario_from_dict,
-    scenario_to_dict,
-    with_seed,
 )
 
 
@@ -297,18 +296,18 @@ class TestConfigPlumbing:
             background_rates={"b_sig": 0.1, "a_sig": 0.2},
             attack=None,
         )
-        assert registry_for(config).ids() == ("b_sig", "a_sig")
+        assert SignalRegistry(config.signals).ids() == ("b_sig", "a_sig")
 
     def test_dict_round_trip_with_attack(self):
         config = small_config(attack=small_attack(cashout_mix=0.7))
-        assert scenario_from_dict(scenario_to_dict(config)) == config
+        assert scenario_from_dict(asdict(config)) == config
 
     def test_dict_round_trip_without_attack(self):
         config = small_config()
-        assert scenario_from_dict(scenario_to_dict(config)) == config
+        assert scenario_from_dict(asdict(config)) == config
 
     def test_missing_field_rejected(self):
-        data = scenario_to_dict(small_config())
+        data = asdict(small_config())
         del data["n_users"]
         with pytest.raises(InfeasibleScenarioError):
             scenario_from_dict(data)
@@ -319,7 +318,7 @@ class TestConfigPlumbing:
             scenario_from_dict(data)
 
     def test_unknown_attack_key_rejected(self):
-        data = scenario_to_dict(small_config(attack=small_attack()))
+        data = asdict(small_config(attack=small_attack()))
         data["attack"]["surprise"] = 1
         with pytest.raises(InfeasibleScenarioError):
             scenario_from_dict(data)
@@ -329,17 +328,17 @@ class TestConfigPlumbing:
     def test_misspelled_top_level_key_rejected(self, key, typo):
         """A misspelled block or field fails rather than falling back to
         calm traffic or to the default skew."""
-        data = scenario_to_dict(small_config(attack=small_attack(), popularity_skew=0.5))
+        data = asdict(small_config(attack=small_attack(), popularity_skew=0.5))
         data[typo] = data.pop(key)
         with pytest.raises(InfeasibleScenarioError, match=repr(typo)):
             scenario_from_dict(data)
 
     def test_with_seed_changes_only_seed(self):
         config = small_config(attack=small_attack())
-        reseeded = with_seed(config, 99)
+        reseeded = replace(config, seed=99)
         assert reseeded.seed == 99
-        assert scenario_to_dict(reseeded) == {
-            **scenario_to_dict(config), "seed": 99,
+        assert asdict(reseeded) == {
+            **asdict(config), "seed": 99,
         }
 
 

@@ -20,7 +20,7 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 from .amplify import NodeScore
 from .detect import compose_signals, flag_nodes
 from .engine import DayOutcome, ReplayResult, WindowConfig, replay_daily
-from .errors import SignalAmpError
+from .errors import INACTIVE_SIGNAL
 from .model import (
     EdgeColumns,
     NodeId,
@@ -28,6 +28,7 @@ from .model import (
     SignalRegistry,
     TransactionEdge,
     UserId,
+    replace_on_success,
 )
 from .scenario import GroundTruth
 
@@ -259,7 +260,7 @@ def run_backtest(
         raw[signal] = raw_signal_baseline(edges, truth, signal)
         try:
             scores = engine.scores(signal)
-        except SignalAmpError:
+        except INACTIVE_SIGNAL:
             scores = []
         node_users = engine.node_hit_users(signal)
         sweeps[signal] = threshold_sweep(
@@ -308,7 +309,7 @@ def write_csv(path: str | Path, row_type: type, rows: Iterable) -> None:
     hints = typing.get_type_hints(row_type)
     floats = {name for name in names
               if float in (hints[name], *typing.get_args(hints[name]))}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replace_on_success(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(names)
         writer.writerows([_cell(getattr(row, name), name in floats) for name in names]

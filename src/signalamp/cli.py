@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from contextlib import ExitStack
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -34,8 +35,8 @@ from .edgefile import (
     write_ground_truth,
 )
 from .engine import StreamEngine, WindowConfig, replay_turns
-from .errors import SignalAmpError
-from .model import SignalRegistry
+from .errors import DegenerateBaselineError, NoBaselineError, SignalAmpError
+from .model import SignalRegistry, replace_on_success
 from .scenario import (
     PRESETS,
     generate,
@@ -139,6 +140,15 @@ def _require_dir(path_text: str, label: str) -> Path:
     return path
 
 
+def _read_edges(read, path: str):
+    """``read(path)``, a pair of the signal columns and the edges, once the
+    header declares a signal column."""
+    signals, edges = read(path)
+    if not signals:
+        raise _CliError(f"{path} declares no signal columns")
+    return signals, edges
+
+
 # -- generate ---------------------------------------------------------------
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -218,16 +228,18 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
     if not edges_path or not truth_path:
         raise _CliError("backtest needs --edges and --truth")
     out_dir = _setting(args.out, config, "output_dir")
+    out = None if out_dir is None else _require_dir(out_dir, "output")
     threshold = _finite(_setting(args.threshold, config, "threshold", 40.0),
                         "threshold")
     sweep = _parse_sweep(_setting(args.sweep, config, "sweep"))
     window = _parse_window(_setting(args.window, config, "window"))
     bounds = _bounds_from(args, config)
 
-    signals, edges = read_edge_file(edges_path)
-    if not signals:
-        raise _CliError(f"{edges_path} declares no signal columns")
-    if out_dir is not None:
+    signals, edges = _read_edges(read_edge_file, edges_path)
+    if bounds is not None and bounds.signal not in signals:
+        raise _CliError(f"bounds name unknown signal {bounds.signal!r}; "
+                        f"{edges_path} declares {', '.join(signals)}")
+    if out is not None:
         for signal in signals:
             if any(sep in signal for sep in (os.sep, os.altsep, "\0") if sep):
                 raise _CliError(f"signal {signal!r} in {edges_path} cannot name "
@@ -262,8 +274,7 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
                   f"{format_float(row.coverage, 4):>8} "
                   f"{format_float(row.unconditional_recall, 4):>7}")
 
-    if out_dir is not None:
-        out = _require_dir(out_dir, "output")
+    if out is not None:
         for path in write_report_files(report, out):
             print(f"wrote {path}")
 
@@ -288,7 +299,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     window = _parse_window(_setting(args.window, config, "window"))
     only = _setting(args.signal, config, "signal")
 
-    signals, edges = read_edge_file(edges_path)
+    signals, edges = _read_edges(read_edge_file, edges_path)
     registry = SignalRegistry(signals)
     if only is not None:
         registry.describe(only)  # raises UnknownSignalError if unregistered
@@ -300,8 +311,13 @@ def _cmd_score(args: argparse.Namespace) -> int:
     for signal in registry.ids():
         if only is not None and signal != only:
             continue
-        baseline = engine.baseline(signal)
-        if baseline.is_degenerate:
+        try:
+            baseline = engine.baseline(signal)
+            ranked = engine.scores(signal)[:top]
+        except NoBaselineError:
+            print(f"signal {signal}: inactive, no usable baseline (no transactions)")
+            continue
+        except DegenerateBaselineError:
             print(f"signal {signal}: inactive, no usable baseline "
                   f"(rate {baseline.rate:g} over "
                   f"{baseline.transactions} transactions)")
@@ -311,7 +327,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
               f"{baseline.active_nodes} active nodes")
         print(f"  {'rank':>4} {'node':<12} {'trials':>7} {'hits':>6} "
               f"{'raw':>8} {'shrunk':>8} {'z':>10}")
-        for rank, sc in enumerate(engine.scores(signal)[:top], start=1):
+        for rank, sc in enumerate(ranked, start=1):
             print(f"  {rank:>4} {sc.node:<12} {sc.trials:>7} {sc.hits:>6} "
                   f"{sc.raw_rate:>8.4f} {sc.shrunk_rate:>8.4f} {sc.z:>10.4f}")
     return 0
@@ -331,7 +347,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                         "threshold")
     window = _parse_window(_setting(args.window, config, "window"))
 
-    signals, days = read_edge_days(edges_path)
+    signals, days = _read_edges(read_edge_days, edges_path)
     try:
         if args.resume:
             engine = StreamEngine.load_checkpoint(args.resume)
@@ -364,22 +380,22 @@ def _stream_turns(engine: StreamEngine, days, threshold: float, checkpoint_out: 
     """Run the turns of ``days``, then save the checkpoint; returns each
     turn's line and the number of alerts written.
 
-    Alert lines go to a temporary file beside ``alerts_out`` as turns end,
-    renamed into place once the checkpoint is saved, so a failed run
-    leaves both targets as they were.
+    Alert lines go to ``alerts_out`` through ``replace_on_success`` as
+    turns end, and replace it only once the checkpoint is saved, so a
+    failed run leaves both targets as they were.
     """
-    sink = None
-    if alerts_out is not None:
-        if alerts_out.is_dir():
-            raise _CliError(f"cannot write alerts to {alerts_out}: it is a directory")
-        tmp = alerts_out.with_name(f".{alerts_out.name}.{os.getpid()}.tmp")
-        try:
-            sink = open(tmp, "w", encoding="utf-8")
-        except OSError as exc:
-            raise _CliError(f"cannot write alerts to {alerts_out}: {exc.strerror}") from exc
-    day_lines: list[str] = []
-    written = 0
-    try:
+    with ExitStack() as stack:
+        sink = None
+        if alerts_out is not None:
+            if alerts_out.is_dir():
+                raise _CliError(f"cannot write alerts to {alerts_out}: it is a directory")
+            try:
+                sink = stack.enter_context(replace_on_success(alerts_out))
+            except OSError as exc:
+                raise _CliError(
+                    f"cannot write alerts to {alerts_out}: {exc.strerror}") from exc
+        day_lines: list[str] = []
+        written = 0
         for outcome in replay_turns(days, engine, threshold):
             parts = []
             for signal in engine.registry.ids():
@@ -392,13 +408,6 @@ def _stream_turns(engine: StreamEngine, days, threshold: float, checkpoint_out: 
                     sink.writelines(serialize_alert(a) + "\n" for a in signal_alerts)
                     written += len(signal_alerts)
         engine.save_checkpoint(checkpoint_out)
-        if sink is not None:
-            sink.close()
-            os.replace(tmp, alerts_out)
-    finally:
-        if sink is not None:
-            sink.close()
-            tmp.unlink(missing_ok=True)
     return day_lines, written
 
 

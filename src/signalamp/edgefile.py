@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import EdgeFileError
 from .model import (INT64_MAX, EdgeColumns, IdCodes, SignalId, TransactionEdge,
-                    row_part, runs)
+                    replace_on_success, row_part, runs)
 from .scenario import GroundTruth
 
 _FIXED_COLUMNS = ("user", "node", "day")
@@ -41,7 +41,7 @@ def write_edge_file(
     bits = columns.hits_under(signals).view(np.uint8).tolist()
     users = list(map(columns.users.__getitem__, columns.user_code.tolist()))
     nodes = list(map(columns.nodes.__getitem__, columns.node_code.tolist()))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replace_on_success(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([*_FIXED_COLUMNS, *signals])
         writer.writerows(zip(users, nodes, columns.day.tolist(), *bits))
@@ -187,11 +187,9 @@ def _split_parts(fh: BinaryIO) -> Generator[object, None, tuple | None]:
         if signals is None and block:
             header_line, _, block = block.partition(b"\n")
             header = header_line.decode("utf-8").split(",")
-            names = header[3:]
-            if len(header_line) > limit or tuple(header[:3]) != _FIXED_COLUMNS \
-                    or len(set(names)) != len(names) or "" in names:
+            if len(header_line) > limit or _header_problem(header):
                 return offset, line, signals
-            signals, width = names, len(header)
+            signals, width = header[3:], len(header)
             offset, line = len(header_line) + 1, 2
             yield signals
         rows = block.lstrip(b"\n")  # blank lines
@@ -244,6 +242,19 @@ def _split_block(block: bytes, width: int, limit: int, day_of: dict[str, int]
     return fields[0::width], fields[1::width], days, (bits == ord("1")).T
 
 
+def _header_problem(header: list[str]) -> str | None:
+    """What breaks the header rule in ``header``, or None: it starts with
+    user,node,day, and its signal names are distinct and non-empty."""
+    signals = header[3:]
+    if tuple(header[:3]) != _FIXED_COLUMNS:
+        return f"header must start with user,node,day; got {header[:3]}"
+    if len(set(signals)) != len(signals):
+        return "duplicate signal columns in header"
+    if "" in signals:
+        return "empty signal column name in header"
+    return None
+
+
 def _row_parts(path: Path, reader: Iterator[list[str]],
                signals: list[SignalId] | None = None, line: int = 1) -> Iterator:
     """The csv row parser: yields the signal columns when it reads the
@@ -259,15 +270,10 @@ def _row_parts(path: Path, reader: Iterator[list[str]],
             header = next(reader)
         except StopIteration:
             raise EdgeFileError(f"{path}: empty file, expected a header row") from None
-        if tuple(header[:3]) != _FIXED_COLUMNS:
-            raise EdgeFileError(
-                f"{path}: header must start with user,node,day; got {header[:3]}"
-            )
+        problem = _header_problem(header)
+        if problem:
+            raise EdgeFileError(f"{path}: {problem}")
         signals = header[3:]
-        if len(set(signals)) != len(signals):
-            raise EdgeFileError(f"{path}: duplicate signal columns in header")
-        if "" in signals:
-            raise EdgeFileError(f"{path}: empty signal column name in header")
         yield signals
         line = 2
     width = 3 + len(signals)
@@ -328,9 +334,8 @@ def write_ground_truth(path: str | Path, truth: GroundTruth) -> None:
         "cashout_nodes": sorted(truth.cashout_nodes),
         "carriers": {s: sorted(users) for s, users in sorted(truth.carriers.items())},
     }
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with replace_on_success(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def read_ground_truth(path: str | Path) -> GroundTruth:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -22,8 +21,8 @@ import numpy as np
 from .amplify import NodeScore, rank_columns, score_columns
 from .detect import Alert, build_alerts
 from .errors import (
+    INACTIVE_SIGNAL,
     CheckpointError,
-    DegenerateBaselineError,
     DuplicateSignalError,
     NoBaselineError,
     UnsortedEdgesError,
@@ -40,6 +39,7 @@ from .model import (
     TransactionEdge,
     UserId,
     append_edge,
+    replace_on_success,
     runs,
 )
 
@@ -318,22 +318,20 @@ class StreamEngine:
 
     def hit_users(self, node: NodeId, signal: SignalId) -> frozenset[UserId]:
         """Users that sent ``node`` a hit-carrying edge inside the window."""
-        self._flush()
-        code = self._node_ids.code(node)
-        if code is None:
-            return frozenset()
-        return self._hit_users(signal, [code]).get(node, frozenset())
+        return self._hit_users(signal, [node]).get(node, frozenset())
 
     def node_hit_users(self, signal: SignalId) -> dict[NodeId, frozenset[UserId]]:
         """``hit_users`` of every node with a hit on ``signal`` in the window."""
         return self._hit_users(signal, None)
 
     def _hit_users(self, signal: SignalId,
-                   codes: list[int] | None) -> dict[NodeId, frozenset[UserId]]:
-        """Hit users on ``signal`` of each node of ``codes`` (every node if
+                   nodes: list[NodeId] | None) -> dict[NodeId, frozenset[UserId]]:
+        """Hit users on ``signal`` of each node of ``nodes`` (every node if
         None) that has any, gathered from the hit-user rows in one grouped
         pass."""
         self._flush()
+        codes = None if nodes is None else [
+            code for code in map(self._node_ids.code, nodes) if code is not None]
         if signal not in self._column or (codes is not None and not codes):
             return {}
         days = [_NO_ROWS, *self._user_rows.values()]
@@ -398,20 +396,14 @@ class StreamEngine:
     def save_checkpoint(self, path: str | Path) -> None:
         """Write a versioned snapshot; identical state gives identical bytes.
 
-        The snapshot goes to a temporary file beside ``path`` that then
-        replaces it, so a failed save leaves any previous file intact.
+        The snapshot goes through ``replace_on_success``, so a failed save
+        leaves any previous file intact.
         """
         text = json.dumps(
             self.checkpoint_payload(), sort_keys=True, separators=(",", ":")
         ) + "\n"
-        path = Path(path)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(text, encoding="utf-8")
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        with replace_on_success(path) as fh:
+            fh.write(text)
 
     @classmethod
     def load_checkpoint(cls, path: str | Path) -> "StreamEngine":
@@ -704,20 +696,13 @@ def _score_turn(engine: StreamEngine, day: int, threshold: float) -> DayOutcome:
     for signal in engine.registry.ids():
         try:
             max_z[signal], flagged = engine.flagged(signal, threshold)
-        except (NoBaselineError, DegenerateBaselineError):
+        except INACTIVE_SIGNAL:
             # A window where every bit agrees carries no evidence either way.
-            alerts[signal] = []
-            flagged_users[signal] = frozenset()
-            max_z[signal] = None
+            max_z[signal], flagged = None, []
             inactive.append(signal)
-            continue
-        codes = [engine._node_ids.code(sc.node) for sc in flagged]
-        day_alerts = build_alerts(flagged, engine._hit_users(signal, codes), day)
-        alerts[signal] = day_alerts
-        users: set[UserId] = set()
-        for alert in day_alerts:
-            users.update(alert.suspicious_users)
-        flagged_users[signal] = frozenset(users)
+        node_users = engine._hit_users(signal, [sc.node for sc in flagged])
+        alerts[signal] = build_alerts(flagged, node_users, day)
+        flagged_users[signal] = frozenset().union(*node_users.values())
     return DayOutcome(day, alerts, flagged_users, max_z, tuple(inactive))
 
 

@@ -22,6 +22,10 @@ class DegenerateBaselineError(SignalAmpError):
     signal is inactive for the window."""
 
 
+# The errors that leave a signal inactive for a window rather than scored.
+INACTIVE_SIGNAL = (NoBaselineError, DegenerateBaselineError)
+
+
 class UnsortedEdgesError(SignalAmpError):
     """Edges arrived out of day order where day order is required."""
 

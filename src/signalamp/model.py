@@ -8,11 +8,14 @@ scoring math ever needs.
 
 from __future__ import annotations
 
+import os
 from collections import defaultdict
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import count, islice
-from typing import Iterable, Iterator
+from pathlib import Path
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -25,6 +28,24 @@ SignalId = str
 # The highest edge day, and the most transactions a window may hold, so
 # that no int64 day or counter wraps.
 INT64_MAX = 2**63 - 1
+
+
+@contextmanager
+def replace_on_success(path: str | Path) -> Iterator[TextIO]:
+    """A UTF-8 text file, opened with ``newline=""``, that replaces ``path``
+    once the block succeeds: it is written as ``.<name>.<pid>.tmp`` beside
+    ``path``, renamed over it at the end of the block and removed if the
+    block or the rename raises, so a failed write leaves ``path`` as it was.
+    Every file the package writes goes through here."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,12 +88,6 @@ class SignalRegistry:
 
     def __contains__(self, signal: object) -> bool:
         return signal in self._defs
-
-    def __iter__(self) -> Iterator[SignalId]:
-        return iter(self._defs)
-
-    def __len__(self) -> int:
-        return len(self._defs)
 
 
 @dataclass(slots=True)
@@ -321,8 +336,3 @@ class GlobalBaseline:
     @property
     def prior_strength(self) -> float:
         return self.transactions / self.active_nodes
-
-    @property
-    def is_degenerate(self) -> bool:
-        """True when every edge hit, or none did; the z-test is undefined."""
-        return self.hits == 0 or self.hits == self.transactions

@@ -1,16 +1,40 @@
-"""Test-side helpers: reference oracles and a checkpoint-split engine run.
+"""Test-side helpers: reference oracles, a checkpoint-split engine run and
+a write that fails half-way.
 
-``StreamEngine.ingest`` is the package's only way to fold edges into
-counters. ``reference_fold`` builds the same tallies without the engine,
-so it is an independent oracle: a counting bug in the engine cannot also
-hide in it. Likewise the package scores whole columns at once, and
+``StreamEngine.ingest_columns`` is the package's one fold of edges into
+counters; per-edge ``StreamEngine.ingest`` queues edges into it.
+``reference_fold`` builds the same tallies without the engine, so it is an
+independent oracle: a counting bug in the engine cannot also hide in it.
+Likewise the package scores whole columns at once, and
 ``reference_scores`` scores node by node with the scalar ``shrink`` and
 ``z_score``.
 """
 
+import builtins
+
+from signalamp import model
 from signalamp.amplify import NodeScore, shrink, z_score
 from signalamp.engine import StreamEngine
 from signalamp.model import NodeAccumulator
+
+
+def crash_mid_write(monkeypatch):
+    """Make every file that ``model.replace_on_success`` opens write half
+    the text of its first ``write`` call, then raise
+    ``OSError("simulated crash")``."""
+
+    def open_crashing(*args, **kwargs):
+        fh = builtins.open(*args, **kwargs)
+        write = fh.write
+
+        def half_write(text):
+            write(text[: len(text) // 2])
+            raise OSError("simulated crash")
+
+        fh.write = half_write
+        return fh
+
+    monkeypatch.setattr(model, "open", open_crashing, raising=False)
 
 
 def reference_fold(edges):

@@ -215,18 +215,20 @@ class TestComputeBaseline:
         assert baseline.rate == 0.05
         assert baseline.prior_strength == 10.0
         assert baseline.active_nodes == 2
-        assert not baseline.is_degenerate
+        score_columns(np.array([10, 10]), np.array([1, 0]), baseline)
 
     def test_single_silent_node_is_degenerate(self):
         baseline = compute_baseline([NodeAccumulator("a", 7, {})], "sig")
         assert baseline.rate == 0.0
         assert baseline.prior_strength == 7.0
-        assert baseline.is_degenerate
+        with pytest.raises(DegenerateBaselineError):
+            score_columns(np.array([7]), np.array([0]), baseline)
 
     def test_all_hits_is_degenerate(self):
         baseline = compute_baseline([NodeAccumulator("a", 3, {"sig": 3})], "sig")
         assert baseline.rate == 1.0
-        assert baseline.is_degenerate
+        with pytest.raises(DegenerateBaselineError):
+            score_columns(np.array([3]), np.array([3]), baseline)
 
     def test_empty_window_rejected(self):
         with pytest.raises(NoBaselineError):

@@ -1,5 +1,6 @@
 """Public API guard: the top-level names, and every package name the
-benchmark scripts import, must keep resolving."""
+benchmark scripts import, must keep resolving; and the package writes
+files only through ``model.replace_on_success``."""
 
 import ast
 import bisect
@@ -18,6 +19,7 @@ from signalamp.model import SignalRegistry
 from signalamp.scenario import generate, scenario_from_dict
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+PACKAGE = Path(signalamp.__file__).resolve().parent
 
 
 def test_top_level_names_are_the_readme_library_api():
@@ -87,6 +89,52 @@ def test_benchmark_engine_attributes_resolve():
     missing = [f"{source}: {name}" for source, name in used
                if not hasattr(engine, name)]
     assert not missing
+
+
+def file_writes(tree):
+    """The calls and imports in ``tree`` that can write a file: ``open`` or
+    ``.open`` with a mode that writes or a mode that is not a string
+    literal, ``.write_text``, ``.write_bytes`` and ``os.replace``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os" \
+                and "replace" in {alias.name for alias in node.names}:
+            yield node
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if isinstance(func, ast.Attribute) and (
+                name in ("write_text", "write_bytes")
+                or name == "replace" and ast.unparse(func.value) == "os"):
+            yield node
+        elif name == "open":
+            # open(file, mode), but <path>.open(mode)
+            args = node.args[1:] if isinstance(func, ast.Name) else node.args
+            mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
+                        args[0] if args else ast.Constant("r"))
+            if not isinstance(mode, ast.Constant) or not isinstance(mode.value, str) \
+                    or set(mode.value) & set("wax+"):
+                yield node
+
+
+def test_every_file_write_goes_through_replace_on_success():
+    """No code in the package outside ``model.replace_on_success`` opens a
+    file for writing, or calls ``write_text``, ``write_bytes`` or
+    ``os.replace``, so every output file is replaced whole or left as it
+    was."""
+    inside, outside = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        helper = [node for node in ast.walk(tree) if path.name == "model.py"
+                  and isinstance(node, ast.FunctionDef)
+                  and node.name == "replace_on_success"]
+        for node in file_writes(tree):
+            if any(h.lineno <= node.lineno <= h.end_lineno for h in helper):
+                inside.append(ast.unparse(node.func))
+            else:
+                outside.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert sorted(inside) == ["open", "os.replace"]
+    assert not outside
 
 
 def test_edge_file_result_supports_what_the_replica_does(tmp_path):

@@ -33,6 +33,8 @@ from signalamp.scenario import (
     generate,
 )
 
+from reference import crash_mid_write
+
 ABS = 1e-4  # rates are quoted to two decimal places in percent
 
 
@@ -428,6 +430,16 @@ class TestRunBacktest:
         write_csv(path, MetricsRow, [row])
         body = path.read_text().splitlines()[1]
         assert body == "40.000000,0,0,0,0.000000,n/a,n/a,n/a"
+
+    def test_failed_csv_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "sweep.csv"
+        write_csv(path, MetricsRow, [metrics_from_counts(40.0, 0, 0, 0, 0, 0)])
+        before = path.read_bytes()
+        crash_mid_write(monkeypatch)
+        with pytest.raises(OSError, match="simulated crash"):
+            write_csv(path, MetricsRow, [metrics_from_counts(5.0, 1, 1, 1, 1, 1)])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
     def test_report_bytes_pinned(self, tmp_path):
         """All three CSVs as text, for ``pinned_edges``; an int sweep

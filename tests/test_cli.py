@@ -266,6 +266,34 @@ class TestBacktest:
         assert code == 1
         assert err.startswith("error:")
 
+    def _three_rows(self, tmp_path):
+        edges = tmp_path / "three.csv"
+        edges.write_text("user,node,day,a,b\nu1,n1,0,1,0\nu2,n1,0,0,1\nu3,n2,1,0,0\n")
+        return str(edges)
+
+    def test_missing_out_dir_fails_before_any_work(self, dataset, tmp_path, capsys):
+        code, stdout, err = invoke(
+            capsys, "backtest", "--edges", self._three_rows(tmp_path),
+            "--truth", str(dataset / "ground_truth.json"),
+            "--out", str(tmp_path / "nowhere"),
+        )
+        assert code == 1
+        assert err == f"error: output directory {tmp_path / 'nowhere'} does not exist\n"
+        assert stdout == ""
+
+    def test_bounds_on_an_undeclared_signal_are_a_bad_argument(self, dataset, tmp_path,
+                                                                 capsys):
+        edges = self._three_rows(tmp_path)
+        code, stdout, err = invoke(
+            capsys, "backtest", "--edges", edges,
+            "--truth", str(dataset / "ground_truth.json"),
+            "--bounds-signal", "ghost", "--min-precision", "0.5",
+        )
+        assert code == 1
+        assert err == (f"error: bounds name unknown signal 'ghost'; "
+                       f"{edges} declares a, b\n")
+        assert stdout == ""
+
     def test_signal_name_that_cannot_name_a_sweep_file(self, dataset, tmp_path, capsys):
         """A signal named ``a/b`` would make ``sweep_a/b.csv``: the run
         fails before it prints or writes anything, also the sweep file of
@@ -336,6 +364,14 @@ class TestScore:
         code, stdout, _ = invoke(capsys, "score", "--edges", str(path))
         assert code == 0
         assert "inactive, no usable baseline" in stdout
+
+    def test_empty_window_reported_inactive(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("user,node,day,a,b\n")
+        code, stdout, err = invoke(capsys, "score", "--edges", str(path))
+        assert code == 0, err
+        assert stdout == ("signal a: inactive, no usable baseline (no transactions)\n"
+                          "signal b: inactive, no usable baseline (no transactions)\n")
 
     def test_window_spec_parsed(self, dataset, capsys):
         code, _, _ = invoke(capsys, "score",
@@ -456,6 +492,7 @@ class TestStream:
         ("alerts-unwritable", "cannot write alerts to"),
         ("alerts-a-directory", "cannot write alerts to"),
         ("bad-row-after-day-out-of-order", "line {bad}: bit for 'sig' must be 0 or 1"),
+        ("no-signal-columns", "declares no signal columns"),
     ])
     def test_failed_run_leaves_every_file_as_it_was(self, dataset, tmp_path, capsys,
                                                     case, message):
@@ -489,6 +526,8 @@ class TestStream:
             argv[-1] = str(tmp_path / "missing" / "alerts.jsonl")
         elif case == "alerts-a-directory":
             alerts.mkdir()
+        elif case == "no-signal-columns":
+            edges.write_text("".join(",".join(line.split(",")[:3]) + "\n" for line in lines))
         if not alerts.exists():
             alerts.write_text("earlier alerts\n")
         ckpt.write_text("earlier checkpoint\n")
@@ -879,6 +918,12 @@ def _config_seed_text(dataset, tmp_path, capsys):
     return "'abc'", ["generate", "--config", config]
 
 
+def _edges_no_signal_columns(dataset, tmp_path, capsys):
+    bad = tmp_path / "nosignals.csv"
+    bad.write_text("user,node,day\nu1,n1,0\n")
+    return bad, ["score", "--edges", str(bad)]
+
+
 def _edges_empty_signal_name(dataset, tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("user,node,day,\nu1,n1,0,1\n")
@@ -979,6 +1024,7 @@ class TestUnreadableInput:
         _config_stream_misspelled_key,
         _config_stream_alerts,
         _edges_empty_signal_name,
+        _edges_no_signal_columns,
         _scenario_not_object,
         _scenario_rates_not_object,
         _scenario_seed_fraction,

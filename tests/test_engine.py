@@ -4,7 +4,6 @@ pipeline, trailing-window eviction, checkpointing, and replay semantics.
 
 import json
 import os
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +22,8 @@ from signalamp.errors import (
 )
 from signalamp.model import EdgeColumns, SignalRegistry, TransactionEdge
 
-from reference import reference_fold, reference_scores, reference_users, v1_payload
+from reference import (crash_mid_write, reference_fold, reference_scores,
+                       reference_users, v1_payload)
 
 
 def random_edges(n, seed, n_users=200, n_nodes=25, days=10, hit_rate=0.2,
@@ -1216,13 +1216,7 @@ class TestCheckpoint:
             raise OSError("simulated crash")
 
         if failure == "mid-write":
-            write_text = Path.write_text
-
-            def half_write(self, text, *args, **kwargs):
-                write_text(self, text[: len(text) // 2], *args, **kwargs)
-                crash()
-
-            monkeypatch.setattr(Path, "write_text", half_write)
+            crash_mid_write(monkeypatch)
         else:
             monkeypatch.setattr(os, "replace", crash)
         with pytest.raises(OSError, match="simulated crash"):

@@ -17,7 +17,7 @@ from signalamp.errors import DuplicateSignalError, EdgeFileError, UnknownSignalE
 from signalamp.model import EdgeColumns, GlobalBaseline, SignalRegistry, TransactionEdge
 from signalamp.scenario import GroundTruth
 
-from reference import split_run
+from reference import crash_mid_write, split_run
 
 
 class TestSignalRegistry:
@@ -43,8 +43,8 @@ class TestSignalRegistry:
     def test_membership_and_len(self):
         registry = SignalRegistry(["a", "b"])
         assert "a" in registry and "c" not in registry
-        assert len(registry) == 2
-        assert list(registry) == ["a", "b"]
+        assert len(registry.ids()) == 2
+        assert list(registry.ids()) == ["a", "b"]
 
     def test_empty_id_rejected(self):
         with pytest.raises(ValueError):
@@ -309,6 +309,26 @@ class TestEdgeFile:
         with pytest.raises(EdgeFileError) as err:
             read_ground_truth(path)
         assert str(path) in str(err.value) and field in str(err.value)
+
+    def test_failed_edge_file_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "edges.csv"
+        write_edge_file(path, self._edges(), ["a", "b"])
+        before = path.read_bytes()
+        crash_mid_write(monkeypatch)
+        with pytest.raises(OSError, match="simulated crash"):
+            write_edge_file(path, self._edges()[:2], ["a"])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["edges.csv"]
+
+    def test_failed_ground_truth_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "truth.json"
+        write_ground_truth(path, GroundTruth(frozenset({"s0"}), frozenset(), {}))
+        before = path.read_bytes()
+        crash_mid_write(monkeypatch)
+        with pytest.raises(OSError, match="simulated crash"):
+            write_ground_truth(path, GroundTruth(frozenset(), frozenset({"c0"}), {}))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["truth.json"]
 
     def test_columns_written_in_any_signal_order(self, tmp_path):
         path = tmp_path / "edges.csv"

@@ -15,11 +15,11 @@ import math
 import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from .amplify import NodeScore
-from .detect import compose_signals, flag_nodes
-from .engine import DayOutcome, ReplayResult, WindowConfig, replay_daily
+from .detect import flag_nodes
+from .engine import DayOutcome, StreamEngine, WindowConfig, day_batches, replay_turns
 from .errors import INACTIVE_SIGNAL
 from .model import (
     EdgeColumns,
@@ -114,7 +114,11 @@ def raw_signal_baseline(
     edges: EdgeColumns, truth: GroundTruth, signal: SignalId
 ) -> RawSignalBaseline:
     """Precision of the unaggregated signal: flag everyone who ever hit."""
-    carriers = edges.users_with_hits(signal)
+    return _raw_baseline(signal, edges.users_with_hits(signal), truth)
+
+
+def _raw_baseline(signal: SignalId, carriers: AbstractSet[UserId],
+                  truth: GroundTruth) -> RawSignalBaseline:
     fraud_carriers = len(carriers & truth.sybil_users)
     precision = fraud_carriers / len(carriers) if carriers else None
     return RawSignalBaseline(signal, len(carriers), fraud_carriers, precision)
@@ -169,23 +173,26 @@ class SeriesRow:
 
 
 def daily_series(
-    outcomes: Sequence[DayOutcome], truth: GroundTruth
+    outcomes: Iterable[DayOutcome], truth: GroundTruth
 ) -> list[SeriesRow]:
     """Per-day flag counts plus cumulative flagged and confirmed curves.
 
     Confirmed means flagged users that appear in the ground-truth sybil
     set. Both cumulative curves are non-decreasing by construction.
+    ``outcomes`` is read once, so it may be the generator of a running
+    replay. The rows are signal-major, signals in the order their
+    ``max_z`` keys first appear, with a row for every day; a signal has
+    zero rows for the days before it first appears.
     """
-    signals: list[SignalId] = []
+    days: list[int] = []
+    curves: dict[SignalId, tuple[list[SeriesRow], set[UserId], set[UserId]]] = {}
     for outcome in outcomes:
         for signal in outcome.max_z:
-            if signal not in signals:
-                signals.append(signal)
-    rows = []
-    for signal in signals:
-        seen: set[UserId] = set()
-        confirmed: set[UserId] = set()
-        for outcome in outcomes:
+            if signal not in curves:
+                curves[signal] = ([SeriesRow(day, signal, 0, 0, 0) for day in days],
+                                  set(), set())
+        days.append(outcome.day)
+        for signal, (rows, seen, confirmed) in curves.items():
             today = outcome.flagged_users.get(signal, frozenset())
             seen.update(today)
             confirmed.update(today & truth.sybil_users)
@@ -198,7 +205,7 @@ def daily_series(
                     cumulative_confirmed=len(confirmed),
                 )
             )
-    return rows
+    return [row for rows, _, _ in curves.values() for row in rows]
 
 
 @dataclass(frozen=True, slots=True)
@@ -215,10 +222,11 @@ class SignalSummary:
 
 @dataclass(slots=True)
 class BacktestReport:
-    """Everything one labeled run produces; ``incident`` is the implicated users."""
+    """Everything one labeled run produces: ``engine`` is the final window,
+    and ``incident`` the users that any turn's alerts implicated."""
 
     threshold: float
-    replay: ReplayResult
+    engine: StreamEngine
     sweeps: dict[SignalId, list[MetricsRow]]
     final_metrics: dict[SignalId, MetricsRow]
     raw: dict[SignalId, RawSignalBaseline]
@@ -239,25 +247,60 @@ def run_backtest(
     sweep_thresholds: Sequence[float] = DEFAULT_SWEEP,
     window: WindowConfig | None = None,
 ) -> BacktestReport:
-    """Replay a labeled edge stream and assemble the full report.
+    """Replay a labeled, day-ordered edge stream and assemble the full
+    report: ``backtest_turns`` over the input cut by ``day_batches``, as
+    ``replay_daily`` runs ``replay_turns``. Out-of-order days raise
+    ``UnsortedEdgesError`` before anything is ingested."""
+    engine = StreamEngine(registry, window=window)
+    return backtest_turns(day_batches(edges, engine), engine, truth,
+                          threshold=threshold, sweep_thresholds=sweep_thresholds)
 
-    The daily series reflects each day's scoring turn; the sweep and the
-    summary are computed on the final window snapshot. Activation peaks
-    are taken over the whole run.
+
+def backtest_turns(
+    batches: Iterable[EdgeColumns],
+    engine: StreamEngine,
+    truth: GroundTruth,
+    *,
+    threshold: float,
+    sweep_thresholds: Sequence[float] = DEFAULT_SWEEP,
+) -> BacktestReport:
+    """Run ``replay_turns`` over the one-day ``batches`` and fold each
+    batch and each turn into running totals as they go by, then assemble
+    the report; no batch or outcome is kept.
+
+    The totals are each signal's raw carriers (the union of each batch's
+    ``users_with_hits``), its peak z over the run, the daily series and
+    the incident (the union of each turn's flagged users). The sweep and
+    the summary are computed on the final window snapshot.
     """
-    edges = EdgeColumns.from_edges(edges, registry.ids())
-    replay = replay_daily(edges, registry, threshold=threshold, window=window)
-    engine = replay.engine
+    signals = engine.registry.ids()
+    carriers: dict[SignalId, set[UserId]] = {signal: set() for signal in signals}
+    peaks: dict[SignalId, float | None] = dict.fromkeys(signals)
+    incident: set[UserId] = set()
+
+    def carried(batches: Iterable[EdgeColumns]) -> Iterator[EdgeColumns]:
+        for batch in batches:
+            for signal in signals:
+                carriers[signal] |= batch.users_with_hits(signal)
+            yield batch
+
+    def folded(outcomes: Iterable[DayOutcome]) -> Iterator[DayOutcome]:
+        for outcome in outcomes:
+            for signal, z in outcome.max_z.items():
+                if z is not None and (peaks[signal] is None or z > peaks[signal]):
+                    peaks[signal] = z
+            incident.update(*outcome.flagged_users.values())
+            yield outcome
+
+    series = daily_series(folded(replay_turns(carried(batches), engine, threshold)),
+                          truth)
     sweeps: dict[SignalId, list[MetricsRow]] = {}
     final_metrics: dict[SignalId, MetricsRow] = {}
     raw: dict[SignalId, RawSignalBaseline] = {}
     summaries: list[SignalSummary] = []
-    max_z_by_signal: dict[SignalId, float | None] = {}
-    alerts_by_signal = {}
-    for signal in registry.ids():
-        peak = max_z_by_signal[signal] = replay.max_z_over_run(signal)
-        alerts_by_signal[signal] = replay.alerts_for(signal)
-        raw[signal] = raw_signal_baseline(edges, truth, signal)
+    for signal in signals:
+        peak = peaks[signal]
+        raw[signal] = _raw_baseline(signal, carriers[signal], truth)
         try:
             scores = engine.scores(signal)
         except INACTIVE_SIGNAL:
@@ -280,16 +323,14 @@ def run_backtest(
                 amplification=amplification_factor(metrics.precision, raw[signal]),
             )
         )
-    incident = compose_signals(alerts_by_signal, max_z_by_signal, threshold)
-    series = daily_series(replay.days, truth)
     return BacktestReport(
         threshold=threshold,
-        replay=replay,
+        engine=engine,
         sweeps=sweeps,
         final_metrics=final_metrics,
         raw=raw,
         summaries=summaries,
-        incident=incident,
+        incident=frozenset(incident),
         series=series,
     )
 

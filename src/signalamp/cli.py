@@ -14,16 +14,16 @@ import json
 import math
 import os
 import sys
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
 
 from .backtest import (
     DEFAULT_SWEEP,
     AcceptanceBounds,
+    backtest_turns,
     check_bounds,
     format_float,
-    run_backtest,
     write_report_files,
 )
 from .detect import serialize_alert
@@ -140,13 +140,22 @@ def _require_dir(path_text: str, label: str) -> Path:
     return path
 
 
-def _read_edges(read, path: str):
-    """``read(path)``, a pair of the signal columns and the edges, once the
-    header declares a signal column."""
-    signals, edges = read(path)
+def _require_signals(signals: list[str], path: str) -> None:
     if not signals:
         raise _CliError(f"{path} declares no signal columns")
-    return signals, edges
+
+
+@contextmanager
+def _rows_read_first(days):
+    """Run the block; should it raise, read the rest of the edge file's
+    ``days`` first, so that an error in a row wins over the block's, as
+    it would if the whole file had been read before the block."""
+    try:
+        yield
+    except Exception:
+        for _ in days:
+            pass
+        raise
 
 
 # -- generate ---------------------------------------------------------------
@@ -235,21 +244,21 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
     window = _parse_window(_setting(args.window, config, "window"))
     bounds = _bounds_from(args, config)
 
-    signals, edges = _read_edges(read_edge_file, edges_path)
-    if bounds is not None and bounds.signal not in signals:
-        raise _CliError(f"bounds name unknown signal {bounds.signal!r}; "
-                        f"{edges_path} declares {', '.join(signals)}")
-    if out is not None:
-        for signal in signals:
-            if any(sep in signal for sep in (os.sep, os.altsep, "\0") if sep):
-                raise _CliError(f"signal {signal!r} in {edges_path} cannot name "
-                                f"a report file sweep_<signal>.csv in {out_dir}")
-    truth = read_ground_truth(truth_path)
-    registry = SignalRegistry(signals)
-    report = run_backtest(
-        edges, registry, truth,
-        threshold=threshold, sweep_thresholds=sweep, window=window,
-    )
+    signals, days = read_edge_days(edges_path)
+    with _rows_read_first(days):
+        _require_signals(signals, edges_path)
+        if bounds is not None and bounds.signal not in signals:
+            raise _CliError(f"bounds name unknown signal {bounds.signal!r}; "
+                            f"{edges_path} declares {', '.join(signals)}")
+        if out is not None:
+            for signal in signals:
+                if any(sep in signal for sep in (os.sep, os.altsep, "\0") if sep):
+                    raise _CliError(f"signal {signal!r} in {edges_path} cannot name "
+                                    f"a report file sweep_<signal>.csv in {out_dir}")
+        truth = read_ground_truth(truth_path)
+        engine = StreamEngine(SignalRegistry(signals), window=window)
+        report = backtest_turns(days, engine, truth,
+                                threshold=threshold, sweep_thresholds=sweep)
 
     for summary in report.summaries:
         flag = "active" if summary.active else "inactive"
@@ -299,7 +308,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
     window = _parse_window(_setting(args.window, config, "window"))
     only = _setting(args.signal, config, "signal")
 
-    signals, edges = _read_edges(read_edge_file, edges_path)
+    signals, edges = read_edge_file(edges_path)
+    _require_signals(signals, edges_path)
     registry = SignalRegistry(signals)
     if only is not None:
         registry.describe(only)  # raises UnknownSignalError if unregistered
@@ -347,8 +357,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                         "threshold")
     window = _parse_window(_setting(args.window, config, "window"))
 
-    signals, days = _read_edges(read_edge_days, edges_path)
-    try:
+    signals, days = read_edge_days(edges_path)
+    _require_signals(signals, edges_path)
+    with _rows_read_first(days):
         if args.resume:
             engine = StreamEngine.load_checkpoint(args.resume)
             missing = [s for s in signals if s not in engine.registry]
@@ -362,10 +373,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             engine = StreamEngine(SignalRegistry(signals), window=window)
         day_lines, written = _stream_turns(engine, days, threshold, checkpoint_out,
                                            Path(args.alerts) if args.alerts else None)
-    except Exception:
-        for _ in days:  # a reader error wins over the one raised here
-            pass
-        raise
 
     for line in day_lines:
         print(line)

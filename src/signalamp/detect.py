@@ -86,9 +86,11 @@ def compose_signals(
     threshold: float,
 ) -> frozenset[UserId]:
     """The users implicated by the alerts of each signal ``max_z_by_signal``
-    names. ``threshold`` is unused, activation being ``SignalSummary.active``;
-    ``benchmarks/replica.py`` passes all three until ROADMAP item 4 deletes
-    this function."""
+    names. ``threshold`` is unused, activation being ``SignalSummary.active``.
+    No package code calls it any more (``BacktestReport.incident`` is the
+    running union of each turn's ``flagged_users``); ``benchmarks/replica.py``
+    passes all three until ROADMAP item 2 deletes the replica, after which
+    item 4 deletes this function."""
     users: set[UserId] = set()
     for signal in max_z_by_signal:
         for alert in alerts_by_signal.get(signal, ()):

@@ -671,7 +671,12 @@ class DayOutcome:
 
 @dataclass(slots=True)
 class ReplayResult:
-    """Per-day outcomes plus the engine in its final state."""
+    """Per-day outcomes plus the engine in its final state.
+
+    No package code calls ``max_z_over_run`` or ``alerts_for`` any more
+    (``backtest_turns`` folds the same figures as the turns go by);
+    ``benchmarks/replica.py`` keeps them until ROADMAP item 2 deletes the
+    replica."""
 
     days: list[DayOutcome]
     engine: StreamEngine
@@ -716,13 +721,14 @@ def replay_daily(
 ) -> ReplayResult:
     """Feed a day-ordered edge stream through daily scoring turns.
 
-    The whole input is taken at once: the edges are converted to
-    ``EdgeColumns``, checked for day order, cut into days and run through
-    ``replay_turns``, and every turn's ``DayOutcome`` is kept. Out-of-order
-    days raise ``UnsortedEdgesError`` before anything is ingested; callers
-    holding an unordered stream sort it by day first. To hold only a day
-    at a time, feed ``replay_turns`` one day's batch at a time instead, as
-    the ``stream`` command does with ``edgefile.read_edge_days``.
+    The whole input is taken at once: ``day_batches`` converts the edges
+    to ``EdgeColumns``, checks their day order and cuts them into days,
+    ``replay_turns`` runs them, and every turn's ``DayOutcome`` is kept.
+    Out-of-order days raise ``UnsortedEdgesError`` before anything is
+    ingested; callers holding an unordered stream sort it by day first.
+    To hold only a day at a time, feed ``replay_turns`` one day's batch at
+    a time instead, as the ``stream`` and ``backtest`` commands do with
+    ``edgefile.read_edge_days``.
 
     Pass ``engine`` to continue from checkpointed state; scoring then
     resumes on the day after the checkpoint's last.
@@ -734,13 +740,22 @@ def replay_daily(
     elif registry is not None or window is not None:
         raise ValueError("registry and window come from the engine when resuming")
 
+    return ReplayResult(list(replay_turns(day_batches(edges, engine), engine, threshold)),
+                        engine)
+
+
+def day_batches(edges: EdgeColumns | Iterable[TransactionEdge],
+                engine: StreamEngine) -> Iterator[EdgeColumns]:
+    """``edges`` as columns under ``engine``'s signals, cut into the
+    one-day batches ``replay_turns`` takes. Out-of-order days, also a day
+    at or before the engine's ``current_day``, raise ``UnsortedEdgesError``
+    here, before any batch is folded."""
     batch = EdgeColumns.from_edges(edges, engine.registry.ids())
     day = batch.day
     if len(batch):
         _check_sorted(day, int(day[0]) if engine.current_day is None
                       else engine.current_day + 1)
-    days = (batch[lo:hi] for lo, hi in runs(day))
-    return ReplayResult(list(replay_turns(days, engine, threshold)), engine)
+    return (batch[lo:hi] for lo, hi in runs(day))
 
 
 def replay_turns(batches: Iterable[EdgeColumns], engine: StreamEngine,

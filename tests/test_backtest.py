@@ -385,7 +385,10 @@ class TestRunBacktest:
         assert sweep_row.precision == final.precision
 
     def test_incident_unions_users_across_signals(self, report):
-        flagged = set().union(*(users for day in report.replay.days
+        config = tiny_scenario()
+        edges, _ = generate(config)
+        replay = replay_daily(edges, SignalRegistry(config.signals), threshold=10.0)
+        flagged = set().union(*(users for day in replay.days
                                 for users in day.flagged_users.values()))
         assert flagged
         assert report.incident == flagged

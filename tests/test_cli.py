@@ -2,14 +2,16 @@
 
 import json
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from signalamp.backtest import run_backtest
 from signalamp.cli import CONFIG_KEYS, main
-from signalamp.edgefile import read_edge_file, write_edge_file
-from signalamp.scenario import generate, scenario_from_dict
+from signalamp.edgefile import read_edge_file, write_edge_file, write_ground_truth
+from signalamp.scenario import GroundTruth, generate, preset, scenario_from_dict
 
 from reference import v1_payload
 
@@ -308,6 +310,150 @@ class TestBacktest:
         )
         assert code == 1
         assert err.startswith("error: signal 'a/b'") and err.count("\n") == 1
+        assert stdout == ""
+        assert list(reports.iterdir()) == []
+
+
+def _shrunk(name):
+    """Preset ``name`` with a twentieth of its users, nodes and sybils."""
+    config = preset(name)
+    attack = config.attack and replace(config.attack,
+                                       n_sybil=config.attack.n_sybil // 20,
+                                       k_cashout=max(1, config.attack.k_cashout // 20))
+    return replace(config, n_users=config.n_users // 20, n_nodes=config.n_nodes // 20,
+                   attack=attack)
+
+
+def _hand_written(tmp_path, text):
+    """An edge file of ``text`` and a ground truth with sybil ``s1``."""
+    edges = tmp_path / "edges.csv"
+    edges.write_text(text)
+    truth = tmp_path / "truth.json"
+    write_ground_truth(truth, GroundTruth(frozenset({"s1"}), frozenset({"c"}),
+                                          {"a": frozenset({"s1"})}))
+    return edges, truth
+
+
+class TestBacktestByDay:
+    """``backtest`` reads, folds, scores and aggregates a day at a time;
+    what it prints and writes is what the report of ``run_backtest`` over
+    the whole file's columns prints and writes."""
+
+    def _both(self, monkeypatch, capsys, tmp_path, edges, truth_path, *flags):
+        """(exit code, stdout, stderr, written files) of ``backtest``, and
+        of ``backtest`` whose report is ``run_backtest`` over the columns
+        of ``read_edge_file``."""
+        results = []
+        for whole in (False, True):
+            out = tmp_path / f"out_{whole}"
+            out.mkdir()
+            with monkeypatch.context() as patch:
+                if whole:
+                    def whole_file(days, engine, truth, **settings):
+                        for _ in days:
+                            pass
+                        return run_backtest(read_edge_file(edges)[1], engine.registry,
+                                            truth, window=engine.window, **settings)
+                    patch.setattr("signalamp.cli.backtest_turns", whole_file)
+                code, stdout, err = invoke(capsys, "backtest", "--edges", str(edges),
+                                           "--truth", str(truth_path), "--out",
+                                           str(out), *flags)
+            results.append((code, stdout.replace(str(out), "<out>"), err,
+                            {path.name: path.read_bytes() for path in out.iterdir()}))
+        return results
+
+    @pytest.mark.parametrize("flags", [
+        (), ("--window", "trailing:7", "--sweep", "1,2,40", "--threshold", "5"),
+    ], ids=["default", "trailing"])
+    @pytest.mark.parametrize("name", ["case1-desk", "case2-desk", "calm"])
+    def test_presets_match_the_whole_file_report(self, name, flags, monkeypatch, capsys,
+                                                 tmp_path):
+        config = _shrunk(name)
+        edges, truth = generate(config)
+        write_edge_file(tmp_path / "edges.csv", edges, config.signals)
+        write_ground_truth(tmp_path / "truth.json", truth)
+        by_day, whole = self._both(monkeypatch, capsys, tmp_path, tmp_path / "edges.csv",
+                                   tmp_path / "truth.json", *flags)
+        assert by_day[0] == 0, by_day[2]
+        assert len(by_day[3]) == 2 + len(config.signals)
+        assert by_day == whole
+
+    @pytest.mark.parametrize("flags", [
+        (), ("--window", "trailing:2", "--threshold", "1"),
+    ], ids=["default", "trailing"])
+    def test_gap_days_match_the_whole_file_report(self, flags, monkeypatch, capsys,
+                                                  tmp_path):
+        rows = [row for day in (0, 1, 4, 7)
+                for row in [f"u{i},n{i % 3},{day},{int(i % 4 == 0)}" for i in range(12)]
+                + [f"s1,c,{day},1"] * (day in (1, 4))]
+        edges, truth = _hand_written(tmp_path,
+                                     "user,node,day,a\n" + "\n".join(rows) + "\n")
+        by_day, whole = self._both(monkeypatch, capsys, tmp_path, edges, truth, *flags)
+        assert by_day[0] == 0, by_day[2]
+        series = by_day[3]["daily_series.csv"].decode().splitlines()
+        assert [line.split(",")[0] for line in series[1:]] == [str(d) for d in range(8)]
+        assert by_day == whole
+
+    def test_header_only_file_matches_the_whole_file_report(self, monkeypatch, capsys,
+                                                            tmp_path):
+        edges, truth = _hand_written(tmp_path, "user,node,day,a\n")
+        by_day, whole = self._both(monkeypatch, capsys, tmp_path, edges, truth)
+        assert by_day[0] == 0, by_day[2]
+        assert by_day[3]["daily_series.csv"] == b"day,signal,flagged_users," \
+            b"cumulative_flagged,cumulative_confirmed\n"
+        assert by_day == whole
+
+    def test_day_out_of_order_fails_with_the_whole_file_text(self, monkeypatch, capsys,
+                                                             tmp_path):
+        edges, truth = _hand_written(tmp_path, "user,node,day,a\nu1,n1,0,1\nu2,n1,2,0\n"
+                                               "u3,n2,1,1\nu4,n2,3,0\n")
+        by_day, whole = self._both(monkeypatch, capsys, tmp_path, edges, truth)
+        assert by_day == whole
+        assert by_day == (1, "", "error: edge day 1 arrived after day 2 began "
+                                  "(sort the stream by day first)\n", {})
+
+    def test_never_reads_the_whole_file(self, dataset, monkeypatch, capsys):
+        """``read_edge_file`` returns the whole file; ``backtest`` must not
+        call it."""
+        def whole_file(path):
+            raise AssertionError("backtest read the whole edge file")
+        monkeypatch.setattr("signalamp.cli.read_edge_file", whole_file)
+        code, stdout, err = invoke(capsys, "backtest",
+                                   "--edges", str(dataset / "edges.csv"),
+                                   "--truth", str(dataset / "ground_truth.json"))
+        assert code == 0, err
+        assert "signal sig: max z" in stdout
+
+    def _late_bad_day(self, tmp_path):
+        """40,005 lines: day 0 on line 4 comes after day 1 began, and line
+        40,005, a chunk past the first the reader hands on, holds day ``x``."""
+        rows = ["u1,n1,1,1,0", "u2,n2,1,0,1", "u3,n1,0,1,0"]
+        rows += [f"u{i % 97},n{i % 13},2,{i % 2},0" for i in range(40_000)]
+        rows.append("u9,n9,x,0,0")
+        edges = tmp_path / "bad.csv"
+        edges.write_text("user,node,day,a,b\n" + "\n".join(rows) + "\n")
+        return edges
+
+    @pytest.mark.parametrize("case", ["unsorted", "truth_not_object", "bounds_ghost"])
+    def test_an_error_in_a_later_row_wins(self, case, dataset, tmp_path, capsys):
+        """Whatever else fails once the header is read, the error that
+        ``backtest`` prints is the reader's, as when it read the whole
+        file first."""
+        edges = self._late_bad_day(tmp_path)
+        truth = dataset / "ground_truth.json"
+        flags = []
+        if case == "truth_not_object":
+            truth = tmp_path / "truth.json"
+            truth.write_text("[1,2]")
+        elif case == "bounds_ghost":
+            flags = ["--bounds-signal", "ghost", "--min-precision", "0.5"]
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        code, stdout, err = invoke(capsys, "backtest", "--edges", str(edges),
+                                   "--truth", str(truth), "--out", str(reports), *flags)
+        assert code == 1
+        assert err == (f"error: {edges}: malformed rows: "
+                       "line 40005: day 'x' is not an integer\n")
         assert stdout == ""
         assert list(reports.iterdir()) == []
 

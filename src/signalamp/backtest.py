@@ -363,16 +363,22 @@ def _cell(value, is_float: bool):
     return int(value) if isinstance(value, bool) else value
 
 
-def write_report_files(report: BacktestReport, out_dir: str | Path) -> list[Path]:
-    """One sweep file per signal, one daily series, one summary."""
+def report_paths(out_dir: str | Path, signals: Iterable[SignalId]) -> list[Path]:
+    """The files ``write_report_files`` writes into ``out_dir`` for
+    ``signals``: one sweep file per signal, the daily series, the summary."""
     out = Path(out_dir)
-    files = [(out / f"sweep_{signal}.csv", MetricsRow, rows)
-             for signal, rows in report.sweeps.items()]
-    files += [(out / "daily_series.csv", SeriesRow, report.series),
-              (out / "summary.csv", SignalSummary, report.summaries)]
-    for path, row_type, rows in files:
+    return [*(out / f"sweep_{signal}.csv" for signal in signals),
+            out / "daily_series.csv", out / "summary.csv"]
+
+
+def write_report_files(report: BacktestReport, out_dir: str | Path) -> list[Path]:
+    """Write the report to its ``report_paths``; returns them."""
+    paths = report_paths(out_dir, report.sweeps)
+    tables = [*((MetricsRow, rows) for rows in report.sweeps.values()),
+              (SeriesRow, report.series), (SignalSummary, report.summaries)]
+    for path, (row_type, rows) in zip(paths, tables):
         write_csv(path, row_type, rows)
-    return [path for path, _, _ in files]
+    return paths
 
 
 @dataclass(frozen=True, slots=True)

@@ -10,13 +10,11 @@ prints a single diagnostic line starting with ``error:``.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import fields, replace
-from pathlib import Path
 
 from .backtest import (
     DEFAULT_SWEEP,
@@ -24,6 +22,7 @@ from .backtest import (
     backtest_turns,
     check_bounds,
     format_float,
+    report_paths,
     write_report_files,
 )
 from .detect import serialize_alert
@@ -36,7 +35,7 @@ from .edgefile import (
 )
 from .engine import StreamEngine, WindowConfig, replay_turns
 from .errors import DegenerateBaselineError, NoBaselineError, SignalAmpError
-from .model import SignalRegistry, replace_on_success
+from .model import SignalRegistry, output_target, read_json_object, replace_on_success
 from .scenario import (
     PRESETS,
     generate,
@@ -59,28 +58,20 @@ CONFIG_KEYS = {
 }
 
 
-def _load_config(path: str | None, command: str) -> dict:
-    if path is None:
-        return {}
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise _CliError(f"cannot read config {path}: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise _CliError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise _CliError(f"config {path} must hold a JSON object")
-    unknown = [key for key in data if key not in CONFIG_KEYS[command]]
+def _load_config(args: argparse.Namespace) -> None:
+    """Fill each setting of ``args`` no flag set from its ``--config`` file,
+    or with None: ``output_dir`` into ``out``, ``ground_truth`` into ``truth``
+    and each other key of ``CONFIG_KEYS`` by its name. Other keys fail."""
+    command, path = args.command, args.config
+    config = {} if path is None else read_json_object(path, "config", _CliError)
+    unknown = [key for key in config if key not in CONFIG_KEYS[command]]
     if unknown:
         raise _CliError(f"config {path} has unknown key {unknown[0]!r}; "
                         f"{command} reads {', '.join(CONFIG_KEYS[command])}")
-    return data
-
-
-def _setting(flag_value, config: dict, key: str, default=None):
-    if flag_value is not None:
-        return flag_value
-    return config.get(key, default)
+    for key in CONFIG_KEYS[command]:
+        name = {"output_dir": "out", "ground_truth": "truth"}.get(key, key)
+        if getattr(args, name, None) is None:
+            setattr(args, name, config.get(key))
 
 
 def _parse_window(text: str | dict | None) -> WindowConfig | None:
@@ -133,25 +124,21 @@ def _count(value, label: str) -> int:
     return number
 
 
-def _require_dir(path_text: str, label: str) -> Path:
-    path = Path(path_text)
-    if not path.is_dir():
-        raise _CliError(f"{label} directory {path} does not exist")
-    return path
-
-
 def _require_signals(signals: list[str], path: str) -> None:
     if not signals:
         raise _CliError(f"{path} declares no signal columns")
 
 
 @contextmanager
-def _rows_read_first(days):
-    """Run the block; should it raise, read the rest of the edge file's
-    ``days`` first, so that an error in a row wins over the block's, as
-    it would if the whole file had been read before the block."""
+def _edge_days(path: str):
+    """Yield the signals and day batches that ``read_edge_days`` gives for
+    the edge file ``path``, once its header names a signal column. Should
+    that check or the block raise, the rest of the file is read first, so
+    that an error in a row wins, as if the whole file had been read first."""
+    signals, days = read_edge_days(path)
     try:
-        yield
+        _require_signals(signals, path)
+        yield signals, days
     except Exception:
         for _ in days:
             pass
@@ -161,31 +148,28 @@ def _rows_read_first(days):
 # -- generate ---------------------------------------------------------------
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config, args.command)
-    preset_name = _setting(args.preset, config, "preset")
-    scenario_block = config.get("scenario")
-    if preset_name and scenario_block:
+    if args.preset and args.scenario:
         raise _CliError("choose either a preset or a scenario block, not both")
-    if preset_name:
-        scenario = preset(preset_name)
-    elif scenario_block:
-        scenario = scenario_from_dict(scenario_block)
+    if args.preset:
+        scenario = preset(args.preset)
+    elif args.scenario:
+        scenario = scenario_from_dict(args.scenario)
     else:
         raise _CliError(
             f"nothing to generate: pass --preset (one of {sorted(PRESETS)}) "
             "or a config file with a scenario block"
         )
-    seed = _setting(args.seed, config, "seed")
-    if seed is not None:
-        scenario = replace(scenario, seed=_count(seed, "seed"))
-    out_dir = _setting(args.out, config, "output_dir")
-    if out_dir is None:
+    if args.seed is not None:
+        scenario = replace(scenario, seed=_count(args.seed, "seed"))
+    if args.out is None:
         raise _CliError("an output directory is required (--out)")
-    out = _require_dir(out_dir, "output")
-
-    edges, truth = generate(scenario)
+    out = output_target(args.out)
     edges_path = out / "edges.csv"
     truth_path = out / "ground_truth.json"
+    output_target(edges_path, "edges")
+    output_target(truth_path, "ground truth")
+
+    edges, truth = generate(scenario)
     rows = write_edge_file(edges_path, edges, scenario.signals)
     write_ground_truth(truth_path, truth)
 
@@ -206,14 +190,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 # -- backtest ---------------------------------------------------------------
 
-def _bounds_from(args: argparse.Namespace, config: dict) -> AcceptanceBounds | None:
-    block = config.get("bounds") or {}
+def _bounds_from(args: argparse.Namespace) -> AcceptanceBounds | None:
+    block = args.bounds or {}
     if not isinstance(block, dict):
         raise _CliError(f"bad bounds block {block!r}: need a JSON object")
-    block = dict(block)
-    for field in fields(AcceptanceBounds):
-        if getattr(args, field.name) is not None:
-            block[field.name] = getattr(args, field.name)
+    block = {**block, **{f.name: getattr(args, f.name) for f in fields(AcceptanceBounds)
+                         if getattr(args, f.name) is not None}}
     if not block:
         return None
     if "signal" not in block:
@@ -231,22 +213,17 @@ def _bounds_from(args: argparse.Namespace, config: dict) -> AcceptanceBounds | N
 
 
 def _cmd_backtest(args: argparse.Namespace) -> int:
-    config = _load_config(args.config, args.command)
-    edges_path = _setting(args.edges, config, "edges")
-    truth_path = _setting(args.truth, config, "ground_truth")
+    edges_path, truth_path = args.edges, args.truth
     if not edges_path or not truth_path:
         raise _CliError("backtest needs --edges and --truth")
-    out_dir = _setting(args.out, config, "output_dir")
-    out = None if out_dir is None else _require_dir(out_dir, "output")
-    threshold = _finite(_setting(args.threshold, config, "threshold", 40.0),
+    out = None if args.out is None else output_target(args.out)
+    threshold = _finite(40.0 if args.threshold is None else args.threshold,
                         "threshold")
-    sweep = _parse_sweep(_setting(args.sweep, config, "sweep"))
-    window = _parse_window(_setting(args.window, config, "window"))
-    bounds = _bounds_from(args, config)
+    sweep = _parse_sweep(args.sweep)
+    window = _parse_window(args.window)
+    bounds = _bounds_from(args)
 
-    signals, days = read_edge_days(edges_path)
-    with _rows_read_first(days):
-        _require_signals(signals, edges_path)
+    with _edge_days(edges_path) as (signals, days):
         if bounds is not None and bounds.signal not in signals:
             raise _CliError(f"bounds name unknown signal {bounds.signal!r}; "
                             f"{edges_path} declares {', '.join(signals)}")
@@ -254,7 +231,9 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
             for signal in signals:
                 if any(sep in signal for sep in (os.sep, os.altsep, "\0") if sep):
                     raise _CliError(f"signal {signal!r} in {edges_path} cannot name "
-                                    f"a report file sweep_<signal>.csv in {out_dir}")
+                                    f"a report file sweep_<signal>.csv in {args.out}")
+            for path in report_paths(out, signals):
+                output_target(path, "report")
         truth = read_ground_truth(truth_path)
         engine = StreamEngine(SignalRegistry(signals), window=window)
         report = backtest_turns(days, engine, truth,
@@ -300,26 +279,23 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
 # -- score ------------------------------------------------------------------
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    config = _load_config(args.config, args.command)
-    edges_path = _setting(args.edges, config, "edges")
-    if not edges_path:
+    if not args.edges:
         raise _CliError("score needs --edges")
-    top = _count(_setting(args.top, config, "top", 10), "top")
-    window = _parse_window(_setting(args.window, config, "window"))
-    only = _setting(args.signal, config, "signal")
+    top = _count(10 if args.top is None else args.top, "top")
+    window = _parse_window(args.window)
 
-    signals, edges = read_edge_file(edges_path)
-    _require_signals(signals, edges_path)
+    signals, edges = read_edge_file(args.edges)
+    _require_signals(signals, args.edges)
     registry = SignalRegistry(signals)
-    if only is not None:
-        registry.describe(only)  # raises UnknownSignalError if unregistered
+    if args.signal is not None:
+        registry.describe(args.signal)  # raises UnknownSignalError if unregistered
     engine = StreamEngine(registry, window=window)
     engine.ingest_columns(edges)
     if engine.current_day is not None:
         engine.advance_to(engine.current_day)
 
     for signal in registry.ids():
-        if only is not None and signal != only:
+        if args.signal is not None and signal != args.signal:
             continue
         try:
             baseline = engine.baseline(signal)
@@ -346,33 +322,47 @@ def _cmd_score(args: argparse.Namespace) -> int:
 # -- stream -----------------------------------------------------------------
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    config = _load_config(args.config, args.command)
-    edges_path = _setting(args.edges, config, "edges")
+    edges_path, checkpoint_out = args.edges, args.checkpoint
     if not edges_path:
         raise _CliError("stream needs --edges")
-    checkpoint_out = _setting(args.checkpoint, config, "checkpoint")
     if not checkpoint_out:
         raise _CliError("stream needs --checkpoint for the saved state")
-    threshold = _finite(_setting(args.threshold, config, "threshold", 40.0),
+    threshold = _finite(40.0 if args.threshold is None else args.threshold,
                         "threshold")
-    window = _parse_window(_setting(args.window, config, "window"))
+    window = _parse_window(args.window)
 
-    signals, days = read_edge_days(edges_path)
-    _require_signals(signals, edges_path)
-    with _rows_read_first(days):
+    with _edge_days(edges_path) as (signals, days):
         if args.resume:
             engine = StreamEngine.load_checkpoint(args.resume)
             missing = [s for s in signals if s not in engine.registry]
             if missing:
-                raise _CliError(
-                    f"checkpoint lacks signals {missing} present in {edges_path}"
-                )
+                raise _CliError(f"checkpoint lacks signals {missing} "
+                                f"present in {edges_path}")
             if window is not None:
                 raise _CliError("window is fixed by the checkpoint when resuming")
         else:
             engine = StreamEngine(SignalRegistry(signals), window=window)
-        day_lines, written = _stream_turns(engine, days, threshold, checkpoint_out,
-                                           Path(args.alerts) if args.alerts else None)
+        if args.alerts:
+            output_target(args.alerts, "alerts")
+        output_target(checkpoint_out, "checkpoint")
+        # Alert lines go to the alert file's temporary file as turns end; it
+        # replaces the target only once the checkpoint is saved, so a failed
+        # run leaves both targets as they were.
+        day_lines, written = [], 0
+        with replace_on_success(args.alerts) if args.alerts else nullcontext() as sink:
+            for outcome in replay_turns(days, engine, threshold):
+                parts = []
+                for signal in engine.registry.ids():
+                    flagged = outcome.flagged_users.get(signal, frozenset())
+                    note = ("inactive" if signal in outcome.inactive_signals
+                            else len(flagged))
+                    parts.append(f"{signal}={note}")
+                day_lines.append(f"day {outcome.day}: " + " ".join(parts))
+                if sink is not None:
+                    for signal_alerts in outcome.alerts.values():
+                        sink.writelines(serialize_alert(a) + "\n" for a in signal_alerts)
+                        written += len(signal_alerts)
+            engine.save_checkpoint(checkpoint_out)
 
     for line in day_lines:
         print(line)
@@ -380,42 +370,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     if args.alerts:
         print(f"wrote {written} alerts to {args.alerts}")
     return 0
-
-
-def _stream_turns(engine: StreamEngine, days, threshold: float, checkpoint_out: str,
-                  alerts_out: Path | None) -> tuple[list[str], int]:
-    """Run the turns of ``days``, then save the checkpoint; returns each
-    turn's line and the number of alerts written.
-
-    Alert lines go to ``alerts_out`` through ``replace_on_success`` as
-    turns end, and replace it only once the checkpoint is saved, so a
-    failed run leaves both targets as they were.
-    """
-    with ExitStack() as stack:
-        sink = None
-        if alerts_out is not None:
-            if alerts_out.is_dir():
-                raise _CliError(f"cannot write alerts to {alerts_out}: it is a directory")
-            try:
-                sink = stack.enter_context(replace_on_success(alerts_out))
-            except OSError as exc:
-                raise _CliError(
-                    f"cannot write alerts to {alerts_out}: {exc.strerror}") from exc
-        day_lines: list[str] = []
-        written = 0
-        for outcome in replay_turns(days, engine, threshold):
-            parts = []
-            for signal in engine.registry.ids():
-                flagged = outcome.flagged_users.get(signal, frozenset())
-                note = "inactive" if signal in outcome.inactive_signals else len(flagged)
-                parts.append(f"{signal}={note}")
-            day_lines.append(f"day {outcome.day}: " + " ".join(parts))
-            if sink is not None:
-                for signal_alerts in outcome.alerts.values():
-                    sink.writelines(serialize_alert(a) + "\n" for a in signal_alerts)
-                    written += len(signal_alerts)
-        engine.save_checkpoint(checkpoint_out)
-    return day_lines, written
 
 
 # -- parser -----------------------------------------------------------------
@@ -475,11 +429,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _load_config(args)
         return args.func(args)
-    except SignalAmpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SignalAmpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import EdgeFileError
 from .model import (INT64_MAX, EdgeColumns, IdCodes, SignalId, TransactionEdge,
-                    replace_on_success, row_part, runs)
+                    read_json_object, replace_on_success, row_part, runs)
 from .scenario import GroundTruth
 
 _FIXED_COLUMNS = ("user", "node", "day")
@@ -343,15 +343,7 @@ def read_ground_truth(path: str | Path) -> GroundTruth:
     ``cashout_nodes`` are lists of strings and whose ``carriers`` maps
     signal names to lists of strings. Anything else raises
     ``EdgeFileError`` naming the file and the field."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise EdgeFileError(f"cannot open ground truth {path}: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise EdgeFileError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise EdgeFileError(f"{path}: malformed ground truth: need a JSON object")
+    payload = read_json_object(path, "ground truth", EdgeFileError)
     carriers = payload.get("carriers")
     if not isinstance(carriers, dict):
         raise EdgeFileError(f"{path}: malformed ground truth: carriers must map "

@@ -39,6 +39,7 @@ from .model import (
     TransactionEdge,
     UserId,
     append_edge,
+    read_json_object,
     replace_on_success,
     runs,
 )
@@ -409,14 +410,11 @@ class StreamEngine:
     def load_checkpoint(cls, path: str | Path) -> "StreamEngine":
         """Rebuild an engine from a snapshot, checking every count.
 
-        A format v1 file is converted to v2 first; the next save writes v2.
+        A format v1 file is reshaped as v2 first, and its node table and
+        totals must equal what the engine folds from its days; the next
+        save writes v2.
         """
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise CheckpointError(f"checkpoint {path} must hold a JSON object")
+        payload = read_json_object(path, "checkpoint", CheckpointError)
         version = payload.get("format_version")
         if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
             raise CheckpointError(
@@ -454,6 +452,8 @@ class StreamEngine:
             if window.mode == TRAILING:
                 engine._deltas[day] = delta
             engine._user_rows[day] = rows
+        if version == 1:
+            _match_v1(path, engine, payload, nodes, users)
         return engine
 
 
@@ -544,22 +544,23 @@ def _node(code: object, nodes: list[NodeId]) -> str:
 
 
 def _from_v1(path, engine: StreamEngine, payload: dict) -> dict:
-    """A format v1 payload as v2, once user tables are present and the node
-    table matches the totals and the sum of the day buffers (a cumulative
-    window's node table is its one day). Values stay as decoded."""
+    """A format v1 payload reshaped as v2, once user tables are present and
+    a cumulative window, whose node table is its one day, keeps no day
+    buffers; values stay as decoded. For ``_match_v1``, ``table`` holds a
+    trailing window's node table as a v2 entry and ``totals`` the totals."""
     table, buffers, totals = payload["nodes"], payload["day_buffers"], payload["totals"]
     column, signals = engine._column, engine._signals
+    cumulative = engine.window.mode == CUMULATIVE
     for wrong, problem in (
             (payload["track_users"] is not True,
              f"track_users is {payload['track_users']!r}; only a file with user "
              "tables (true) can name alert users"),
-            (engine.window.mode == CUMULATIVE and buffers,
-             "a cumulative window keeps no day buffers"),
+            (cumulative and buffers, "a cumulative window keeps no day buffers"),
             (not totals["hits"].keys() <= column.keys(),
              "totals count hits for an unregistered signal")):
         if wrong:
             raise CheckpointError(f"checkpoint {path}: {problem}")
-    if engine.window.mode == CUMULATIVE:
+    if cumulative:
         buffers = {str(engine._current_day): table} if table else {}
     tables = [table, *buffers.values()]
     nodes = sorted({node for held in tables for node in held})
@@ -582,31 +583,39 @@ def _from_v1(path, engine: StreamEngine, payload: dict) -> dict:
         return {"counts": [value for row in zip(*counts) for value in row],
                 "users": [value for row in zip(*rows) for value in row]}
 
-    days = {key: convert(f"day {key}", bucket) for key, bucket in buffers.items()}
-    held = _check_entry(path, "node table", convert("node table", table), nodes,
-                        users, signals)
-    parts = [_check_entry(path, f"day {key}", day, nodes, users, signals)
-             for key, day in days.items()]
-    for name, value, computed in [
-        ("transactions", totals["transactions"], sum(held[0][1].tolist())),
-        *((signal, totals["hits"].get(signal, 0), sum(row))
-          for signal, row in zip(signals, held[0][2:].tolist())),
-        ("active_nodes", totals["active_nodes"], held[0].shape[1]),
-    ]:
+    return {"nodes": nodes, "users": users,
+            "days": {key: convert(f"day {key}", day) for key, day in buffers.items()},
+            "table": None if cumulative else convert("node table", table),
+            "totals": [("transactions", totals["transactions"]),
+                       *((signal, totals["hits"].get(signal, 0)) for signal in signals),
+                       ("active_nodes", totals["active_nodes"])]}
+
+
+def _match_v1(path, engine: StreamEngine, payload: dict, nodes: list[NodeId],
+              users: list[UserId]) -> None:
+    """Check the node table and totals of the ``_from_v1`` payload against
+    the counts and hit-user rows ``engine`` folded from its days."""
+    if payload["table"] is not None:
+        delta, rows = _check_entry(path, "node table", payload["table"], nodes, users,
+                                   engine._signals)
+        table = np.zeros((1 + len(engine._signals), len(nodes)), np.int64)
+        table[:, delta[0]] = delta[1:]
+        wrong = _ANY(table != np.vstack([engine._trials, engine._hits]), axis=0)
+        # The days' hit-user rows minus the table's; the exact trial total
+        # the loader checked rules out a wrap.
+        rows[3] *= -1
+        summed = _collapse(np.hstack([*engine._user_rows.values(), rows]), 3)
+        wrong[summed[0, summed[3] != 0]] = True
+        if wrong.any():
+            raise CheckpointError(f"checkpoint {path}: the day buffers of node "
+                                  f"{nodes[wrong.argmax()]!r} do not add up to its "
+                                  "node table")
+    folded = [engine.total_transactions, *map(engine.total_hits, engine._signals),
+              engine.active_node_count]
+    for (name, value), computed in zip(payload["totals"], folded):
         if not _is_count(value, 0, INT64_MAX) or value != computed:
             raise CheckpointError(f"checkpoint {path}: total {name!r} is {value!r}; "
                                   f"need the node table's sum, {computed}")
-    wrong = set()
-    for part, keys in ((0, 1), (1, 3)):
-        # The buffers minus the node table; the loader's exact total fails a wrap.
-        whole = held[part].copy()
-        whole[keys:] *= -1
-        summed = _collapse(np.hstack([*(entry[part] for entry in parts), whole]), keys)
-        wrong.update(summed[0, _ANY(summed[keys:] != 0, axis=0)].tolist())
-    if wrong:
-        raise CheckpointError(f"checkpoint {path}: the day buffers of node "
-                              f"{nodes[min(wrong)]!r} do not add up to its node table")
-    return {"nodes": nodes, "users": users, "days": days}
 
 
 def _accumulate(by_day: dict[int, np.ndarray], day: int, records: np.ndarray,

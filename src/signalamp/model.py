@@ -8,6 +8,7 @@ scoring math ever needs.
 
 from __future__ import annotations
 
+import json
 import os
 from collections import defaultdict
 from collections.abc import Sequence
@@ -19,7 +20,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .errors import DuplicateSignalError, UnknownSignalError
+from .errors import DuplicateSignalError, SignalAmpError, UnknownSignalError
 
 UserId = str
 NodeId = str
@@ -30,14 +31,53 @@ SignalId = str
 INT64_MAX = 2**63 - 1
 
 
+def read_json_object(path: str | Path, what: str, error: type[SignalAmpError]) -> dict:
+    """The JSON object that the UTF-8 file ``path`` holds. A file that
+    cannot be read, is not JSON or holds another value raises ``error``,
+    naming the file as ``what``."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise error(f"{what} {path} must hold a JSON object")
+    return data
+
+
+def output_target(path: str | Path, what: str | None = None) -> Path:
+    """The file that a write of ``what`` to ``path`` replaces: ``path`` with
+    its symlinks followed, so that a link stays and its target is rewritten.
+    Its directory must exist and be writable, and an existing target must be
+    a regular file, not a FIFO, a device or a directory; else
+    ``SignalAmpError``, before anything is written. With ``what`` None,
+    ``path`` is an output directory that must exist."""
+    path = Path(path)
+    if what is None:
+        if not path.is_dir():
+            raise SignalAmpError(f"output directory {path} does not exist")
+        return path
+    target = Path(os.path.realpath(path)) if path.is_symlink() else path
+    if not target.parent.is_dir():
+        problem = f"output directory {target.parent} does not exist"
+    elif not os.access(target.parent, os.W_OK | os.X_OK):
+        problem = f"output directory {target.parent} is not writable"
+    elif target.exists() and not target.is_file():
+        problem = "it is not a regular file"
+    else:
+        return target
+    raise SignalAmpError(f"cannot write {what} to {path}: {problem}")
+
+
 @contextmanager
 def replace_on_success(path: str | Path) -> Iterator[TextIO]:
-    """A UTF-8 text file, opened with ``newline=""``, that replaces ``path``
-    once the block succeeds: it is written as ``.<name>.<pid>.tmp`` beside
-    ``path``, renamed over it at the end of the block and removed if the
-    block or the rename raises, so a failed write leaves ``path`` as it was.
-    Every file the package writes goes through here."""
-    path = Path(path)
+    """A UTF-8 text file, opened with ``newline=""``, that replaces the
+    ``output_target`` of ``path`` once the block succeeds: it is written as
+    ``.<name>.<pid>.tmp`` beside it, renamed over it at the end of the block
+    and removed if the block or the rename raises, so a failed write leaves
+    the target as it was. Every file the package writes goes through here."""
+    path = output_target(path, "output")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:

@@ -1,6 +1,7 @@
 """End-to-end command line tests, driving main() in process."""
 
 import json
+import os
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -725,6 +726,102 @@ class TestStream:
         assert "checkpoint" in err
 
 
+def _files(root):
+    """The bytes of every regular file under ``root``, read through links."""
+    return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+class TestOutputTargets:
+    """Each command checks every output target before its first turn or
+    write: a link is written through, so that it stays and its target is
+    rewritten; a missing directory, or an existing target that is not a
+    regular file, fails with one line and leaves every file as it was."""
+
+    def _refused(self, capsys, root, argv, message):
+        before = _files(root)
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert _files(root) == before
+        assert not [path for path in root.rglob("*") if path.name.endswith(".tmp")]
+
+    def test_stream_checkpoint_through_a_symlink(self, dataset, tmp_path, capsys):
+        argv = ["stream", "--edges", str(dataset / "edges.csv"), "--threshold", "8"]
+        plain = tmp_path / "plain.json"
+        assert invoke(capsys, *argv, "--checkpoint", str(plain))[0] == 0
+        real, link = tmp_path / "real.json", tmp_path / "link.json"
+        real.write_text("earlier checkpoint\n")
+        link.symlink_to(real)
+        code, out, err = invoke(capsys, *argv, "--checkpoint", str(link))
+        assert code == 0, err
+        assert f"checkpoint saved to {link}" in out
+        assert link.is_symlink() and link.readlink() == real
+        assert real.read_bytes() == plain.read_bytes()
+        assert not list(tmp_path.glob(".*.tmp"))
+
+    def test_stream_alerts_to_a_fifo_refused(self, dataset, tmp_path, capsys):
+        alerts, ckpt = tmp_path / "alerts.jsonl", tmp_path / "state.json"
+        os.mkfifo(alerts)
+        ckpt.write_text("earlier checkpoint\n")
+        self._refused(capsys, tmp_path, [
+            "stream", "--edges", str(dataset / "edges.csv"), "--checkpoint", str(ckpt),
+            "--alerts", str(alerts)],
+            f"cannot write alerts to {alerts}: it is not a regular file")
+
+    def test_stream_checkpoint_in_a_missing_directory_fails_before_any_turn(
+            self, dataset, tmp_path, capsys, monkeypatch):
+        def no_turn(*args):
+            raise AssertionError("a turn ran before the checkpoint target was checked")
+        monkeypatch.setattr("signalamp.cli.replay_turns", no_turn)
+        ckpt = tmp_path / "nodir" / "state.json"
+        self._refused(capsys, tmp_path, [
+            "stream", "--edges", str(dataset / "edges.csv"), "--checkpoint", str(ckpt)],
+            f"cannot write checkpoint to {ckpt}: output directory {ckpt.parent} "
+            "does not exist")
+
+    def test_stream_checkpoint_in_an_unwritable_directory_refused(
+            self, dataset, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("signalamp.cli.replay_turns", None)
+        monkeypatch.setattr("signalamp.model.os.access", lambda path, mode: False)
+        ckpt = tmp_path / "state.json"
+        self._refused(capsys, tmp_path, [
+            "stream", "--edges", str(dataset / "edges.csv"), "--checkpoint", str(ckpt)],
+            f"cannot write checkpoint to {ckpt}: output directory {tmp_path} "
+            "is not writable")
+
+    def test_backtest_report_to_a_fifo_refused(self, dataset, tmp_path, capsys):
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        os.mkfifo(reports / "summary.csv")
+        self._refused(capsys, tmp_path, [
+            "backtest", "--edges", str(dataset / "edges.csv"),
+            "--truth", str(dataset / "ground_truth.json"), "--out", str(reports)],
+            f"cannot write report to {reports / 'summary.csv'}: it is not a regular file")
+        assert [path.name for path in reports.iterdir()] == ["summary.csv"]
+
+    @pytest.mark.parametrize("fifo", [True, False], ids=["fifo_truth", "plain_truth"])
+    def test_generate_through_a_symlink(self, tmp_path, capsys, fifo):
+        plain, out = tmp_path / "plain", tmp_path / "out"
+        plain.mkdir()
+        out.mkdir()
+        argv = ["generate", "--preset", "calm", "--seed", "3", "--out"]
+        assert invoke(capsys, *argv, str(plain))[0] == 0
+        real, link = tmp_path / "real.csv", out / "edges.csv"
+        real.write_text("earlier edges\n")
+        link.symlink_to(real)
+        if fifo:
+            os.mkfifo(out / "ground_truth.json")
+            self._refused(capsys, tmp_path, [*argv, str(out)],
+                          f"cannot write ground truth to {out / 'ground_truth.json'}: "
+                          "it is not a regular file")
+        else:
+            code, _, err = invoke(capsys, *argv, str(out))
+            assert code == 0, err
+            assert real.read_bytes() == (plain / "edges.csv").read_bytes()
+            assert (out / "ground_truth.json").read_bytes() == \
+                (plain / "ground_truth.json").read_bytes()
+        assert link.is_symlink() and link.readlink() == real
+
+
 class TestConfigHandling:
     def test_readme_names_every_config_key(self):
         """README's "Config files" section lists, per subcommand, the keys
@@ -1187,3 +1284,18 @@ class TestUnreadableInput:
         assert err.startswith("error:") and err.count("\n") == 1
         assert str(bad) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["stream", "backtest"])
+    def test_a_bad_row_wins_over_no_signal_columns(self, command, dataset, tmp_path,
+                                                   capsys):
+        """``stream`` and ``backtest`` open an edge file the same way, so a
+        file with no signal column and a bad row 40,004 lines on gives both
+        the reader's error."""
+        bad = tmp_path / "nosignals.csv"
+        bad.write_text("user,node,day\n" + "u1,n1,0\n" * 40_002 + "u9,n9,x\n")
+        argv = {"stream": ["--checkpoint", str(tmp_path / "state.json")],
+                "backtest": ["--truth", str(dataset / "ground_truth.json")]}[command]
+        code, out, err = invoke(capsys, command, "--edges", str(bad), *argv)
+        assert (code, out) == (1, "")
+        assert err == (f"error: {bad}: malformed rows: "
+                       "line 40004: day 'x' is not an integer\n")

@@ -33,13 +33,14 @@ def write_edge_file(
     signals: Sequence[SignalId],
 ) -> int:
     """Write edges under the given signal column order; returns row count.
-    Raises ``UnknownSignalError`` for a hit on a signal outside ``signals``
-    and ``ValueError`` for repeated or empty signal names."""
+    Raises ``UnknownSignalError`` for a hit on a signal outside ``signals``,
+    and ``ValueError`` for repeated or empty signal names or a row without
+    a user (as in ``read_edge_days`` batches), before anything is written."""
     if len(set(signals)) != len(signals) or "" in signals:
         raise ValueError(f"signal columns must be distinct and non-empty: {signals!r}")
     columns = EdgeColumns.from_edges(edges, signals)
     bits = columns.hits_under(signals).view(np.uint8).tolist()
-    users = list(map(columns.users.__getitem__, columns.user_code.tolist()))
+    users = columns._row_users(columns.user_code)
     nodes = list(map(columns.nodes.__getitem__, columns.node_code.tolist()))
     with replace_on_success(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -50,6 +51,11 @@ def write_edge_file(
 
 def read_edge_file(path: str | Path) -> tuple[list[SignalId], EdgeColumns]:
     """Parse an edge file; returns (signal column order, edge columns).
+
+    Every row's user is coded, unlike in ``read_edge_days``, because
+    ``benchmarks/replica.py`` and ``score`` take the result edge by edge.
+    Its ``Sequence`` surface can go once the replica and the benchmark
+    load generator's ``groupby`` over edges are gone.
 
     Malformed rows do not abort the scan one at a time: the reader keeps
     going and reports every offending line number (capped) in one error.
@@ -67,10 +73,13 @@ def read_edge_days(path: str | Path) -> tuple[list[SignalId], Iterator[EdgeColum
 
     The header is read at once, the rows as the iterator advances, so no
     more than a day and a chunk of the file is held at a time; each batch
-    has id tables of its own. The batches, concatenated, hold the edges
-    that ``read_edge_file`` returns, and the iterator raises what it
-    raises, once it reaches the row at fault. A file in day order gives
-    one batch per day.
+    has id tables of its own. A batch codes the user of a row that carries
+    a hit only: the others get user code -1, so its user table holds the
+    day's hit users, and per-edge access and ``write_edge_file`` refuse
+    it. Apart from that, the batches, concatenated, hold the columns that
+    ``read_edge_file`` returns, and the iterator raises what it raises,
+    once it reaches the row at fault. A file in day order gives one batch
+    per day.
     """
     parts = _parts(Path(path))
     signals = next(parts)
@@ -79,9 +88,10 @@ def read_edge_days(path: str | Path) -> tuple[list[SignalId], Iterator[EdgeColum
 
 def _days(signals: list[SignalId], parts: Iterator[tuple]) -> Iterator[EdgeColumns]:
     """``parts`` cut at each change of day, and coded and joined within a
-    day."""
+    day, the users of hit rows only."""
     held: list[EdgeColumns] = []  # the current day's pieces
     for users, nodes, day, hits in parts:
+        hit = hits.any(axis=0)
         for lo, hi in runs(day):
             if held and held[0].day[0] != day[lo]:
                 yield _concat(signals, held)
@@ -89,7 +99,7 @@ def _days(signals: list[SignalId], parts: Iterator[tuple]) -> Iterator[EdgeColum
             if not held:
                 tables = IdCodes(), IdCodes()
             held.append(_code(signals, *tables, (users[lo:hi], nodes[lo:hi], day[lo:hi],
-                                                 hits[:, lo:hi])))
+                                                 hits[:, lo:hi]), hit[lo:hi]))
         # The chunk's id strings go before the next chunk is read.
         del users, nodes
     if held:
@@ -97,11 +107,18 @@ def _days(signals: list[SignalId], parts: Iterator[tuple]) -> Iterator[EdgeColum
 
 
 def _code(signals: list[SignalId], users: IdCodes, nodes: IdCodes,
-          part: tuple) -> EdgeColumns:
+          part: tuple, coded: np.ndarray | None = None) -> EdgeColumns:
     """The (users, nodes, days, hits) ``part`` as columns coded in the id
-    tables ``users`` and ``nodes``, which the columns share."""
+    tables ``users`` and ``nodes``, which the columns share. Given the
+    bool row mask ``coded``, the users of the other rows get code -1."""
     user, node, day, hits = part
-    return EdgeColumns(signals, users.ids(), users.encode(user), nodes.ids(),
+    if coded is None:
+        user_code = users.encode(user)
+    else:
+        rows = np.flatnonzero(coded)
+        user_code = np.full(len(day), -1, np.int64)
+        user_code[rows] = users.encode(list(map(user.__getitem__, rows.tolist())))
+    return EdgeColumns(signals, users.ids(), user_code, nodes.ids(),
                        nodes.encode(node), day, hits)
 
 

@@ -226,11 +226,14 @@ class EdgeColumns(Sequence):
 
     ``users`` and ``nodes`` list each distinct id once; ``user_code`` and
     ``node_code`` index them per edge. An id table may also list ids that
-    no edge uses, such as ``generate``'s full name tables. ``day`` is an
-    int64 column and ``hits`` a bool ``[len(signals), n]`` matrix.
-    Indexing and iteration build ``TransactionEdge`` objects on demand,
-    carrying a 1 for each hit signal; slices are ``EdgeColumns`` views that
-    share the id lists.
+    no edge uses, such as ``generate``'s full name tables. A row may have
+    no user, coded -1: ``edgefile.read_edge_days`` codes the users of the
+    rows that carry a hit only, as the method names no other user.
+    ``day`` is an int64 column and ``hits`` a bool ``[len(signals), n]``
+    matrix. Indexing and iteration build ``TransactionEdge`` objects on
+    demand, carrying a 1 for each hit signal, and raise ``ValueError`` on
+    a row without a user; slices are ``EdgeColumns`` views that share the
+    id lists.
     """
 
     __slots__ = ("signals", "users", "user_code", "nodes", "node_code", "day", "hits")
@@ -289,21 +292,28 @@ class EdgeColumns(Sequence):
                 self.node_code[index], self.day[index], self.hits[:, index],
             )
         row = range(len(self))[index]
-        return self._edge(self.user_code[row], self.node_code[row],
-                          int(self.day[row]), self.hits[:, row].tolist())
+        return next(iter(self[row:row + 1]))
 
     def __iter__(self) -> Iterator[TransactionEdge]:
         for start in range(0, len(self), 4096):
             part = self[start:start + 4096]
-            yield from map(self._edge, part.user_code.tolist(),
+            yield from map(self._edge, self._row_users(part.user_code),
                            part.node_code.tolist(), part.day.tolist(),
                            part.hits.T.tolist())
 
-    def _edge(self, user: int, node: int, day: int, bits: list) -> TransactionEdge:
+    def _edge(self, user: UserId, node: int, day: int, bits: list) -> TransactionEdge:
         return TransactionEdge(
-            self.users[user], self.nodes[node], day,
+            user, self.nodes[node], day,
             {signal: 1 for signal, bit in zip(self.signals, bits) if bit},
         )
+
+    def _row_users(self, codes: np.ndarray) -> list[UserId]:
+        """The user id of each of ``codes``; a row without a user (code -1)
+        raises ``ValueError`` rather than being named."""
+        if len(codes) and codes.min() < 0:
+            raise ValueError("edge row has no user id: read_edge_days codes "
+                             "the users of rows that carry a hit only")
+        return list(map(self.users.__getitem__, codes.tolist()))
 
     def hits_under(self, signals: Sequence[SignalId]) -> np.ndarray:
         """The hit matrix with one row per signal of ``signals``, in that
@@ -325,8 +335,7 @@ class EdgeColumns(Sequence):
         if signal not in self.signals:
             return set()
         rows = self.hits[self.signals.index(signal)]
-        users = self.users
-        return {users[code] for code in np.unique(self.user_code[rows]).tolist()}
+        return set(map(self.users.__getitem__, self.user_code[rows].tolist()))
 
 
 @dataclass(slots=True)

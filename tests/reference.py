@@ -1,5 +1,5 @@
-"""Test-side helpers: reference oracles, a checkpoint-split engine run and
-a write that fails half-way.
+"""Test-side helpers: reference oracles, a checkpoint-split engine run, a
+write that fails half-way and the columns the day reader keeps.
 
 ``StreamEngine.ingest_columns`` is the package's one fold of edges into
 counters; per-edge ``StreamEngine.ingest`` queues edges into it.
@@ -35,6 +35,22 @@ def crash_mid_write(monkeypatch):
         return fh
 
     monkeypatch.setattr(model, "open", open_crashing, raising=False)
+
+
+def hit_rows(columns, uncoded=False):
+    """What ``edgefile.read_edge_days`` keeps of ``columns``, as one
+    (node, day, hit bits, user) tuple per row, the user None on a row
+    without a hit. With ``uncoded``, the columns must code the users of the
+    hit rows only: exactly the other rows have user code -1, and the user
+    table lists each hit user once and nothing else."""
+    hit = columns.hits.any(axis=0).tolist()
+    codes = columns.user_code.tolist()
+    users = [columns.users[code] if h else None for code, h in zip(codes, hit)]
+    if uncoded:
+        assert [code == -1 for code in codes] == [not h for h in hit]
+        assert sorted(columns.users) == sorted({u for u in users if u is not None})
+    return list(zip([columns.nodes[code] for code in columns.node_code.tolist()],
+                    columns.day.tolist(), columns.hits.T.tolist(), users))
 
 
 def reference_fold(edges):

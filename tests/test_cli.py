@@ -11,7 +11,9 @@ import pytest
 
 from signalamp.backtest import run_backtest
 from signalamp.cli import CONFIG_KEYS, main
-from signalamp.edgefile import read_edge_file, write_edge_file, write_ground_truth
+from signalamp.edgefile import (read_edge_days, read_edge_file, write_edge_file,
+                                write_ground_truth)
+from signalamp.model import runs
 from signalamp.scenario import GroundTruth, generate, preset, scenario_from_dict
 
 from reference import v1_payload
@@ -457,6 +459,46 @@ class TestBacktestByDay:
                        "line 40005: day 'x' is not an integer\n")
         assert stdout == ""
         assert list(reports.iterdir()) == []
+
+
+@pytest.mark.parametrize("window", [[], ["--window", "trailing:1"]],
+                         ids=["cumulative", "trailing"])
+@pytest.mark.parametrize("command", ["stream", "backtest"])
+def test_a_day_without_a_hit_row_matches_coding_every_user(command, window, monkeypatch,
+                                                           capsys, tmp_path):
+    """Day 1 has no hit row, so its ``read_edge_days`` batch has an empty
+    user table; ``stream`` and ``backtest`` print and write what they do
+    when every day is cut from ``read_edge_file``'s columns, which code
+    every user."""
+    rows = [f"u{i},n{i % 3},{day},{int(day != 1 and i % 4 == 0)}"
+            for day in (0, 1, 2) for i in range(12)]
+    rows += [f"s1,c,{day},1" for day in (0, 2) for _ in range(4)]
+    rows.sort(key=lambda row: int(row.split(",")[2]))
+    edges, truth = _hand_written(tmp_path, "user,node,day,a\n" + "\n".join(rows) + "\n")
+    assert [batch.users for batch in read_edge_days(edges)[1]][1] == []
+
+    def whole_file(path):
+        signals, columns = read_edge_file(path)
+        return signals, iter([columns[lo:hi] for lo, hi in runs(columns.day)])
+
+    results = []
+    for whole in (False, True):
+        out = tmp_path / f"out_{whole}"
+        out.mkdir()
+        argv = {"stream": ["--checkpoint", str(out / "state.json"),
+                           "--alerts", str(out / "alerts.jsonl")],
+                "backtest": ["--truth", str(truth), "--out", str(out)]}[command]
+        with monkeypatch.context() as patch:
+            if whole:
+                patch.setattr("signalamp.cli.read_edge_days", whole_file)
+            code, stdout, err = invoke(capsys, command, "--edges", str(edges),
+                                       "--threshold", "1", *window, *argv)
+        results.append((code, stdout.replace(str(out), "<out>"), err,
+                        {path.name: path.read_bytes() for path in out.iterdir()}))
+    assert results[0][0] == 0, results[0][2]
+    flagged_on_day_2 = {"stream": b'{"day":2,', "backtest": b"\n2,a,1,"}[command]
+    assert flagged_on_day_2 in b"".join(results[0][3].values())
+    assert results[0] == results[1]
 
 
 class TestScore:

@@ -4,8 +4,8 @@
 it can, and the rest with the csv row parser, which is also the only
 source of error messages. The corpus below runs every case through both
 paths and requires the same edges, or the same error text. The day reader
-``read_edge_days`` shares that reading and must give the same edges, cut
-into days, or the same error text.
+``read_edge_days`` shares that reading and must give the same columns, cut
+into days and with the users of hit rows only, or the same error text.
 """
 
 import csv
@@ -13,14 +13,19 @@ import os
 import random
 from bisect import bisect_right
 from operator import attrgetter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import signalamp.edgefile as edgefile
 from signalamp.edgefile import read_edge_days, read_edge_file, write_edge_file
 from signalamp.errors import EdgeFileError, UnknownSignalError
 from signalamp.model import EdgeColumns, TransactionEdge
+
+from reference import hit_rows
 
 HEADER = "user,node,day,a,b\n"
 
@@ -329,17 +334,25 @@ def test_random_corpus_split_path_equals_row_parser(tmp_path, chunk, small_field
 
 
 def day_read(path):
-    """``read_edge_days``' batches as (signals, the edges as a list), once
-    each batch is checked to hold one day, other than the batch before's."""
+    """``read_edge_days``' batches as (signals, ``hit_rows`` of each batch
+    in turn), once each batch is checked to hold one day, other than the
+    batch before's, and to code the users of its hit rows only."""
     signals, days = read_edge_days(path)
-    edges, last = [], None
+    rows, last = [], None
     for batch in days:
         assert batch.signals == tuple(signals)
         assert len(batch) and (batch.day == batch.day[0]).all()
         assert batch.day[0] != last
         last = batch.day[0]
-        edges += list(batch)
-    return signals, edges
+        rows += hit_rows(batch, uncoded=True)
+    return signals, rows
+
+
+def file_read(path):
+    """``read_edge_file``'s result as (signals, ``hit_rows`` of the
+    columns)."""
+    signals, columns = read_edge_file(path)
+    return signals, hit_rows(columns)
 
 
 def read_either(read, path):
@@ -357,7 +370,7 @@ def test_day_reader_equals_read_edge_file(tmp_path, chunk, name):
     text = VALID[name][0] if name in VALID else MALFORMED[name]
     path = tmp_path / "edges.csv"
     path.write_bytes(text.encode("utf-8"))
-    want = read_either(read_edge_file, path)
+    want = read_either(file_read, path)
     assert isinstance(want, str) == (name in MALFORMED)
     assert read_either(day_read, path) == want
 
@@ -370,10 +383,58 @@ def test_random_corpus_day_reader_equals_read_edge_file(tmp_path, chunk,
     for _ in range(400):
         text, _ = corpus_file(rng, small_field_limit)
         path.write_bytes(text.encode("utf-8"))
-        want = read_either(read_edge_file, path)
+        want = read_either(file_read, path)
         assert read_either(day_read, path) == want, text
         errors += isinstance(want, str)
     assert 5 <= errors <= 395
+
+
+READER_PROFILE = settings(derandomize=True, max_examples=400, deadline=None,
+                          database=None,
+                          suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def edge_files(draw):
+    """Small edge files as bytes, valid or not: odd ids, quotes, CR and
+    blank lines, bad widths and bits, odd day texts, a bad byte. A file
+    draws how often it takes an odd value, from never to one time in
+    three, so that valid files, files only the row parser reads and
+    invalid files all come up."""
+    odds = draw(st.sampled_from([0, 0, 40, 10, 3]))
+
+    def pick(usual, odd):
+        return draw(st.sampled_from(
+            odd if odds and draw(st.integers(1, odds)) == 1 else usual))
+
+    lines = [pick([HEADER.rstrip("\n")], ["user,node,day,a,a", 'user,node,day,"a",b',
+                                         "user,node,day,a,b,c", "user,node"])]
+    for _ in range(draw(st.integers(0, 12))):
+        ids = [pick(["u1", "u2", "n1", "ü"],
+                    ["", '"u,1"', 'n"1', '"n""1"', " u1", "u\x00"]) for _ in "un"]
+        day = pick(["0", "1", "2"], ["+1", " 1", "1_0", "-0", "١", "-1", "x", "1.5",
+                                    str(2**63), ""])
+        bits = pick([["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]],
+                    [["1"], ["0", "1", "1"], ["2", "0"], ["", "1"], ['"1"', "0"]])
+        lines.append(",".join([*ids, day, *bits]))
+    data = "".join(line + pick(["\n"], ["\r\n", "\r", "\n\n", ""])
+                   for line in lines).encode("utf-8")
+    if draw(st.integers(0, 19)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@READER_PROFILE
+@given(data=edge_files(), size=st.sampled_from([1, 5, 16, 40, 1 << 18]))
+def test_day_reader_equals_read_edge_file_on_generated_files(tmp_path, data, size):
+    """On any small file and chunk size, ``read_edge_days`` gives the
+    columns of ``read_edge_file`` with the users of hit rows only, or the
+    same error text."""
+    path = tmp_path / "edges.csv"
+    path.write_bytes(data)
+    with mock.patch.object(edgefile, "_CHUNK_BYTES", size):
+        assert read_either(day_read, path) == read_either(file_read, path)
 
 
 # Lines that only the row parser reads, or that stop every reader.
@@ -420,6 +481,8 @@ def test_row_parser_takes_over_from_the_chunk_it_cannot_split(
 
     monkeypatch.setattr(edgefile, "_row_parts", spy)
     assert read_either(read_edge_file, path) == want
+    if not isinstance(want, str):
+        want = want[0], hit_rows(EdgeColumns.from_edges(want[1], want[0]))
     assert read_either(day_read, path) == want
     if kind == "undecodable":
         # Each read ends reading again from the top, for the error text of
@@ -429,6 +492,61 @@ def test_row_parser_takes_over_from_the_chunk_it_cannot_split(
     assert starts and starts[0] <= at + 2  # the header is line 1
     if sum(map(len, rows[:at])) >= size:  # not in the header's chunk
         assert starts[0] > 2
+
+
+# Day 0 has hit users u1 and u3 and a row of u2 without a hit; day 1 has
+# no hit row at all.
+DAYS = HEADER + ("u1,n1,0,1,0\nu2,n1,0,0,0\nu1,n2,0,0,1\nu3,n2,0,1,1\n"
+                 "u2,n1,1,0,0\nu4,n2,1,0,0\n")
+
+
+class TestDayBatches:
+    """``read_edge_days`` codes the users of hit rows only; a row without
+    a user is never named."""
+
+    def batches(self, tmp_path, text=DAYS):
+        path = tmp_path / "edges.csv"
+        path.write_text(text)
+        signals, days = read_edge_days(path)
+        return signals, list(days)
+
+    def test_user_table_is_the_days_hit_users(self, tmp_path):
+        _, (first, second) = self.batches(tmp_path)
+        assert first.users == ["u1", "u3"]
+        assert first.user_code.tolist() == [0, -1, 0, 1]
+        assert first.users_with_hits("a") == {"u1", "u3"}
+        assert first.users_with_hits("b") == {"u1", "u3"}
+        assert second.users == [] and second.user_code.tolist() == [-1, -1]
+        assert second.users_with_hits("a") == set()
+
+    def test_per_edge_access_on_an_uncoded_row_raises(self, tmp_path):
+        _, (first, second) = self.batches(tmp_path)
+        assert first[0] == TransactionEdge("u1", "n1", 0, {"a": 1})
+        assert list(first[2:]) == [TransactionEdge("u1", "n2", 0, {"b": 1}),
+                                   TransactionEdge("u3", "n2", 0, {"a": 1, "b": 1})]
+        for access in (lambda: first[1], lambda: first[-3], lambda: list(first),
+                       lambda: list(second), lambda: first[3] in first):
+            with pytest.raises(ValueError, match="no user id"):
+                access()
+
+    def test_iteration_checks_every_block(self, tmp_path):
+        rows = ["u,n,0,1,0\n"] * 5000
+        rows[4500] = "u,n,0,0,0\n"
+        _, (batch,) = self.batches(tmp_path, HEADER + "".join(rows))
+        assert list(batch[:4500]) == [TransactionEdge("u", "n", 0, {"a": 1})] * 4500
+        with pytest.raises(ValueError, match="no user id"):
+            list(batch)
+
+    def test_write_edge_file_refuses_a_day_batch(self, tmp_path):
+        signals, (first, _) = self.batches(tmp_path)
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"earlier\n")
+        with pytest.raises(ValueError, match="no user id"):
+            write_edge_file(target, first, signals)
+        assert target.read_bytes() == b"earlier\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["edges.csv", "out.csv"]
+        assert write_edge_file(target, first[2:], signals) == 2
+        assert target.read_text() == HEADER + "u1,n2,0,0,1\nu3,n2,0,1,1\n"
 
 
 class TestEdgeColumns:

@@ -25,6 +25,8 @@ _FIXED_COLUMNS = ("user", "node", "day")
 _MAX_REPORTED_LINES = 10
 _CHUNK_BYTES = 1 << 18
 _PART_ROWS = 1 << 16
+# The mask of the first k bytes of a little-endian 8-byte word, by k.
+_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
 
 
 def write_edge_file(
@@ -88,7 +90,8 @@ def read_edge_days(path: str | Path) -> tuple[list[SignalId], Iterator[EdgeColum
 
 def _days(signals: list[SignalId], parts: Iterator[tuple]) -> Iterator[EdgeColumns]:
     """``parts`` cut at each change of day, and coded and joined within a
-    day, the users of hit rows only."""
+    day, the users of hit rows only: a split-path chunk decodes no other
+    user's key."""
     held: list[EdgeColumns] = []  # the current day's pieces
     for users, nodes, day, hits in parts:
         hit = hits.any(axis=0)
@@ -100,7 +103,7 @@ def _days(signals: list[SignalId], parts: Iterator[tuple]) -> Iterator[EdgeColum
                 tables = IdCodes(), IdCodes()
             held.append(_code(signals, *tables, (users[lo:hi], nodes[lo:hi], day[lo:hi],
                                                  hits[:, lo:hi]), hit[lo:hi]))
-        # The chunk's id strings go before the next chunk is read.
+        # The chunk's ids go before the next chunk is read.
         del users, nodes
     if held:
         yield _concat(signals, held)
@@ -113,13 +116,26 @@ def _code(signals: list[SignalId], users: IdCodes, nodes: IdCodes,
     bool row mask ``coded``, the users of the other rows get code -1."""
     user, node, day, hits = part
     if coded is None:
-        user_code = users.encode(user)
+        user_code = _encode(users, user)
     else:
         rows = np.flatnonzero(coded)
         user_code = np.full(len(day), -1, np.int64)
-        user_code[rows] = users.encode(list(map(user.__getitem__, rows.tolist())))
+        user_code[rows] = _encode(users, user, rows)
     return EdgeColumns(signals, users.ids(), user_code, nodes.ids(),
-                       nodes.encode(node), day, hits)
+                       _encode(nodes, node), day, hits)
+
+
+def _encode(table: IdCodes, ids: list[str] | np.ndarray,
+            rows: np.ndarray | None = None) -> np.ndarray:
+    """Codes in ``table`` of ``ids``, or of ``ids[rows]``: the row parser's
+    strings, or the split path's keys (see ``_keys``), of which ``table``
+    gets the distinct ones only, in key order."""
+    if isinstance(ids, list):
+        if rows is not None:
+            ids = list(map(ids.__getitem__, rows.tolist()))
+        return table.encode(ids)
+    distinct, inverse = np.unique(ids if rows is None else ids[rows], return_inverse=True)
+    return table.encode(_texts(distinct))[inverse]
 
 
 def _concat(signals: list[SignalId], parts: list[EdgeColumns]) -> EdgeColumns:
@@ -137,9 +153,10 @@ def _concat(signals: list[SignalId], parts: list[EdgeColumns]) -> EdgeColumns:
 
 def _parts(path: Path) -> Iterator:
     """Yields the signal columns, then the file's rows as (users, nodes,
-    int64 days, bool hits) parts: the split path's while it can read the
-    file, the row parser's from the first line it cannot. A file that
-    cannot seek is read by the row parser alone.
+    int64 days, bool hits) parts: the split path's, whose ids are keys,
+    while it can read the file, and the row parser's, whose ids are
+    strings, from the first line it cannot (``_encode`` codes either). A
+    file that cannot seek is read by the row parser alone.
 
     Reading and decoding errors raise ``EdgeFileError``. The text of an
     undecodable byte is that of the row parser reading from the top.
@@ -173,9 +190,9 @@ def _parts(path: Path) -> Iterator:
 
 
 def _split_parts(fh: BinaryIO) -> Generator[object, None, tuple | None]:
-    """Read the file in chunks, check each chunk's whole lines at once on
-    their UTF-8 bytes, and split them with ``str.split``; yields the signal
-    columns, then one (users, nodes, int64 days, bool hits) part per chunk.
+    """Read the file in chunks and split each chunk's whole lines at once
+    on their UTF-8 bytes; yields the signal columns, then one (user keys,
+    node keys, int64 days, bool hits) part per chunk (see ``_split_block``).
 
     Stops at the first chunk that holds anything the row parser could read
     differently (a quote, a carriage return, a NUL, a line of more bytes
@@ -185,7 +202,6 @@ def _split_parts(fh: BinaryIO) -> Generator[object, None, tuple | None]:
     Undecodable bytes raise ``UnicodeDecodeError``.
     """
     limit = csv.field_size_limit()
-    day_of: dict[str, int] = {}
     signals: list[SignalId] | None = None
     offset, line, carry = 0, 1, b""
     while True:
@@ -213,23 +229,23 @@ def _split_parts(fh: BinaryIO) -> Generator[object, None, tuple | None]:
         while b"\n\n" in rows:
             rows = rows.replace(b"\n\n", b"\n")
         if rows:
-            part = _split_block(rows, width, limit, day_of)
+            part = _split_block(rows, width, limit)
             if part is None:
                 return offset, line, signals
             yield part
-            del part  # its id strings go before the next chunk is read
+            del part  # its keys go before the next chunk is read
         if not chunk:
             return None if signals is not None else (0, 1, None)
         offset += len(block)
         line += block.count(b"\n")
 
 
-def _split_block(block: bytes, width: int, limit: int, day_of: dict[str, int]
-                 ) -> tuple | None:
-    """(users, nodes, int64 days, bool hits) of ``block``'s lines, each
-    non-blank and ending in a newline, or None unless every line is a
-    valid row that the row parser reads the same way. ``day_of`` caches
-    the value of each day text seen so far."""
+def _split_block(block: bytes, width: int, limit: int) -> tuple | None:
+    """(user keys, node keys, int64 days, bool hits) of ``block``'s lines,
+    each non-blank and ending in a newline, or None unless every line is a
+    valid row that the row parser reads the same way. The ids stay keys
+    (see ``_keys``) for ``_encode`` to decode; a day text, which must be
+    ASCII digits, is decoded and converted once per distinct key."""
     data = np.frombuffer(block, np.uint8)
     newline = data == ord("\n")
     n = np.count_nonzero(newline)
@@ -239,24 +255,50 @@ def _split_block(block: bytes, width: int, limit: int, day_of: dict[str, int]
     if len(ends) != n * width or not newline[ends[width - 1::width]].all():
         return None
     size = (np.diff(ends, prepend=-1) - 1).reshape(n, width)  # bytes per field
-    bits = data[ends.reshape(n, width)[:, 2:-1] + 1]  # the byte of each bit field
-    if (size.sum(axis=1) + width - 1).max() > limit or size[:, :2].min() < 1 \
+    ends = ends.reshape(n, width)
+    bits = data[ends[:, 2:-1] + 1]  # the byte of each bit field
+    if (size.sum(axis=1) + width - 1).max() > limit or size[:, :3].min() < 1 \
             or not (size[:, 3:] == 1).all() \
             or not ((bits == ord("0")) | (bits == ord("1"))).all():
         return None
-    fields = block[:-1].decode("utf-8").replace("\n", ",").split(",")
-    day_col = fields[2::width]
-    for text in dict.fromkeys(day_col):
-        if text not in day_of:
-            try:
-                day = int(text)
-            except ValueError:
-                return None
-            if not 0 <= day <= INT64_MAX:
-                return None
-            day_of[text] = day
-    days = np.fromiter(map(day_of.__getitem__, day_col), np.int64, n)
-    return fields[0::width], fields[1::width], days, (bits == ord("1")).T
+    block.decode("utf-8")  # an undecodable byte raises here
+    padded = np.concatenate([data, np.zeros(-(-int(size[:, :3].max()) // 8) * 8, np.uint8)])
+    users, nodes, day_keys = (_keys(padded, ends[:, k] - size[:, k], size[:, k])
+                              for k in range(3))
+    digits = day_keys.view(np.uint8)
+    if not ((digits - ord("0") < 10) | (digits == 0)).all():
+        return None
+    distinct, inverse = np.unique(day_keys, return_inverse=True)
+    try:
+        values = [int(text) for text in _texts(distinct)]
+    except ValueError:  # more digits than ``int`` converts
+        return None
+    if max(values) > INT64_MAX:
+        return None
+    return users, nodes, np.array(values, np.int64)[inverse], (bits == ord("1")).T
+
+
+def _keys(padded: np.ndarray, start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Key of each field of ``size`` bytes at ``start`` in ``padded``: its
+    bytes, zero-padded to whole 8-byte words, as a uint64 when every field
+    fits in one word, else as a bytes string of the words. ``padded`` ends
+    in at least as many zero bytes as the longest key. The fields hold no
+    NUL, so no two ids get one key."""
+    offsets = np.arange(0, -(-int(size.max()) // 8) * 8, 8)
+    # The little-endian word at each byte offset.
+    words = np.ndarray((len(padded) - 7,), "<u8", padded, 0, (1,))
+    keys = words[start[:, None] + offsets]
+    keys &= _MASKS[np.clip(size[:, None] - offsets, 0, 8)]
+    return keys[:, 0] if len(offsets) == 1 else keys.view(f"S{8 * len(offsets)}")[:, 0]
+
+
+def _texts(keys: np.ndarray) -> list[str]:
+    """The ids of ``keys`` (see ``_keys``), with one decode for them all."""
+    if not len(keys):
+        return []
+    if keys.dtype.kind == "u":
+        keys = keys.view("S8")  # a bytes string drops its trailing NULs
+    return b"\n".join(keys.tolist()).decode("utf-8").split("\n")
 
 
 def _header_problem(header: list[str]) -> str | None:
@@ -311,12 +353,13 @@ def _row_parts(path: Path, reader: Iterator[list[str]],
             try:
                 day = int(row[2])
             except ValueError:
+                day = None
+            if day is not None and day < 0:
+                problem = f"day {day} is negative"
+            elif day is None or not (row[2].isascii() and row[2].isdigit()):
                 problem = f"day {row[2]!r} is not an integer"
-            else:
-                if day < 0:
-                    problem = f"day {day} is negative"
-                elif day > INT64_MAX:
-                    problem = f"day {day} exceeds 2**63 - 1"
+            elif day > INT64_MAX:
+                problem = f"day {day} exceeds 2**63 - 1"
         bits = row[3:]
         if problem is None:
             for signal, bit in zip(signals, bits):

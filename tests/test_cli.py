@@ -1327,6 +1327,23 @@ class TestUnreadableInput:
         assert str(bad) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("day", ["1_0", "+1", " 1", "1 ", "-0", "\u0661"])
+    @pytest.mark.parametrize("command", ["stream", "backtest", "score"])
+    def test_day_text_is_ascii_digits(self, command, day, dataset, tmp_path, capsys):
+        """A day is ASCII decimal digits: any other text that ``int()``
+        reads is a bad row, on the split path and the row parser alike."""
+        for name, tail in [("split", ""), ("quoted", '"u3",n1,1,0\n')]:
+            bad = tmp_path / f"{name}.csv"
+            bad.write_text(f"user,node,day,sig\nu1,n1,0,1\nu2,n1,{day},0\n{tail}",
+                           encoding="utf-8")
+            argv = {"stream": ["--checkpoint", str(tmp_path / "state.json")],
+                    "backtest": ["--truth", str(dataset / "ground_truth.json")],
+                    "score": []}[command]
+            code, out, err = invoke(capsys, command, "--edges", str(bad), *argv)
+            assert (code, out) == (1, "")
+            assert err == (f"error: {bad}: malformed rows: "
+                           f"line 3: day {day!r} is not an integer\n")
+
     @pytest.mark.parametrize("command", ["stream", "backtest"])
     def test_a_bad_row_wins_over_no_signal_columns(self, command, dataset, tmp_path,
                                                    capsys):

@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import signalamp.edgefile as edgefile
@@ -36,8 +36,8 @@ VALID = {
     "no-trailing-newline": (HEADER + "u1,n1,0,1,0\nu2,n2,1,0,1", True),
     "header-only": (HEADER, True),
     "header-only-no-newline": (HEADER.rstrip("\n"), True),
-    "day-spellings": (HEADER + "u1,n1,+3,1,0\nu2,n1, 3,0,0\nu3,n1,٣,0,1\n"
-                      "u4,n1,3_0,1,1\nu5,n1,-0,0,0\n", True),
+    "leading-zero-days": (HEADER + "u1,n1,03,1,0\nu2,n1,3,0,0\nu4,n1,00,1,1\n"
+                          "u3,n1,0000000000000000003,0,1\nu5,n1,0,0,0\n", True),
     "unicode-ids": (HEADER + "üser,nöde,0,1,0\n用户,节点,1,0,1\n"
                     "u x,n\x85y,2,1,1\n", True),
     "spaces-kept": (HEADER + " u1 ,n1 ,0,1,0\n", True),
@@ -62,6 +62,8 @@ MALFORMED = {
     "compensating-field-counts": HEADER + "u1,n1,0,1,0,u2\nn2,3,1,0\n",
     "empty-ids": HEADER + ",n1,0,1,0\nu1,,0,1,0\n",
     "bad-days": HEADER + "u1,n1,zero,0,0\nu1,n1,-4,0,0\nu1,n1,1.5,0,0\n",
+    "day-spellings": HEADER + "u1,n1,+3,1,0\nu2,n1, 3,0,0\nu3,n1,٣,0,1\n"
+                     "u4,n1,3_0,1,1\nu5,n1,-0,0,0\nu6,n1,3 ,0,0\n",
     "huge-day": HEADER + f"u1,n1,{2**63},0,0\nu1,n1,{2**63 - 1},0,0\n",
     "bad-bits": HEADER + "u1,n1,0,2,0\nu1,n1,0,0,true\nu1,n1,0, 1,0\n",
     "many-bad-rows": HEADER + "u1,n1,x,0,0\n" * 12,
@@ -74,6 +76,12 @@ MALFORMED = {
 }
 
 
+def ids_of(column):
+    """A part's ids as strings: the row parser's list as it is, the split
+    path's keys decoded row by row."""
+    return column if isinstance(column, list) else edgefile._texts(column)
+
+
 def collect(parts):
     """(signals, edges as a list) of a reader generator that yields the
     signal columns, then (users, nodes, days, hits) parts."""
@@ -82,8 +90,8 @@ def collect(parts):
     for users, nodes, days, hits in parts:
         edges += [TransactionEdge(user, node, day,
                                   {s: 1 for s, bit in zip(signals, bits) if bit})
-                  for user, node, day, bits in zip(users, nodes, days.tolist(),
-                                                   hits.T.tolist())]
+                  for user, node, day, bits in zip(ids_of(users), ids_of(nodes),
+                                                   days.tolist(), hits.T.tolist())]
     return signals, edges
 
 
@@ -156,6 +164,12 @@ def test_error_texts_are_unchanged(tmp_path):
                        "line 3: expected 5 fields, got 6",
         "bad-days": "line 2: day 'zero' is not an integer; line 3: day -4 is negative; "
                     "line 4: day '1.5' is not an integer",
+        "day-spellings": "line 2: day '+3' is not an integer; "
+                         "line 3: day ' 3' is not an integer; "
+                         "line 4: day '٣' is not an integer; "
+                         "line 5: day '3_0' is not an integer; "
+                         "line 6: day '-0' is not an integer; "
+                         "line 7: day '3 ' is not an integer",
         "huge-day": f"line 2: day {2**63} exceeds 2**63 - 1",
         "many-bad-rows": "line 11: day 'x' is not an integer; more follow",
     }
@@ -231,7 +245,7 @@ def test_reader_accepts_a_pipe(tmp_path, name):
 
 # Ids and day texts that every path reads the same way.
 CORPUS_IDS = ["u1", "n2", "üser", "用户", "节点", "u x", "n\x85y", "t\tab", " ", "l\u2028s"]
-CORPUS_DAYS = ["0", "7", "12", "+3", " 3", "٣", "3_0", "-0", "03", "4 "]
+CORPUS_DAYS = ["0", "7", "12", "03", "007", "0000000000000000012"]
 # Kinds of line the split path must hand to the row parser, which reads the
 # over-limit and bytes-over-limit ones and rejects the others.
 CORPUS_BAD = ["fields", "compensating-fields", "empty-id", "bit", "day", "over-limit",
@@ -285,7 +299,8 @@ def corpus_file(rng, limit):
             fields[rng.randrange(3, width)] = rng.choice(
                 ["2", "true", " 1", "", "01", "10", "١"])
         elif bad == "day":
-            fields[2] = rng.choice(["x", "-4", "1.5", "", str(2**63)])
+            fields[2] = rng.choice(["x", "-4", "1.5", "", str(2**63), "+3", " 3", "٣",
+                                    "3_0", "-0", "4 "])
         elif bad == "over-limit":
             fields = sized(limit + 1)
         elif bad == "bytes-over-limit":
@@ -389,11 +404,6 @@ def test_random_corpus_day_reader_equals_read_edge_file(tmp_path, chunk,
     assert 5 <= errors <= 395
 
 
-READER_PROFILE = settings(derandomize=True, max_examples=400, deadline=None,
-                          database=None,
-                          suppress_health_check=[HealthCheck.function_scoped_fixture])
-
-
 @st.composite
 def edge_files(draw):
     """Small edge files as bytes, valid or not: odd ids, quotes, CR and
@@ -425,8 +435,10 @@ def edge_files(draw):
     return data
 
 
-@READER_PROFILE
-@given(data=edge_files(), size=st.sampled_from([1, 5, 16, 40, 1 << 18]))
+CHUNK_SIZES = st.sampled_from([1, 5, 16, 40, 1 << 18])
+
+
+@given(data=edge_files(), size=CHUNK_SIZES)
 def test_day_reader_equals_read_edge_file_on_generated_files(tmp_path, data, size):
     """On any small file and chunk size, ``read_edge_days`` gives the
     columns of ``read_edge_file`` with the users of hit rows only, or the
@@ -435,6 +447,44 @@ def test_day_reader_equals_read_edge_file_on_generated_files(tmp_path, data, siz
     path.write_bytes(data)
     with mock.patch.object(edgefile, "_CHUNK_BYTES", size):
         assert read_either(day_read, path) == read_either(file_read, path)
+
+
+# Ids of 1, 7, 8, 9, 16 and 17 bytes, around the 8-byte words of the split
+# path's keys: sharing their first 8 or 16 bytes, or with a multibyte
+# character across byte 8 or 16.
+KEY_IDS = ["u", "uvwxyz7", "sharedpf", "sharedpfa", "sharedpfb", "sharedp\u00e9",
+           "sharedp\u00e9x", "\u7528\u6237\u7528", "sharedpfsharedpf", "sharedpfsharedpfa",
+           "sharedpfsharedp\u00e9", "sharedpfsharedp\u00e9x"]
+# Day texts with leading zeros, over 8 bytes too, up to 2**63 - 1.
+KEY_DAYS = ["0", "00", "1", "01", "007", "7", "0000000000000000007", "9223372036854775807",
+            "0009223372036854775807"]
+
+
+@st.composite
+def valid_edge_files(draw):
+    """Small edge files that every reader must read, as bytes: ids from
+    ``KEY_IDS`` or drawn from ASCII and multibyte characters, days from
+    ``KEY_DAYS``, and blank lines."""
+    ids = st.one_of(st.sampled_from(KEY_IDS), st.text(
+        st.sampled_from("ab \t\x85\u00e9\u7528"), min_size=1, max_size=9))
+    lines = [HEADER]
+    for _ in range(draw(st.integers(0, 12))):
+        lines.append(",".join([draw(ids), draw(ids), draw(st.sampled_from(KEY_DAYS)),
+                               *draw(st.lists(st.sampled_from("01"), min_size=2,
+                                              max_size=2))])
+                     + draw(st.sampled_from(["\n", "\n", "\n\n"])))
+    return "".join(lines).encode("utf-8")
+
+
+@settings(max_examples=150)
+@given(data=valid_edge_files(), size=CHUNK_SIZES)
+def test_split_path_equals_row_parser_on_generated_files(tmp_path, data, size):
+    """On any small valid file and chunk size, the split path reads the
+    whole file and gives the row parser's columns."""
+    path = tmp_path / "edges.csv"
+    path.write_bytes(data)
+    with mock.patch.object(edgefile, "_CHUNK_BYTES", size):
+        assert split_parse(path) == row_parse(path)
 
 
 # Lines that only the row parser reads, or that stop every reader.

@@ -7,6 +7,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signalamp.amplify import compute_baseline
 from signalamp.detect import build_alerts, flag_nodes, serialize_alert
@@ -127,6 +129,59 @@ class TestIngest:
                     x.hits.get(signal, 0) for x in accs
                 )
             assert engine.active_node_count == len(accs)
+
+
+@st.composite
+def cut_days(draw):
+    """A day's edges as (user, node, hit bits) rows, and the same rows
+    permuted and cut into pieces, each coded in id tables of its own in
+    any order, with unused ids, and with the users of rows without a hit
+    coded -1 or not, as ``read_edge_days`` does."""
+    rows = draw(st.lists(st.tuples(st.sampled_from(["u1", "u2", "u3", "u4"]),
+                                   st.sampled_from(["n1", "n2", "n3"]),
+                                   st.tuples(st.booleans(), st.booleans())),
+                         min_size=1, max_size=24))
+    order = draw(st.permutations(range(len(rows))))
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=4)))
+    pieces = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
+        piece = [rows[k] for k in order[lo:hi]]
+        users = draw(st.permutations(sorted({u for u, _, _ in piece} | {"u9"})))
+        nodes = draw(st.permutations(sorted({v for _, v, _ in piece} | {"n9"})))
+        uncoded = draw(st.booleans())
+        pieces.append(EdgeColumns(
+            ["a", "b"], users,
+            np.array([-1 if uncoded and not any(bits) else users.index(u)
+                      for u, _, bits in piece], np.int64),
+            nodes, np.array([nodes.index(v) for _, v, _ in piece], np.int64),
+            np.full(len(piece), 4, np.int64),
+            np.array([bits for _, _, bits in piece], bool).reshape(-1, 2).T))
+    return rows, pieces
+
+
+@settings(max_examples=200)
+@given(day=cut_days(), window=st.sampled_from([None, WindowConfig.trailing(2)]))
+def test_ingest_merges_a_day_in_any_order(tmp_path, day, window):
+    """``ingest_columns`` over any cut and permutation of a day's edges,
+    and any code order of their id tables, gives the counters, hit users
+    and checkpoint bytes of the day ingested whole."""
+    rows, pieces = day
+    whole = EdgeColumns.from_rows(
+        ["a", "b"], [u for u, _, _ in rows], [v for _, v, _ in rows], [4] * len(rows),
+        [(k, row) for row, (_, _, bits) in enumerate(rows) for k, bit in enumerate(bits)
+         if bit])
+    engines = [StreamEngine(SignalRegistry(["a", "b"]), window=window) for _ in "wp"]
+    engines[0].ingest_columns(whole)
+    for piece in pieces:
+        engines[1].ingest_columns(piece)
+    for k, engine in enumerate(engines):
+        engine.save_checkpoint(tmp_path / f"{k}.json")
+    want, got = engines
+    assert sorted(got.accumulators(), key=lambda acc: acc.node) == sorted(
+        want.accumulators(), key=lambda acc: acc.node)
+    for signal in ("a", "b"):
+        assert got.node_hit_users(signal) == want.node_hit_users(signal)
+    assert (tmp_path / "1.json").read_bytes() == (tmp_path / "0.json").read_bytes()
 
 
 class TestStreamEqualsBatch:

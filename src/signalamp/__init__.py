@@ -5,12 +5,15 @@ on. Aggregated at the convergence nodes the traffic funnels into, shrunk
 toward the population rate, and tested as proportions, they become
 node-level adjudications precise enough to flag whole cohorts at once.
 
-The top-level names are the library API the README documents; everything
-else is imported from its submodule (``signalamp.engine``,
-``signalamp.detect``, ...).
+The top-level names are the library API the README documents: the
+registry, the engine and the edge type, the daily replay and the
+backtest, and the estimator's scalar form (``shrink`` and ``z_score``).
+The engine scores from its own int64 count columns. Everything else is
+imported from its submodule (``signalamp.engine``, ``signalamp.detect``,
+...).
 """
 
-from .amplify import compute_baseline, score_all, shrink, z_score
+from .amplify import shrink, z_score
 from .backtest import run_backtest
 from .engine import StreamEngine, replay_daily
 from .model import SignalRegistry, TransactionEdge
@@ -23,8 +26,6 @@ __all__ = [
     "run_backtest",
     "shrink",
     "z_score",
-    "compute_baseline",
-    "score_all",
 ]
 
 __version__ = "0.1.0"

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateBaselineError, NoBaselineError
-from .model import GlobalBaseline, NodeAccumulator, NodeId, SignalId
+from .errors import DegenerateBaselineError
+from .model import GlobalBaseline, NodeId, SignalId
 
 
 def _require_variance(rate: float) -> None:
@@ -53,28 +53,6 @@ def z_score(shrunk_rate: float, global_rate: float, trials: int) -> float:
         raise ValueError("a node needs at least one transaction to be scored")
     stderr = math.sqrt(global_rate * (1.0 - global_rate) / trials)
     return (shrunk_rate - global_rate) / stderr
-
-
-def compute_baseline(
-    accumulators: Iterable[NodeAccumulator], signal: SignalId
-) -> GlobalBaseline:
-    """Population totals for one signal over a window of node tallies.
-
-    All traffic enters the baseline, including traffic at nodes that later
-    get flagged. Raises ``NoBaselineError`` on an empty window.
-    """
-    total_hits = 0
-    total_trials = 0
-    active = 0
-    for acc in accumulators:
-        if acc.trials < 1:
-            continue
-        active += 1
-        total_trials += acc.trials
-        total_hits += acc.hits.get(signal, 0)
-    if total_trials == 0:
-        raise NoBaselineError(f"no transactions in window for signal {signal!r}")
-    return GlobalBaseline(signal, total_hits, total_trials, active)
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,16 +120,3 @@ def rank_columns(
         for row, t, s, raw, shrunk, z in zip(by_node[order].tolist(), *picked)
     ]
 
-
-def score_all(
-    accumulators: Iterable[NodeAccumulator], baseline: GlobalBaseline
-) -> list[NodeScore]:
-    """Score every node with at least one transaction, ranked as
-    ``rank_columns`` ranks."""
-    accs = [acc for acc in accumulators if acc.trials >= 1]
-    if not accs:
-        return []
-    signal = baseline.signal
-    trials = np.fromiter((acc.trials for acc in accs), np.int64, len(accs))
-    hits = np.fromiter((acc.hits.get(signal, 0) for acc in accs), np.int64, len(accs))
-    return rank_columns([acc.node for acc in accs], trials, hits, baseline)

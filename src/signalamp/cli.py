@@ -35,7 +35,8 @@ from .edgefile import (
 )
 from .engine import StreamEngine, WindowConfig, replay_turns
 from .errors import DegenerateBaselineError, NoBaselineError, SignalAmpError
-from .model import SignalRegistry, output_target, read_json_object, replace_on_success
+from .model import (SignalRegistry, output_target, output_targets, read_json_object,
+                    replace_on_success)
 from .scenario import (
     PRESETS,
     generate,
@@ -166,8 +167,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     out = output_target(args.out)
     edges_path = out / "edges.csv"
     truth_path = out / "ground_truth.json"
-    output_target(edges_path, "edges")
-    output_target(truth_path, "ground truth")
+    output_targets((edges_path, "edges"), (truth_path, "ground truth"))
 
     edges, truth = generate(scenario)
     rows = write_edge_file(edges_path, edges, scenario.signals)
@@ -232,8 +232,7 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
                 if any(sep in signal for sep in (os.sep, os.altsep, "\0") if sep):
                     raise _CliError(f"signal {signal!r} in {edges_path} cannot name "
                                     f"a report file sweep_<signal>.csv in {args.out}")
-            for path in report_paths(out, signals):
-                output_target(path, "report")
+            output_targets(*((path, "report") for path in report_paths(out, signals)))
         truth = read_ground_truth(truth_path)
         engine = StreamEngine(SignalRegistry(signals), window=window)
         report = backtest_turns(days, engine, truth,
@@ -342,9 +341,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 raise _CliError("window is fixed by the checkpoint when resuming")
         else:
             engine = StreamEngine(SignalRegistry(signals), window=window)
-        if args.alerts:
-            output_target(args.alerts, "alerts")
-        output_target(checkpoint_out, "checkpoint")
+        output_targets(*([(args.alerts, "alerts")] if args.alerts else []),
+                       (checkpoint_out, "checkpoint"))
         # Alert lines go to the alert file's temporary file as turns end; it
         # replaces the target only once the checkpoint is saved, so a failed
         # run leaves both targets as they were.

@@ -55,9 +55,11 @@ def read_edge_file(path: str | Path) -> tuple[list[SignalId], EdgeColumns]:
     """Parse an edge file; returns (signal column order, edge columns).
 
     Every row's user is coded, unlike in ``read_edge_days``, because
-    ``benchmarks/replica.py`` and ``score`` take the result edge by edge.
-    Its ``Sequence`` surface can go once the replica and the benchmark
-    load generator's ``groupby`` over edges are gone.
+    ``benchmarks/replica.py`` takes the result edge by edge; the ``score``
+    command folds it with ``StreamEngine.ingest_columns``, which reads the
+    users of hit rows only. Its ``Sequence`` surface can go once the
+    replica and the benchmark load generator's ``groupby`` over edges are
+    gone.
 
     Malformed rows do not abort the scan one at a time: the reader keeps
     going and reports every offending line number (capped) in one error.

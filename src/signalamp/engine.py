@@ -32,7 +32,6 @@ from .model import (
     EdgeColumns,
     GlobalBaseline,
     IdCodes,
-    NodeAccumulator,
     NodeId,
     SignalId,
     SignalRegistry,
@@ -151,14 +150,6 @@ class StreamEngine:
         self.registry.describe(signal)  # raises UnknownSignalError if unregistered
         self._flush()
         return int(self._hits[self._column[signal]].sum())
-
-    def accumulators(self) -> Iterator[NodeAccumulator]:
-        """A ``NodeAccumulator`` per active node, built on demand."""
-        self._flush()
-        ids = self._node_ids.ids()
-        return iter([NodeAccumulator(ids[code], trials, {
-            signal: count for signal, count in zip(self._signals, hits) if count})
-            for code, trials, *hits in self._node_table().T.tolist()])
 
     def _node_table(self) -> np.ndarray:
         """The active nodes as one delta."""

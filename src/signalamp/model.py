@@ -13,7 +13,7 @@ import os
 from collections import defaultdict
 from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count, islice
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
@@ -68,6 +68,22 @@ def output_target(path: str | Path, what: str | None = None) -> Path:
     else:
         return target
     raise SignalAmpError(f"cannot write {what} to {path}: {problem}")
+
+
+def output_targets(*outputs: tuple[str | Path, str]) -> list[Path]:
+    """The ``output_target`` of each (path, what) output of one command. Two
+    outputs whose targets resolve to one file raise ``SignalAmpError``
+    naming both, before anything is written: their writes would share one
+    temporary file, and the second would replace the first."""
+    targets: list[Path] = []
+    for path, what in outputs:
+        target = output_target(path, what)
+        for (other, other_what), earlier in zip(outputs, targets):
+            if os.path.realpath(earlier) == os.path.realpath(target):
+                raise SignalAmpError(f"cannot write {other_what} to {other} and "
+                                     f"{what} to {path}: both name one file")
+        targets.append(target)
+    return targets
 
 
 @contextmanager
@@ -336,21 +352,6 @@ class EdgeColumns(Sequence):
             return set()
         rows = self.hits[self.signals.index(signal)]
         return set(map(self.users.__getitem__, self.user_code[rows].tolist()))
-
-
-@dataclass(slots=True)
-class NodeAccumulator:
-    """Per-node tally: shared transaction count plus one hit count per signal.
-
-    ``trials`` counts every edge touching the node; ``hits[signal]`` counts
-    the subset whose bit for that signal was 1. Missing keys mean zero.
-    It is the input of ``compute_baseline`` and ``score_all``;
-    ``StreamEngine.accumulators()`` builds one per active node on demand.
-    """
-
-    node: NodeId
-    trials: int = 0
-    hits: dict[SignalId, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,11 +1,15 @@
 """Test-side helpers: reference oracles, a checkpoint-split engine run, a
-write that fails half-way and the columns the day reader keeps.
+write that fails half-way, the columns the day reader keeps and edge
+columns built from tuples.
 
 ``StreamEngine.ingest_columns`` is the package's one fold of edges into
 counters; per-edge ``StreamEngine.ingest`` queues edges into it.
-``reference_fold`` builds the same tallies without the engine, so it is an
-independent oracle: a counting bug in the engine cannot also hide in it.
-Likewise the package scores whole columns at once, and
+``reference_fold`` builds the same per-node tallies without the engine,
+so it is an independent oracle: a counting bug in the engine cannot also
+hide in it; ``tallies`` reads the engine's own from its checkpoint
+payload. Likewise the engine takes its baseline from the sums of its
+count columns and scores whole columns at once, while
+``reference_baseline`` adds up tallies node by node and
 ``reference_scores`` scores node by node with the scalar ``shrink`` and
 ``z_score``.
 """
@@ -15,7 +19,8 @@ import builtins
 from signalamp import model
 from signalamp.amplify import NodeScore, shrink, z_score
 from signalamp.engine import StreamEngine
-from signalamp.model import NodeAccumulator
+from signalamp.errors import NoBaselineError
+from signalamp.model import EdgeColumns, GlobalBaseline
 
 
 def crash_mid_write(monkeypatch):
@@ -53,17 +58,46 @@ def hit_rows(columns, uncoded=False):
                     columns.day.tolist(), columns.hits.T.tolist(), users))
 
 
+def edge_columns(signals, rows):
+    """``EdgeColumns`` of (user, node, day, bits) ``rows``, ``bits`` holding
+    one hit bit per signal of ``signals``."""
+    return EdgeColumns.from_rows(
+        signals, [user for user, _, _, _ in rows], [node for _, node, _, _ in rows],
+        [day for _, _, day, _ in rows],
+        [(k, row) for row, (_, _, _, bits) in enumerate(rows)
+         for k, bit in enumerate(bits) if bit])
+
+
 def reference_fold(edges):
-    """Map each node to a ``NodeAccumulator`` of its trials and hits."""
-    trials = {}
-    hits = {}
+    """Map each node to its tally: (trials, hits), with ``hits`` mapping
+    each signal the node has a hit on to its count."""
+    tallies = {}
     for edge in edges:
-        trials[edge.node] = trials.get(edge.node, 0) + 1
-        per_node = hits.setdefault(edge.node, {})
+        trials, hits = tallies.get(edge.node, (0, {}))
         for signal, bit in edge.hits.items():
             if bit:
-                per_node[signal] = per_node.get(signal, 0) + 1
-    return {node: NodeAccumulator(node, t, hits[node]) for node, t in trials.items()}
+                hits[signal] = hits.get(signal, 0) + 1
+        tallies[edge.node] = (trials + 1, hits)
+    return tallies
+
+
+def tallies(engine):
+    """``reference_fold``'s tallies of the active nodes of ``engine``, added
+    up from the days of its checkpoint payload (format v2)."""
+    nodes = v1_payload(engine.checkpoint_payload())["nodes"]
+    return {node: (entry["t"], entry["s"]) for node, entry in nodes.items()}
+
+
+def reference_baseline(nodes, signal):
+    """Population totals for one signal over the tallies ``nodes`` with at
+    least one transaction, raising what ``StreamEngine.baseline`` raises on
+    an empty window."""
+    active = [(trials, hits) for trials, hits in nodes.values() if trials >= 1]
+    transactions = sum(trials for trials, _ in active)
+    if not transactions:
+        raise NoBaselineError(f"window is empty for signal {signal!r}")
+    hits = sum(held.get(signal, 0) for _, held in active)
+    return GlobalBaseline(signal, hits, transactions, len(active))
 
 
 def reference_users(edges):
@@ -77,23 +111,24 @@ def reference_users(edges):
     return users
 
 
-def reference_scores(accs, baseline):
-    """Scalar scores of every node with a transaction, by (-z, node)."""
+def reference_scores(nodes, baseline):
+    """Scalar scores of every node of the tallies ``nodes`` with a
+    transaction, by (-z, node)."""
     rate = baseline.rate
     scores = []
-    for acc in accs:
-        if acc.trials < 1:
+    for node, (trials, held) in nodes.items():
+        if trials < 1:
             continue
-        hits = acc.hits.get(baseline.signal, 0)
-        shrunk = shrink(hits, acc.trials, rate, baseline.prior_strength)
+        hits = held.get(baseline.signal, 0)
+        shrunk = shrink(hits, trials, rate, baseline.prior_strength)
         scores.append(NodeScore(
-            node=acc.node,
+            node=node,
             signal=baseline.signal,
             hits=hits,
-            trials=acc.trials,
-            raw_rate=hits / acc.trials,
+            trials=trials,
+            raw_rate=hits / trials,
             shrunk_rate=shrunk,
-            z=z_score(shrunk, rate, acc.trials),
+            z=z_score(shrunk, rate, trials),
         ))
     scores.sort(key=lambda sc: (-sc.z, sc.node))
     return scores

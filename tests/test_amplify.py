@@ -9,17 +9,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from signalamp.amplify import (
-    compute_baseline,
-    score_all,
-    score_columns,
-    shrink,
-    z_score,
-)
+from signalamp.amplify import rank_columns, score_columns, shrink, z_score
+from signalamp.engine import StreamEngine, WindowConfig
 from signalamp.errors import DegenerateBaselineError, NoBaselineError
-from signalamp.model import NodeAccumulator, SignalRegistry, TransactionEdge
+from signalamp.model import GlobalBaseline, SignalRegistry, TransactionEdge
 
-from reference import reference_fold, reference_scores, split_run
+from reference import (edge_columns, reference_baseline, reference_fold,
+                       reference_scores, split_run)
 
 REL = 1e-12
 
@@ -205,40 +201,62 @@ class TestZScoreProperties:
             assert np.isfinite(z)
 
 
-class TestComputeBaseline:
+def columns_of(tallies, day=0):
+    """Columns of ``trials`` edges on ``day`` into each node of the (node,
+    trials, hits) ``tallies``, in that order, the first ``hits`` of them
+    hitting ``sig``."""
+    rows = [(node, day, (i < hits,)) for node, trials, hits in tallies
+            for i in range(trials)]
+    return edge_columns(["sig"], [(f"u{k}", *row) for k, row in enumerate(rows)])
+
+
+def engine_of(tallies):
+    """A cumulative engine that folded ``columns_of(tallies)``."""
+    engine = StreamEngine(SignalRegistry(["sig"]))
+    engine.ingest_columns(columns_of(tallies))
+    return engine
+
+
+def evicted(node, trials, tallies):
+    """A ``trailing:1`` engine that folded ``trials`` edges into ``node`` on
+    day 0 and ``tallies`` on day 1, advanced to day 1, so that ``node`` is
+    left with no transaction."""
+    engine = StreamEngine(SignalRegistry(["sig"]), WindowConfig.trailing(1))
+    engine.ingest_columns(columns_of([(node, trials, 0)]))
+    engine.ingest_columns(columns_of(tallies, day=1))
+    engine.advance_to(1)
+    return engine
+
+
+class TestEngineBaseline:
     def test_two_node_example(self):
-        accs = [
-            NodeAccumulator("a", 10, {"sig": 1}),
-            NodeAccumulator("b", 10, {}),
-        ]
-        baseline = compute_baseline(accs, "sig")
+        baseline = engine_of([("a", 10, 1), ("b", 10, 0)]).baseline("sig")
         assert baseline.rate == 0.05
         assert baseline.prior_strength == 10.0
         assert baseline.active_nodes == 2
         score_columns(np.array([10, 10]), np.array([1, 0]), baseline)
 
     def test_single_silent_node_is_degenerate(self):
-        baseline = compute_baseline([NodeAccumulator("a", 7, {})], "sig")
+        baseline = engine_of([("a", 7, 0)]).baseline("sig")
         assert baseline.rate == 0.0
         assert baseline.prior_strength == 7.0
         with pytest.raises(DegenerateBaselineError):
             score_columns(np.array([7]), np.array([0]), baseline)
 
     def test_all_hits_is_degenerate(self):
-        baseline = compute_baseline([NodeAccumulator("a", 3, {"sig": 3})], "sig")
+        baseline = engine_of([("a", 3, 3)]).baseline("sig")
         assert baseline.rate == 1.0
         with pytest.raises(DegenerateBaselineError):
             score_columns(np.array([3]), np.array([3]), baseline)
 
     def test_empty_window_rejected(self):
         with pytest.raises(NoBaselineError):
-            compute_baseline([], "sig")
+            StreamEngine(SignalRegistry(["sig"])).baseline("sig")
         with pytest.raises(NoBaselineError):
-            compute_baseline([NodeAccumulator("a")], "sig")
+            evicted("a", 4, []).baseline("sig")
 
     def test_zero_trial_nodes_do_not_count_as_active(self):
-        accs = [NodeAccumulator("a", 10, {"sig": 2}), NodeAccumulator("b")]
-        baseline = compute_baseline(accs, "sig")
+        baseline = evicted("b", 4, [("a", 10, 2)]).baseline("sig")
         assert baseline.active_nodes == 1
         assert baseline.prior_strength == 10.0
 
@@ -246,51 +264,37 @@ class TestComputeBaseline:
         """Monte Carlo: pooled rate lands inside a 4-sigma binomial band."""
         rng = np.random.default_rng(21)
         p = 0.05
-        accs = []
+        tallies = []
         total = 0
         for i in range(300):
             trials = int(rng.integers(1, 200))
             hits = int(rng.binomial(trials, p))
-            accs.append(NodeAccumulator(f"n{i:03d}", trials, {"sig": hits}))
+            tallies.append((f"n{i:03d}", trials, hits))
             total += trials
-        baseline = compute_baseline(accs, "sig")
+        baseline = engine_of(tallies).baseline("sig")
         sigma = (p * (1 - p) / total) ** 0.5
         assert abs(baseline.rate - p) < 4 * sigma
         assert baseline.prior_strength == total / 300
 
 
-class TestScoreAll:
-    def _accs(self):
-        return [
-            NodeAccumulator("n1", 50, {"sig": 40}),
-            NodeAccumulator("n2", 50, {"sig": 2}),
-            NodeAccumulator("n3", 400, {"sig": 20}),
-        ]
+class TestEngineScores:
+    _tallies = [("n1", 50, 40), ("n2", 50, 2), ("n3", 400, 20)]
 
     def test_ordering_is_z_descending(self):
-        accs = self._accs()
-        scores = score_all(accs, compute_baseline(accs, "sig"))
+        scores = engine_of(self._tallies).scores("sig")
         assert [s.z for s in scores] == sorted((s.z for s in scores), reverse=True)
 
     def test_ties_break_on_node_id(self):
-        accs = [
-            NodeAccumulator("b", 10, {"sig": 3}),
-            NodeAccumulator("a", 10, {"sig": 3}),
-            NodeAccumulator("c", 10, {"sig": 1}),
-        ]
-        scores = score_all(accs, compute_baseline(accs, "sig"))
+        scores = engine_of([("b", 10, 3), ("a", 10, 3), ("c", 10, 1)]).scores("sig")
         assert [s.node for s in scores[:2]] == ["a", "b"]
         assert scores[0].z == scores[1].z
 
-    def test_skips_empty_accumulators(self):
-        accs = self._accs() + [NodeAccumulator("ghost")]
-        scores = score_all(accs, compute_baseline(accs, "sig"))
-        assert "ghost" not in {s.node for s in scores}
+    def test_skips_nodes_without_transactions(self):
+        scores = evicted("ghost", 5, self._tallies).scores("sig")
+        assert scores == engine_of(self._tallies).scores("sig")
 
-    def test_fields_copied_from_accumulator(self):
-        accs = self._accs()
-        baseline = compute_baseline(accs, "sig")
-        by_node = {s.node: s for s in score_all(accs, baseline)}
+    def test_fields_copied_from_tallies(self):
+        by_node = {s.node: s for s in engine_of(self._tallies).scores("sig")}
         assert by_node["n1"].hits == 40
         assert by_node["n1"].trials == 50
         assert by_node["n1"].raw_rate == 0.8
@@ -299,18 +303,15 @@ class TestScoreAll:
     def test_everything_at_baseline_scores_zero(self):
         """Nodes at exactly the pooled rate with volume equal to the prior
         strength sit at z = 0 precisely."""
-        accs = [NodeAccumulator(f"n{i}", 10, {"sig": 2}) for i in range(3)]
-        baseline = compute_baseline(accs, "sig")
-        assert baseline.prior_strength == 10.0
-        for sc in score_all(accs, baseline):
+        engine = engine_of([(f"n{i}", 10, 2) for i in range(3)])
+        assert engine.baseline("sig").prior_strength == 10.0
+        for sc in engine.scores("sig"):
             assert sc.z == 0.0
             assert sc.shrunk_rate == pytest.approx(0.2, rel=1e-15)
 
     def test_propagates_degenerate_baseline(self):
-        accs = [NodeAccumulator("a", 5, {})]
-        baseline = compute_baseline(accs, "sig")
         with pytest.raises(DegenerateBaselineError):
-            score_all(accs, baseline)
+            engine_of([("a", 5, 0)]).scores("sig")
 
     def test_concat_equals_merge(self, tmp_path):
         """Scoring commutes with where the stream was split by a checkpoint."""
@@ -326,15 +327,13 @@ class TestScoreAll:
             for _ in range(600)
         ]
         whole = reference_fold(edges)
-        scores_whole = reference_scores(
-            whole.values(), compute_baseline(whole.values(), "sig")
-        )
+        scores_whole = reference_scores(whole, reference_baseline(whole, "sig"))
         merged = split_run(registry, edges[:250], edges[250:], tmp_path / "ckpt.json")
         assert merged.scores("sig") == scores_whole
 
     def test_empty_input_gives_empty_ranking(self):
-        baseline = compute_baseline([NodeAccumulator("a", 4, {"sig": 1})], "sig")
-        assert score_all([], baseline) == []
+        none = np.zeros(0, np.int64)
+        assert rank_columns([], none, none, GlobalBaseline("sig", 1, 4, 1)) == []
 
     @pytest.mark.parametrize("seed", range(6))
     def test_equals_scalar_reference(self, seed):
@@ -346,28 +345,29 @@ class TestScoreAll:
         # Ids that differ only by trailing NULs tie on z and must keep
         # Python's string order.
         crowded = [
-            NodeAccumulator(f"n{i % 60}" + "\0" * (i // 60), t, {"sig": s} if s else {})
+            (f"n{i % 60}" + "\0" * (i // 60), t, s)
             for i, (t, s) in enumerate(zip(trials.tolist(), hits.tolist()))
         ]
         # Pairs around s = 2 keep p = 0.2 and M = 10, so every (10, 2)
         # node shrinks to p exactly and scores z = 0.0.
         pairs = [(2, 2)] * int(rng.integers(5, 30)) + \
             [(1, 3)] * int(rng.integers(0, 20)) + [(0, 4)] * int(rng.integers(0, 20))
-        balanced = [
-            NodeAccumulator(f"b{i}", 10, {"sig": s} if s else {})
-            for i, s in enumerate(s for pair in pairs for s in pair)
-        ]
-        for accs in (crowded, balanced):
-            rng.shuffle(accs)
-            baseline = compute_baseline(accs, "sig")
-            scores = score_all(accs, baseline)
-            assert scores == reference_scores(accs, baseline)
+        balanced = [(f"b{i}", 10, s)
+                    for i, s in enumerate(s for pair in pairs for s in pair)]
+        for table in (crowded, balanced):
+            rng.shuffle(table)
+            tallies = {node: (t, {"sig": s} if s else {}) for node, t, s in table}
+            baseline = reference_baseline(tallies, "sig")
+            engine = engine_of(table)
+            assert engine.baseline("sig") == baseline
+            scores = engine.scores("sig")
+            assert scores == reference_scores(tallies, baseline)
         assert any(sc.z == 0.0 for sc in scores)
 
 
 class TestScoreColumns:
     def _baseline(self):
-        return compute_baseline([NodeAccumulator("a", 10, {"sig": 3})], "sig")
+        return GlobalBaseline("sig", 3, 10, 1)
 
     def test_rows_equal_scalar_functions(self):
         trials, hits = np.array([1, 7, 50, 9000]), np.array([0, 7, 13, 100])
@@ -390,6 +390,6 @@ class TestScoreColumns:
 
     @pytest.mark.parametrize("hits", [0, 10])
     def test_degenerate_baseline_rejected(self, hits):
-        baseline = compute_baseline([NodeAccumulator("a", 10, {"sig": hits})], "sig")
+        baseline = GlobalBaseline("sig", hits, 10, 1)
         with pytest.raises(DegenerateBaselineError):
             score_columns(np.array([10]), np.array([hits]), baseline)

@@ -1,10 +1,12 @@
 """Public API guard: the top-level names, and every package name the
-benchmark scripts import, must keep resolving; and the package writes
-files only through ``model.replace_on_success``."""
+benchmark scripts import, must keep resolving; every public name of the
+package has a user outside the tests; and the package writes files only
+through ``model.replace_on_success``."""
 
 import ast
 import bisect
 import importlib
+import re
 from operator import attrgetter
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from signalamp.scenario import generate, scenario_from_dict
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 PACKAGE = Path(signalamp.__file__).resolve().parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_top_level_names_are_the_readme_library_api():
@@ -31,8 +34,6 @@ def test_top_level_names_are_the_readme_library_api():
         "run_backtest",
         "shrink",
         "z_score",
-        "compute_baseline",
-        "score_all",
     ]
     for name in signalamp.__all__:
         assert hasattr(signalamp, name), name
@@ -89,6 +90,52 @@ def test_benchmark_engine_attributes_resolve():
     missing = [f"{source}: {name}" for source, name in used
                if not hasattr(engine, name)]
     assert not missing
+
+
+def used_names(paths):
+    """Every name that the code of ``paths`` loads, imports or reads as an
+    attribute; a definition is not a use."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and path.parent == BENCHMARKS:
+                used.update(alias.name for alias in node.names)
+    return used
+
+
+def readme_names():
+    """Every identifier in README.md's code: fenced blocks and backticked
+    spans."""
+    parts = README.read_text(encoding="utf-8").split("```")
+    spans = [*parts[1::2],
+             *(span for text in parts[::2] for span in re.findall(r"`([^`]+)`", text))]
+    return {name for span in spans for name in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def test_every_public_name_has_a_user():
+    """Each public module-level function and class of the package, and each
+    public method, is used by package code or a benchmark script, or named
+    in README.md's code, so that no package code lives for the tests
+    alone. Names are matched by their last part."""
+    users = used_names(sorted(PACKAGE.glob("*.py"))) \
+        | used_names(sorted(BENCHMARKS.glob("*.py"))) | readme_names()
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            names = [node.name]
+            if isinstance(node, ast.ClassDef):
+                names += [f"{node.name}.{m.name}" for m in node.body
+                          if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+            unused += [f"{path.name}: {name}" for name in names
+                       if name.rsplit(".", 1)[-1] not in users]
+    assert not unused
 
 
 def file_writes(tree):

@@ -682,6 +682,8 @@ class TestStream:
         ("alerts-a-directory", "cannot write alerts to"),
         ("bad-row-after-day-out-of-order", "line {bad}: bit for 'sig' must be 0 or 1"),
         ("no-signal-columns", "declares no signal columns"),
+        ("alerts-to-the-resumed-checkpoint", "both name one file"),
+        ("alerts-a-link-to-the-checkpoint", "both name one file"),
     ])
     def test_failed_run_leaves_every_file_as_it_was(self, dataset, tmp_path, capsys,
                                                     case, message):
@@ -717,9 +719,17 @@ class TestStream:
             alerts.mkdir()
         elif case == "no-signal-columns":
             edges.write_text("".join(",".join(line.split(",")[:3]) + "\n" for line in lines))
+        elif case == "alerts-to-the-resumed-checkpoint":
+            assert invoke(capsys, "stream", "--edges", str(dataset / "edges.csv"),
+                          "--checkpoint", str(ckpt))[0] == 0
+            argv[-1] = str(ckpt)
+            argv += ["--resume", str(ckpt)]
+        elif case == "alerts-a-link-to-the-checkpoint":
+            alerts.symlink_to(ckpt)
+        if not ckpt.exists():
+            ckpt.write_text("earlier checkpoint\n")
         if not alerts.exists():
             alerts.write_text("earlier alerts\n")
-        ckpt.write_text("earlier checkpoint\n")
         before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
 
         code, out, err = invoke(capsys, *argv)
@@ -776,8 +786,9 @@ def _files(root):
 class TestOutputTargets:
     """Each command checks every output target before its first turn or
     write: a link is written through, so that it stays and its target is
-    rewritten; a missing directory, or an existing target that is not a
-    regular file, fails with one line and leaves every file as it was."""
+    rewritten; a missing directory, an existing target that is not a
+    regular file, or two outputs that name one file, fails with one line
+    and leaves every file as it was."""
 
     def _refused(self, capsys, root, argv, message):
         before = _files(root)
@@ -839,6 +850,27 @@ class TestOutputTargets:
             "--truth", str(dataset / "ground_truth.json"), "--out", str(reports)],
             f"cannot write report to {reports / 'summary.csv'}: it is not a regular file")
         assert [path.name for path in reports.iterdir()] == ["summary.csv"]
+
+    def test_generate_outputs_that_name_one_file_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "edges.csv").symlink_to("ground_truth.json")
+        self._refused(capsys, tmp_path, [
+            "generate", "--preset", "calm", "--out", str(out)],
+            f"cannot write edges to {out / 'edges.csv'} and ground truth to "
+            f"{out / 'ground_truth.json'}: both name one file")
+
+    def test_backtest_reports_that_name_one_file_refused(self, dataset, tmp_path,
+                                                         capsys):
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        (reports / "summary.csv").write_text("earlier summary\n")
+        (reports / "sweep_sig.csv").symlink_to("summary.csv")
+        self._refused(capsys, tmp_path, [
+            "backtest", "--edges", str(dataset / "edges.csv"),
+            "--truth", str(dataset / "ground_truth.json"), "--out", str(reports)],
+            f"cannot write report to {reports / 'sweep_sig.csv'} and report to "
+            f"{reports / 'summary.csv'}: both name one file")
 
     @pytest.mark.parametrize("fifo", [True, False], ids=["fifo_truth", "plain_truth"])
     def test_generate_through_a_symlink(self, tmp_path, capsys, fifo):

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signalamp.amplify import compute_baseline
 from signalamp.detect import build_alerts, flag_nodes, serialize_alert
 from signalamp import engine as engine_module
 from signalamp.edgefile import read_edge_days, write_edge_file
-from signalamp.engine import StreamEngine, WindowConfig, replay_daily, replay_turns
+from signalamp.engine import (StreamEngine, WindowConfig, day_batches, replay_daily,
+                              replay_turns)
 from signalamp.errors import (
     CheckpointError,
     DegenerateBaselineError,
@@ -24,8 +24,9 @@ from signalamp.errors import (
 )
 from signalamp.model import EdgeColumns, SignalRegistry, TransactionEdge
 
-from reference import (crash_mid_write, reference_fold, reference_scores,
-                       reference_users, v1_payload)
+from reference import (crash_mid_write, edge_columns, reference_baseline,
+                       reference_fold, reference_scores, reference_users, tallies,
+                       v1_payload)
 
 
 def random_edges(n, seed, n_users=200, n_nodes=25, days=10, hit_rate=0.2,
@@ -48,7 +49,7 @@ def random_edges(n, seed, n_users=200, n_nodes=25, days=10, hit_rate=0.2,
 
 def batch_scores(edges, signal):
     nodes = reference_fold(edges)
-    return reference_scores(nodes.values(), compute_baseline(nodes.values(), signal))
+    return reference_scores(nodes, reference_baseline(nodes, signal))
 
 
 def composed_turns(edges, registry, window, threshold):
@@ -122,13 +123,13 @@ class TestIngest:
         engine = StreamEngine(registry)
         for edge in random_edges(400, seed=3, signals=("a", "b")):
             engine.ingest(edge)
-            accs = list(engine.accumulators())
-            assert engine.total_transactions == sum(x.trials for x in accs)
+            held = tallies(engine).values()
+            assert engine.total_transactions == sum(t for t, _ in held)
             for signal in ("a", "b"):
                 assert engine.total_hits(signal) == sum(
-                    x.hits.get(signal, 0) for x in accs
+                    hits.get(signal, 0) for _, hits in held
                 )
-            assert engine.active_node_count == len(accs)
+            assert engine.active_node_count == len(held)
 
 
 @st.composite
@@ -166,10 +167,7 @@ def test_ingest_merges_a_day_in_any_order(tmp_path, day, window):
     and any code order of their id tables, gives the counters, hit users
     and checkpoint bytes of the day ingested whole."""
     rows, pieces = day
-    whole = EdgeColumns.from_rows(
-        ["a", "b"], [u for u, _, _ in rows], [v for _, v, _ in rows], [4] * len(rows),
-        [(k, row) for row, (_, _, bits) in enumerate(rows) for k, bit in enumerate(bits)
-         if bit])
+    whole = edge_columns(["a", "b"], [(u, v, 4, bits) for u, v, bits in rows])
     engines = [StreamEngine(SignalRegistry(["a", "b"]), window=window) for _ in "wp"]
     engines[0].ingest_columns(whole)
     for piece in pieces:
@@ -177,8 +175,7 @@ def test_ingest_merges_a_day_in_any_order(tmp_path, day, window):
     for k, engine in enumerate(engines):
         engine.save_checkpoint(tmp_path / f"{k}.json")
     want, got = engines
-    assert sorted(got.accumulators(), key=lambda acc: acc.node) == sorted(
-        want.accumulators(), key=lambda acc: acc.node)
+    assert tallies(got) == tallies(want)
     for signal in ("a", "b"):
         assert got.node_hit_users(signal) == want.node_hit_users(signal)
     assert (tmp_path / "1.json").read_bytes() == (tmp_path / "0.json").read_bytes()
@@ -222,9 +219,7 @@ class TestStreamEqualsBatch:
         by_node = {s.node: s for s in engine.scores("sig")}
         for node, want in {s.node: s for s in batch_scores(edges, "sig")}.items():
             assert by_node[node] == want
-        assert {acc.node: (acc.trials, acc.hits) for acc in engine.accumulators()} \
-            == {node: (acc.trials, acc.hits)
-                for node, acc in reference_fold(edges).items()}
+        assert tallies(engine) == reference_fold(edges)
 
     def test_unknown_node_rejected(self):
         """A read about a node the engine has never seen finds nothing and
@@ -243,6 +238,68 @@ class TestStreamEqualsBatch:
             engine.scores("sig")
         with pytest.raises(DegenerateBaselineError):
             engine.flagged("sig", 1.0)
+
+
+@st.composite
+def day_streams(draw):
+    """Edges as (user, node, day, hit bits) rows in day order, on one to
+    five distinct days of 0 to 8, so that runs have gap days."""
+    days = sorted(draw(st.sets(st.integers(0, 8), min_size=1, max_size=5)))
+    return [(user, node, day, bits) for day in days
+            for user, node, bits in draw(st.lists(st.tuples(
+                st.sampled_from(["u1", "u2", "u3"]), st.sampled_from(["n1", "n2", "n3"]),
+                st.tuples(st.booleans(), st.booleans())), min_size=1, max_size=6))]
+
+
+WINDOWS = [None, *map(WindowConfig.trailing, (1, 2, 3))]
+
+
+def window_turns(rows, window):
+    """Each turn of ``replay_turns`` over ``rows`` as (engine, the rows
+    inside the window at that turn); the engine is the run's own, at the
+    turn."""
+    engine = StreamEngine(SignalRegistry(["a", "b"]), window)
+    batches = day_batches(edge_columns(["a", "b"], rows), engine)
+    for turn in replay_turns(batches, engine, 1.0):
+        low = -1 if window is None else turn.day - window.trailing_days
+        yield engine, [row for row in rows if low < row[2] <= turn.day]
+
+
+def outcome(score, *args):
+    """What ``score(*args)`` returns, or the type and text of what it raises
+    on a signal without a usable baseline."""
+    try:
+        return score(*args)
+    except (NoBaselineError, DegenerateBaselineError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200)
+@given(rows=day_streams(), window=st.sampled_from(WINDOWS))
+def test_every_turn_scores_what_the_reference_scores(rows, window):
+    """At every turn of a run, gap days included, ``scores`` equals the
+    scalar reference over the window's edges bit for bit, and raises what
+    the reference raises where a signal is inactive."""
+    for engine, inside in window_turns(rows, window):
+        nodes = reference_fold(TransactionEdge(u, v, d, dict(zip("ab", bits)))
+                               for u, v, d, bits in inside)
+        for signal in "ab":
+            want = outcome(lambda: reference_scores(
+                nodes, reference_baseline(nodes, signal)))
+            assert outcome(engine.scores, signal) == want
+
+
+@settings(max_examples=200)
+@given(rows=day_streams(), window=st.sampled_from(WINDOWS[1:]))
+def test_eviction_leaves_what_the_window_alone_folds(rows, window):
+    """After every trailing turn, the counters and hit users equal those
+    of a fresh engine fed only the window's days."""
+    for engine, inside in window_turns(rows, window):
+        fresh = StreamEngine(SignalRegistry(["a", "b"]), window)
+        fresh.ingest_columns(edge_columns(["a", "b"], inside))
+        assert tallies(engine) == tallies(fresh)
+        for signal in "ab":
+            assert engine.node_hit_users(signal) == fresh.node_hit_users(signal)
 
 
 class TestTrailingWindow:
@@ -271,9 +328,9 @@ class TestTrailingWindow:
             engine.ingest(edge)
         for day in range(10):
             engine.advance_to(day)
-            accs = list(engine.accumulators())
-            assert engine.total_transactions == sum(x.trials for x in accs)
-            assert engine.total_hits("sig") == sum(x.hits.get("sig", 0) for x in accs)
+            held = tallies(engine).values()
+            assert engine.total_transactions == sum(t for t, _ in held)
+            assert engine.total_hits("sig") == sum(hits.get("sig", 0) for _, hits in held)
 
     def test_hit_users_evicted_with_their_days(self):
         registry = SignalRegistry(["sig"])
@@ -633,10 +690,9 @@ class TestColumnsEqualPerEdge:
 
         last = edges[-1].day
         inside = [e for e in edges if window is None or e.day > last - 3]
-        reference = reference_fold(inside)
         nodes = v1_payload(want)["nodes"]
         assert {node: (e["t"], e["s"]) for node, e in nodes.items()} \
-            == {node: (acc.trials, acc.hits) for node, acc in reference.items()}
+            == reference_fold(inside)
 
         columns = EdgeColumns.from_edges(edges, registry.ids())
         days = [e.day for e in edges]
@@ -698,8 +754,8 @@ class TestColumnsEqualPerEdge:
         want = whole.checkpoint_payload()
         assert mixed.checkpoint_payload() == want
         nodes = v1_payload(want)["nodes"]
-        assert {node: (e["t"], e["s"]) for node, e in nodes.items()} == {
-            node: (acc.trials, acc.hits) for node, acc in reference_fold(many).items()}
+        assert {node: (e["t"], e["s"]) for node, e in nodes.items()} \
+            == reference_fold(many)
         assert {node: e["users"] for node, e in nodes.items()} == {
             node: reference_users(many).get(node, {}) for node in nodes}
         for engine in (mixed, whole):
@@ -734,9 +790,8 @@ class TestColumnsEqualPerEdge:
             assert got == one_call(seen).checkpoint_payload()
             got = v1_payload(got)
             nodes = got["nodes"]
-            assert {node: (e["t"], e["s"]) for node, e in nodes.items()} == {
-                node: (acc.trials, acc.hits)
-                for node, acc in reference_fold(seen).items()}
+            assert {node: (e["t"], e["s"]) for node, e in nodes.items()} \
+                == reference_fold(seen)
             assert got["day_buffers"] == {
                 "0": {node: {"users": {}, **e} for node, e in nodes.items()}}
             users = reference_users(seen)

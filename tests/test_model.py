@@ -17,7 +17,7 @@ from signalamp.errors import DuplicateSignalError, EdgeFileError, UnknownSignalE
 from signalamp.model import EdgeColumns, GlobalBaseline, SignalRegistry, TransactionEdge
 from signalamp.scenario import GroundTruth
 
-from reference import crash_mid_write, split_run
+from reference import crash_mid_write, split_run, tallies
 
 
 class TestSignalRegistry:
@@ -99,10 +99,11 @@ class TestTransactionEdge:
 
 
 def node_tally(engine, node):
-    return next(acc for acc in engine.accumulators() if acc.node == node)
+    """The (trials, hits) tally of ``node`` in ``engine``'s window."""
+    return tallies(engine)[node]
 
 
-class TestNodeAccumulator:
+class TestNodeTally:
     """The engine's ingest is the only fold into a node tally."""
 
     def test_add_counts_shared_trials_and_per_signal_hits(self):
@@ -110,9 +111,7 @@ class TestNodeAccumulator:
         engine.ingest(TransactionEdge(user="u1", node="n1", day=0, hits={"a": 1}))
         engine.ingest(TransactionEdge(user="u2", node="n1", day=0, hits={}))
         engine.ingest(TransactionEdge(user="u3", node="n1", day=1, hits={"a": 1, "b": 1}))
-        acc = node_tally(engine, "n1")
-        assert acc.trials == 3
-        assert acc.hits == {"a": 2, "b": 1}
+        assert node_tally(engine, "n1") == (3, {"a": 2, "b": 1})
 
     def test_hits_never_exceed_trials(self):
         rng = np.random.default_rng(5)
@@ -120,8 +119,8 @@ class TestNodeAccumulator:
         for _ in range(500):
             hits = {"a": 1} if rng.random() < 0.5 else {}
             engine.ingest(TransactionEdge(user="u", node="n1", day=0, hits=hits))
-            acc = node_tally(engine, "n1")
-            assert 0 <= acc.hits.get("a", 0) <= acc.trials
+            trials, held = node_tally(engine, "n1")
+            assert 0 <= held.get("a", 0) <= trials
 
 
 def tally_edges(trials, hits, signal="sig"):
@@ -144,9 +143,7 @@ class TestMergeAlgebra:
     def test_example_sum(self, tmp_path):
         engine = split_run(SignalRegistry(["sig"]), tally_edges(10, 3),
                            tally_edges(5, 2), tmp_path / "ckpt.json")
-        merged = node_tally(engine, "v")
-        assert merged.trials == 15
-        assert merged.hits == {"sig": 5}
+        assert node_tally(engine, "v") == (15, {"sig": 5})
 
     def test_identity_element(self, tmp_path):
         registry = SignalRegistry(["sig"])
@@ -180,17 +177,14 @@ class TestMergeAlgebra:
     def test_mixed_signals_merge_keywise(self, tmp_path):
         engine = split_run(SignalRegistry(["x", "y"]), tally_edges(4, 2, "x"),
                            tally_edges(6, 3, "y"), tmp_path / "ckpt.json")
-        merged = node_tally(engine, "v")
-        assert merged.hits == {"x": 2, "y": 3}
-        assert merged.trials == 10
+        assert node_tally(engine, "v") == (10, {"x": 2, "y": 3})
 
     def test_merge_leaves_inputs_untouched(self, tmp_path):
         path = tmp_path / "ckpt.json"
         merged = split_run(SignalRegistry(["x"]), tally_edges(4, 2, "x"),
                            tally_edges(6, 3, "x"), path)
-        assert node_tally(merged, "v").trials == 10
-        again = node_tally(StreamEngine.load_checkpoint(path), "v")
-        assert (again.trials, again.hits) == (4, {"x": 2})
+        assert node_tally(merged, "v")[0] == 10
+        assert node_tally(StreamEngine.load_checkpoint(path), "v") == (4, {"x": 2})
 
 
 class TestGlobalBaseline:
